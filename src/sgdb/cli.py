@@ -46,7 +46,7 @@ def _exec_text(db: Database, text: str, spec: RenderSpec, out, err) -> int:
     for stmt in statements:
         try:
             result = evaluate(stmt, db)
-        except SgdbError as exc:
+        except (SgdbError, OSError) as exc:
             err.write(f"error: {exc}\n")
             return 3
         _print_result(result, spec, out)

@@ -10,9 +10,16 @@ value.  The META record (key = the single byte 0x00) carries the schema as
 JSON and is written first.  Values are canonical JSON: keys sorted by code
 point, UTF-8, no insignificant whitespace, null for the explicit null value.
 
-Opening replays the log into a key -> offset index (last write wins, DEL
-removes).  A torn final record — a crash artifact — is truncated away on
-open; a checksum failure on a complete record is corruption and is reported.
+Opening reads the whole log in one pass and replays it from memory into a
+key -> offset index (last write wins, DEL removes).  Scanning and compacting
+read the log in one more pass and decode the record at each live offset.
+Each pass briefly holds a buffer as large as the file.
+
+A record that runs past the end of the file is a torn tail, a crash
+artifact, and is truncated away on open.  Every other malformed log raises
+``CorruptFileError``: a bad magic, an unknown record tag, a checksum mismatch
+on a complete record, a key that is not UTF-8, a missing or unreadable schema
+record, and a PUT payload that is not a JSON object of strings and nulls.
 A database is simply a directory of ``<table>.sgt`` files.
 """
 
@@ -43,8 +50,10 @@ OP_META = 0x00
 OP_PUT = 0x01
 OP_DEL = 0x02
 META_KEY = b"\x00"
+_HEADER = MAGIC + bytes([VERSION])
 
 _U32 = struct.Struct("<I")
+_DECODER = json.JSONDecoder()
 
 TABLE_SUFFIX = ".sgt"
 _TABLE_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -75,8 +84,26 @@ def _encode(op: int, key: bytes, value: bytes | None) -> bytes:
     return buf + _U32.pack(zlib.crc32(buf) & 0xFFFFFFFF)
 
 
-class _TornRecord(Exception):
-    """The file ends in the middle of a record."""
+def _decode_row(payload: bytes) -> TupleRecord | None:
+    """The row a PUT payload holds, or None unless it is one JSON object of strings and nulls."""
+    try:
+        text = payload.decode("utf-8")
+        row, end = _DECODER.raw_decode(text)
+    except ValueError:
+        return None
+    if end != len(text) or type(row) is not dict:
+        return None
+    for value in row.values():
+        if value is not None and type(value) is not str:
+            return None
+    return row
+
+
+class _TornRecord(CorruptFileError):
+    """The log ends in the middle of a record: a torn tail at open, corruption elsewhere."""
+
+    def __init__(self, path: Path, pos: int):
+        super().__init__(f"{path}: the record at offset {pos} runs past the end of the file")
 
 
 class TableFile:
@@ -86,6 +113,11 @@ class TableFile:
     on the same file cannot coexist.  ``sync=False`` defers fsync to close,
     which is faster for bulk loads but trades away crash durability for the
     unsynced suffix (replay still never yields a half-written record).
+
+    Opening, ``scan_all`` and ``compact`` each read the file once, into a
+    buffer as large as the file that is freed when they return, and parse
+    records from it; a malformed record raises ``CorruptFileError`` (see the
+    module docstring for which ones).
     """
 
     def __init__(self, path: str | Path, schema: Schema | None = None, *, sync: bool = True):
@@ -102,20 +134,24 @@ class TableFile:
             self._fh = open(self.path, "x+b")
             self._lock()
             self.schema = Schema(schema.primary_key, tuple(schema.fields))
-            self._fh.write(MAGIC + bytes([VERSION]))
+            self._fh.write(_HEADER)
             self._fh.write(_encode(OP_META, META_KEY, _schema_bytes(self.schema)))
             self._flush()
         else:
             self._fh = open(self.path, "r+b")
             self._lock()
-            self.schema = self._replay()
-            if schema is not None and (
-                schema.primary_key != self.schema.primary_key or tuple(schema.fields) != self.schema.fields
-            ):
+            try:
+                self.schema = self._replay()
+                if schema is not None and (
+                    schema.primary_key != self.schema.primary_key or tuple(schema.fields) != self.schema.fields
+                ):
+                    raise SchemaMismatchError(
+                        f"{self.path}: stored schema {self.schema} != given {schema}"
+                    )
+            except BaseException:
+                # Release the file and its lock now, not when the failed handle is collected.
                 self._fh.close()
-                raise SchemaMismatchError(
-                    f"{self.path}: stored schema {self.schema} != given {schema}"
-                )
+                raise
 
     def _lock(self) -> None:
         try:
@@ -129,64 +165,63 @@ class TableFile:
         if self.sync:
             os.fsync(self._fh.fileno())
 
-    def _read_exact(self, n: int) -> bytes:
-        data = self._fh.read(n)
-        if len(data) != n:
-            raise _TornRecord()
-        return data
+    def _read_log(self) -> bytes:
+        """The whole log file, read with one sized read."""
+        self._fh.seek(0)
+        return self._fh.read(os.fstat(self._fh.fileno()).st_size)
 
-    def _read_record(self):
-        """Read one record at the current offset; (op, key, value) or None at EOF."""
-        head = self._fh.read(1)
-        if not head:
-            return None
-        op = head[0]
-        if op not in (OP_META, OP_PUT, OP_DEL):
+    def _parse(self, data: bytes, pos: int) -> tuple[int, str, bytes | None, int]:
+        """The record at ``data[pos]`` as (op, key, value, offset just past it)."""
+        size = len(data)
+        op = data[pos]
+        if op > OP_DEL:
             raise CorruptFileError(f"{self.path}: invalid record tag 0x{op:02x}")
-        (keylen,) = _U32.unpack(self._read_exact(4))
-        key = self._read_exact(keylen)
-        value = None
+        if pos + 5 > size:
+            raise _TornRecord(self.path, pos)
+        key_end = pos + 5 + _U32.unpack_from(data, pos + 1)[0]
+        value_end = key_end
         if op != OP_DEL:
-            (vallen,) = _U32.unpack(self._read_exact(4))
-            value = self._read_exact(vallen)
-        body = bytes([op]) + _U32.pack(keylen) + key
-        if value is not None:
-            body += _U32.pack(len(value)) + value
-        (crc,) = _U32.unpack(self._read_exact(4))
-        if crc != zlib.crc32(body) & 0xFFFFFFFF:
+            if key_end + 4 > size:
+                raise _TornRecord(self.path, pos)
+            value_end = key_end + 4 + _U32.unpack_from(data, key_end)[0]
+        if value_end + 4 > size:
+            raise _TornRecord(self.path, pos)
+        if _U32.unpack_from(data, value_end)[0] != zlib.crc32(data[pos:value_end]):
             raise CorruptFileError(f"{self.path}: checksum mismatch")
-        return op, key, value
+        try:
+            key = data[pos + 5:key_end].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptFileError(f"{self.path}: record key at offset {pos} is not UTF-8") from None
+        value = None if op == OP_DEL else data[key_end + 4:value_end]
+        return op, key, value, value_end + 4
 
     def _replay(self) -> Schema:
-        self._fh.seek(0)
-        header = self._fh.read(5)
-        if len(header) != 5 or header[:4] != MAGIC or header[4] != VERSION:
+        data = self._read_log()
+        if data[:len(_HEADER)] != _HEADER:
             raise CorruptFileError(f"{self.path}: bad magic")
         schema: Schema | None = None
-        while True:
-            offset = self._fh.tell()
+        index = self.live_index
+        pos = len(_HEADER)
+        while pos < len(data):
             try:
-                record = self._read_record()
+                op, key, value, end = self._parse(data, pos)
             except _TornRecord:
                 # Crash artifact: drop the incomplete tail, keep the good
                 # prefix.  A truncated write can never yield a complete
                 # record with a bad checksum, so those stay CorruptFileError.
-                self._fh.seek(offset)
-                self._fh.truncate(offset)
+                self._fh.seek(pos)
+                self._fh.truncate(pos)
                 self._flush()
                 break
-            if record is None:
-                break
-            op, key, value = record
-            if op == OP_META:
-                schema = _schema_from_bytes(value or b"")
-            elif op == OP_PUT:
-                self.live_index[key.decode("utf-8")] = offset
+            if op == OP_PUT:
+                index[key] = pos
+            elif op == OP_DEL:
+                index.pop(key, None)
             else:
-                self.live_index.pop(key.decode("utf-8"), None)
+                schema = _schema_from_bytes(value)
+            pos = end
         if schema is None:
             raise CorruptFileError(f"{self.path}: no schema record")
-        self._fh.seek(0, os.SEEK_END)
         return schema
 
     def _check_open(self) -> None:
@@ -225,23 +260,21 @@ class TableFile:
         self._flush()
         self.live_index.pop(key, None)
 
-    def _record_at(self, offset: int) -> TupleRecord:
-        self._fh.seek(offset)
-        record = self._read_record()
-        assert record is not None and record[0] == OP_PUT
-        value = json.loads((record[2] or b"").decode("utf-8"))
-        if not isinstance(value, dict) or any(
-            not (isinstance(v, str) or v is None) for v in value.values()
-        ):
-            raise CorruptFileError(f"{self.path}: record payload is not a field map")
-        return value
+    def _live_rows(self) -> dict[str, TupleRecord]:
+        """Decode the PUT at every live offset from one read of the log."""
+        data = self._read_log()
+        rows = {}
+        for key, offset in self.live_index.items():
+            row = _decode_row(self._parse(data, offset)[2])
+            if row is None:
+                raise CorruptFileError(f"{self.path}: payload of record {key!r} is not a field map")
+            rows[key] = row
+        return rows
 
     def scan_all(self) -> Relation:
         """Materialize the live rows as an in-memory relation."""
         self._check_open()
-        rows = {key: self._record_at(off) for key, off in self.live_index.items()}
-        self._fh.seek(0, os.SEEK_END)
-        return Relation(self.schema, rows)
+        return Relation(self.schema, self._live_rows())
 
     def compact(self) -> None:
         """Rewrite the file as META plus one PUT per live key, in key order.
@@ -250,10 +283,10 @@ class TableFile:
         leaves the table untouched.
         """
         self._check_open()
-        rows = {key: self._record_at(off) for key, off in self.live_index.items()}
+        rows = self._live_rows()
         tmp = self.path.with_name(self.path.name + ".compact")
         with open(tmp, "wb") as out:
-            out.write(MAGIC + bytes([VERSION]))
+            out.write(_HEADER)
             out.write(_encode(OP_META, META_KEY, _schema_bytes(self.schema)))
             for key in sorted(rows):
                 out.write(_encode(OP_PUT, key.encode("utf-8"), canonical_record_bytes(rows[key])))

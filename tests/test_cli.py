@@ -272,5 +272,13 @@ def test_repl_error_keeps_session_alive(dbdir):
     assert "books" in out  # the next statement still ran
 
 
+def test_repl_os_error_keeps_session_alive(dbdir, tmp_path):
+    (tmp_path / "db" / "t.sgt").mkdir()  # opening this table raises IsADirectoryError
+    out = repl_session(dbdir, "t;\nshow tables;\n")
+    assert out.startswith("error: ")
+    assert "books\ncatalog\n" in out  # the next statement still ran
+    assert main(["--db", dbdir, "exec", "-e", "t"]) == 3
+
+
 def test_repl_statement_without_trailing_semicolon(dbdir):
     assert "catalog" in repl_session(dbdir, "show tables")

@@ -1,12 +1,17 @@
 import json
 import random
 import struct
+import tempfile
 import zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden_data as gd
 
+from sgdb import storage
 from sgdb.errors import (
     CorruptFileError,
     SchemaError,
@@ -270,6 +275,79 @@ def test_randomized_roundtrip_and_compaction(tmp_path):
         reopened.compact()
         assert relation_equal(reopened.scan_all(), shadow)
         reopened.close()
+
+
+def append_record(path, op, key, value):
+    with open(path, "ab") as fh:
+        fh.write(storage._encode(op, key, value))
+
+
+def test_non_utf8_key_is_reported_as_corruption(path):
+    open_table(path, BOOKS_SCHEMA).close()
+    append_record(path, storage.OP_PUT, b"\xff\xfe", canonical_record_bytes({"ISBN": "x"}))
+    with pytest.raises(CorruptFileError):
+        open_table(path)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b'{"ISBN":"k"',  # not JSON
+        b'{"ISBN":"k"}{}',  # JSON followed by more bytes
+        b'\xff{"ISBN":"k"}',  # not UTF-8
+        b'["k"]',  # not an object
+        b'{"ISBN":1}',  # a value that is not a string or null
+    ],
+)
+def test_malformed_payload_is_reported_as_corruption(path, payload):
+    open_table(path, BOOKS_SCHEMA).close()
+    append_record(path, storage.OP_PUT, b"k", payload)
+    with open_table(path) as table:
+        with pytest.raises(CorruptFileError):
+            table.scan_all()
+
+
+# A history of puts (key, value) and deletes (key, None) over a few colliding keys.
+HISTORIES = st.lists(
+    st.tuples(
+        st.text(alphabet="ab\u00e9\u65e5", min_size=1, max_size=2),
+        st.none() | st.text(alphabet=st.characters(codec="utf-8"), max_size=8),
+    ),
+    max_size=30,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(history=HISTORIES, draw=st.data())
+def test_log_matches_a_dict_model_and_any_cut_reopens_to_its_record_prefix(history, draw):
+    schema = Schema("k", ("k", "v"))
+    with tempfile.TemporaryDirectory() as tmp:
+        source, target = Path(tmp) / "full.sgt", Path(tmp) / "cut.sgt"
+        model: dict[str, dict] = {}
+        prefixes = []  # (file size, live rows) after META and after each record
+        with open_table(source, schema, sync=False) as table:
+            prefixes.append((source.stat().st_size, {}))
+            for key, value in history:
+                if value is None:
+                    table.delete_record(key)
+                    model.pop(key, None)
+                else:
+                    table.put_record({"k": key, "v": value})
+                    model[key] = {"k": key, "v": value}
+                prefixes.append((source.stat().st_size, dict(model)))
+            assert table.scan_all().rows == model
+        log = source.read_bytes()
+        with open_table(source) as reopened:
+            assert reopened.scan_all().rows == model
+            reopened.compact()
+            assert reopened.scan_all().rows == model
+
+        cut = draw.draw(st.integers(prefixes[0][0], len(log)), label="cut")
+        size, rows = [prefix for prefix in prefixes if prefix[0] <= cut][-1]
+        target.write_bytes(log[:cut])
+        with open_table(target) as reopened:
+            assert reopened.scan_all().rows == rows
+        assert target.read_bytes() == log[:size]
 
 
 # --- database directory --------------------------------------------------
