@@ -145,14 +145,6 @@ def _pick_params(op: str, seed: int, left: Relation, right: Relation, join_field
     return params
 
 
-_ENGINE_JOINS = {
-    "inner_join": "inner_join",
-    "left_join": "left_join",
-    "right_join": "right_join",
-    "outer_join": "outer_join",
-}
-
-
 def _run_engine(op: str, left: Relation, right: Relation, params: dict):
     if op == "select":
         return ops.select(left, params["condition"])
@@ -160,10 +152,8 @@ def _run_engine(op: str, left: Relation, right: Relation, params: dict):
         return ops.project(left, params["columns"])
     if op == "rename":
         return ops.rename(left, params["old"], params["new"])
-    if op in _ENGINE_JOINS:
-        return getattr(ops, _ENGINE_JOINS[op])(left, right, params["key"])
-    if op == "cartesian":
-        return ops.cartesian(left, right, params["key"])
+    if op in ("inner_join", "left_join", "right_join", "outer_join", "cartesian"):
+        return getattr(ops, op)(left, right, params["key"])
     if op == "natural_join":
         return ops.natural_join(left, right)
     if op == "flatten":

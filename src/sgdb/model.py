@@ -28,21 +28,14 @@ _RESERVED_ALWAYS = frozenset(",=")
 
 @dataclass(frozen=True)
 class Schema:
-    """Primary-key field name plus the declared field order.
-
-    ``derived`` marks schemas of operator results, which may be heterogeneous
-    and are exempt from the pk-in-fields and pk-echo invariants of stored
-    base relations.
-    """
+    """Primary-key field name plus the declared field order."""
 
     primary_key: str
     fields: tuple[str, ...]
-    derived: bool = False
 
     def derive(self, fields: tuple[str, ...] | None = None, primary_key: str | None = None) -> "Schema":
         return replace(
             self,
-            derived=True,
             fields=self.fields if fields is None else tuple(fields),
             primary_key=self.primary_key if primary_key is None else primary_key,
         )
@@ -60,6 +53,19 @@ class Relation:
     def __init__(self, schema: Schema, rows: Mapping[str, TupleRecord] | None = None):
         self.schema = schema
         self.rows: dict[str, TupleRecord] = {k: dict(v) for k, v in (rows or {}).items()}
+
+    @classmethod
+    def _adopt(cls, schema: Schema, rows: dict[str, TupleRecord]) -> "Relation":
+        """Wrap ``rows`` without copying them.
+
+        Only for rows the caller has just built and holds no other reference
+        to, such as an operator's result; everyone else goes through the
+        copying constructor.
+        """
+        rel = cls.__new__(cls)
+        rel.schema = schema
+        rel.rows = rows
+        return rel
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -106,13 +112,8 @@ def create_relation(pk_field: str, fields: list[str] | tuple[str, ...]) -> Relat
     return Relation(Schema(primary_key=pk_field, fields=tuple(fields)))
 
 
-def insert_tuple(rel: Relation, record: Mapping[str, Value]) -> Relation:
-    """Return a new relation with ``record`` stored under its primary-key value.
-
-    Re-inserting an existing key replaces that row (plain assignment
-    semantics).  Fields absent from the record simply stay absent.
-    """
-    schema = rel.schema
+def _checked_key(schema: Schema, record: Mapping[str, Value]) -> str:
+    """The primary-key value of ``record``, once every field has been checked against ``schema``."""
     pk = schema.primary_key
     if pk not in record:
         raise SchemaError(f"record is missing the primary-key field {pk!r}")
@@ -124,9 +125,18 @@ def insert_tuple(rel: Relation, record: Mapping[str, Value]) -> Relation:
     key = record[pk]
     if not key:
         raise SchemaError("primary-key value must be a non-empty string")
+    return key
+
+
+def insert_tuple(rel: Relation, record: Mapping[str, Value]) -> Relation:
+    """Return a new relation with ``record`` stored under its primary-key value.
+
+    Re-inserting an existing key replaces that row (plain assignment
+    semantics).  Fields absent from the record simply stay absent.
+    """
     rows = dict(rel.rows)
-    rows[key] = dict(record)
-    return Relation(schema, rows)
+    rows[_checked_key(rel.schema, record)] = dict(record)
+    return Relation(rel.schema, rows)
 
 
 def delete_tuple(rel: Relation, key: str) -> Relation:
@@ -190,7 +200,8 @@ def relation_from_mapping(
                 if f not in ordered:
                     ordered.append(f)
         fields = ordered
-    rel = create_relation(primary_key, list(fields))
+    schema = create_relation(primary_key, list(fields)).schema
+    rows: dict[str, TupleRecord] = {}
     for key, record in entries.items():
         if not isinstance(record, Mapping):
             raise SchemaError("every row must be a field/value mapping")
@@ -198,5 +209,6 @@ def relation_from_mapping(
             raise SchemaError(
                 f"row keyed {key!r} carries primary-key value {record.get(primary_key)!r}"
             )
-        rel = insert_tuple(rel, record)  # type: ignore[arg-type]
-    return rel
+        _checked_key(schema, record)  # type: ignore[arg-type]
+        rows[key] = dict(record)  # type: ignore[arg-type]
+    return Relation._adopt(schema, rows)

@@ -1,7 +1,9 @@
 """The relational operators over star-graph relations.
 
 All nine operators are pure functions: they build a fresh relation and leave
-their inputs untouched.  Join results embed the matching right tuple under
+their inputs untouched.  Each copies a row once, as it builds the result,
+and hands the result rows to ``Relation._adopt`` rather than having the
+constructor copy them a second time.  Join results embed the matching right tuple under
 the joining field and are then flattened, so a match turns the scalar field
 ``catalog`` into the compound fields ``catalog.catalog``, ``catalog.description``,
 and so on.  Rows of a result may be heterogeneous: a left join keeps the
@@ -86,7 +88,7 @@ def select(rel: Relation, cond: Condition | None = None) -> Relation:
     for key, row in rel.rows.items():
         if cond is None or (cond.field in row and row[cond.field] == cond.value):
             rows[key] = dict(row)
-    return Relation(rel.schema.derive(), rows)
+    return Relation._adopt(rel.schema.derive(), rows)
 
 
 def project(rel: Relation, columns: list[str] | tuple[str, ...] | str) -> Relation:
@@ -96,13 +98,13 @@ def project(rel: Relation, columns: list[str] | tuple[str, ...] | str) -> Relati
     Row keys are preserved, so projection never merges duplicate rows.
     """
     if columns == STAR:
-        return Relation(rel.schema.derive(), {k: dict(r) for k, r in rel.rows.items()})
+        return Relation._adopt(rel.schema.derive(), {k: dict(r) for k, r in rel.rows.items()})
     wanted = list(columns)
     rows = {
         key: {f: row[f] for f in wanted if f in row}
         for key, row in rel.rows.items()
     }
-    return Relation(rel.schema.derive(fields=tuple(wanted)), rows)
+    return Relation._adopt(rel.schema.derive(fields=tuple(wanted)), rows)
 
 
 def rename(rel: Relation, old: str, new: str) -> Relation:
@@ -120,7 +122,7 @@ def rename(rel: Relation, old: str, new: str) -> Relation:
     }
     fields = tuple(new if f == old else f for f in rel.schema.fields)
     pk = new if rel.schema.primary_key == old else rel.schema.primary_key
-    return Relation(rel.schema.derive(fields=fields, primary_key=pk), rows)
+    return Relation._adopt(rel.schema.derive(fields=fields, primary_key=pk), rows)
 
 
 def _require_key(key: str | None) -> str:
@@ -160,7 +162,7 @@ def inner_join(left: Relation, right: Relation, key: str) -> Relation:
         v = lrow.get(key)
         if v in right.rows and len(right.rows[v]) > 0:
             rows[k] = _nest_and_flatten(lrow, key, right.rows[v])
-    return Relation(_joined_schema(left.schema, right.schema, key), rows)
+    return Relation._adopt(_joined_schema(left.schema, right.schema, key), rows)
 
 
 def left_join(left: Relation, right: Relation, key: str) -> Relation:
@@ -177,7 +179,7 @@ def left_join(left: Relation, right: Relation, key: str) -> Relation:
             rows[k] = _nest_and_flatten(lrow, key, right.rows[v])
         else:
             rows[k] = flatten_record(dict(lrow))
-    return Relation(_joined_schema(left.schema, right.schema, key), rows)
+    return Relation._adopt(_joined_schema(left.schema, right.schema, key), rows)
 
 
 def _synthesized_rows(left: Relation, right: Relation, key: str, into: dict[str, TupleRecord]) -> None:
@@ -228,7 +230,7 @@ def cartesian(left: Relation, right: Relation, nest_field: str) -> Relation:
             if pair_key in rows:
                 raise KeyCollisionError(f"pair key {pair_key!r} produced twice")
             rows[pair_key] = _nest_and_flatten(lrow, nest_field, rrow)
-    return Relation(_joined_schema(left.schema, right.schema, nest_field), rows)
+    return Relation._adopt(_joined_schema(left.schema, right.schema, nest_field), rows)
 
 
 def natural_join(left: Relation, right: Relation) -> Relation:

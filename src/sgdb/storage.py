@@ -15,6 +15,21 @@ key -> offset index (last write wins, DEL removes).  Scanning and compacting
 read the log in one more pass and decode the record at each live offset.
 Each pass briefly holds a buffer as large as the file.
 
+``Database.scan`` keeps, per table, the log bytes of its last scan together
+with the schema and live rows parsed from them.  A later scan in the same
+``Database`` still opens, locks, reads and closes the file, but when the
+bytes it reads are identical to the kept ones it reuses that parse instead
+of replaying and decoding again.  Parsing is a pure function of the bytes,
+so a reused parse gives the same rows, and the same verdict on corruption,
+as a fresh one; any change to the file, however small, is a fresh parse.
+So only scans of a log unchanged since the last scan in the same
+``Database`` are spared the parse: a scan after a write to the table, or
+the first scan in a new ``Database`` (each ``sgdb exec`` process), parses
+in full as before.  The kept parses stay resident until the table is
+dropped or the ``Database`` is freed: about one decoded copy, plus the log
+bytes, of every table it has scanned, which for rows of a few short text
+fields is 7 to 10 bytes held per byte of log.
+
 A record that runs past the end of the file is a torn tail, a crash
 artifact, and is truncated away on open.  Every other malformed log raises
 ``CorruptFileError``: a bad magic, an unknown record tag, a checksum mismatch
@@ -32,6 +47,7 @@ import re
 import struct
 import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 from sgdb.errors import (
     CorruptFileError,
@@ -141,7 +157,7 @@ class TableFile:
             self._fh = open(self.path, "r+b")
             self._lock()
             try:
-                self.schema = self._replay()
+                self.schema = self._load(self._read_log())
                 if schema is not None and (
                     schema.primary_key != self.schema.primary_key or tuple(schema.fields) != self.schema.fields
                 ):
@@ -195,8 +211,8 @@ class TableFile:
         value = None if op == OP_DEL else data[key_end + 4:value_end]
         return op, key, value, value_end + 4
 
-    def _replay(self) -> Schema:
-        data = self._read_log()
+    def _load(self, data: bytes) -> Schema:
+        """Replay ``data``, the whole log as just read, into the index; return the schema."""
         if data[:len(_HEADER)] != _HEADER:
             raise CorruptFileError(f"{self.path}: bad magic")
         schema: Schema | None = None
@@ -260,9 +276,8 @@ class TableFile:
         self._flush()
         self.live_index.pop(key, None)
 
-    def _live_rows(self) -> dict[str, TupleRecord]:
-        """Decode the PUT at every live offset from one read of the log."""
-        data = self._read_log()
+    def _live_rows(self, data: bytes) -> dict[str, TupleRecord]:
+        """Decode the PUT at every live offset from ``data``, the whole log."""
         rows = {}
         for key, offset in self.live_index.items():
             row = _decode_row(self._parse(data, offset)[2])
@@ -274,7 +289,7 @@ class TableFile:
     def scan_all(self) -> Relation:
         """Materialize the live rows as an in-memory relation."""
         self._check_open()
-        return Relation(self.schema, self._live_rows())
+        return Relation._adopt(self.schema, self._live_rows(self._read_log()))
 
     def compact(self) -> None:
         """Rewrite the file as META plus one PUT per live key, in key order.
@@ -283,7 +298,7 @@ class TableFile:
         leaves the table untouched.
         """
         self._check_open()
-        rows = self._live_rows()
+        rows = self._live_rows(self._read_log())
         tmp = self.path.with_name(self.path.name + ".compact")
         with open(tmp, "wb") as out:
             out.write(_HEADER)
@@ -297,7 +312,7 @@ class TableFile:
         self._fh = open(self.path, "r+b")
         self._lock()
         self.live_index.clear()
-        self._replay()
+        self._load(self._read_log())
 
     def close(self) -> None:
         """Flush and release the handle; closing twice is a no-op."""
@@ -320,17 +335,75 @@ def open_table(path: str | Path, schema: Schema | None = None, *, sync: bool = T
     return TableFile(path, schema, sync=sync)
 
 
+class _Parse(NamedTuple):
+    """A table's whole log and the schema and live rows parsed from it."""
+
+    data: bytes
+    schema: Schema
+    rows: dict[str, TupleRecord]
+
+
+class _ScanHandle(TableFile):
+    """The handle ``Database.scan`` reads a table through.
+
+    It opens, locks, reads and closes the log like any handle.  When the
+    bytes it reads equal those of ``parsed``, an earlier parse of the same
+    table, it takes the schema and rows from there and parses nothing;
+    otherwise it parses the log and leaves the result in ``parsed``.
+    """
+
+    def __init__(self, path: Path, parsed: _Parse | None):
+        self.parsed = parsed
+        self._log: bytes | None = None
+        super().__init__(path)
+
+    def _load(self, data: bytes) -> Schema:
+        if self.parsed is not None and self.parsed.data == data:
+            return self.parsed.schema
+        self.parsed = None
+        schema = super()._load(data)
+        # The log as the file now holds it: shorter than data once a torn tail
+        # was cut off, and data itself (slicing all of a bytes copies nothing) otherwise.
+        self._log = data[:os.fstat(self._fh.fileno()).st_size]
+        return schema
+
+    def _read_log(self) -> bytes:
+        # The lock keeps writers out, so the log read at open is still the file.
+        return self._log if self._log is not None else super()._read_log()
+
+    def scan_all(self) -> Relation:
+        self._check_open()
+        if self.parsed is None:
+            self.parsed = _Parse(self._log, self.schema, super().scan_all().rows)
+        # The parse is kept for later scans, so callers get a copy of its rows.
+        return Relation(self.schema, self.parsed.rows)
+
+
 class Database:
-    """A directory of table files; tables are discovered by listing it."""
+    """A directory of table files; tables are discovered by listing it.
+
+    ``scan`` keeps the last parse of each table it scanned: the log bytes,
+    the schema and the decoded live rows, held in memory until the table is
+    dropped or the ``Database`` is freed, and never an open file.  That costs
+    about one decoded copy of each scanned table (plus its log bytes) for as
+    long as the ``Database`` lives; the module docstring gives its size.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._parses: dict[str, _Parse] = {}
 
     def _path(self, name: str) -> Path:
         if not _TABLE_NAME_RE.match(name):
             raise SchemaError(f"invalid table name {name!r} (letters, digits and _ only)")
         return self.root / f"{name}{TABLE_SUFFIX}"
+
+    def _existing(self, name: str) -> Path:
+        path = self._path(name)
+        if not path.exists():
+            raise UnknownTableError(f"no table named {name!r}")
+        return path
 
     def list_tables(self) -> list[str]:
         return sorted(p.stem for p in self.root.glob(f"*{TABLE_SUFFIX}"))
@@ -345,17 +418,23 @@ class Database:
         return TableFile(path, schema, sync=sync)
 
     def open(self, name: str, *, sync: bool = True) -> TableFile:
-        path = self._path(name)
-        if not path.exists():
-            raise UnknownTableError(f"no table named {name!r}")
-        return TableFile(path, sync=sync)
+        return TableFile(self._existing(name), sync=sync)
 
     def drop(self, name: str) -> None:
-        path = self._path(name)
-        if not path.exists():
-            raise UnknownTableError(f"no table named {name!r}")
+        path = self._existing(name)
+        self._parses.pop(name, None)
         path.unlink()
 
     def scan(self, name: str) -> Relation:
-        with self.open(name) as table:
-            return table.scan_all()
+        """The live rows of table ``name``, as a relation the caller owns.
+
+        The table is opened, locked, read in full and closed as by ``open``.
+        If the bytes read are identical to those this ``Database`` last
+        scanned for the table, the schema and rows parsed then are reused and
+        no record is parsed or decoded; otherwise the log is parsed afresh
+        and that parse is kept in place of the old one.
+        """
+        with _ScanHandle(self._existing(name), self._parses.pop(name, None)) as table:
+            rel = table.scan_all()
+        self._parses[name] = table.parsed
+        return rel

@@ -39,7 +39,7 @@ def test_render_empty_relation_csv():
 
 def test_render_csv_quotes_awkward_cells():
     rel = Relation(
-        Schema("k", ("k", "v"), derived=True),
+        Schema("k", ("k", "v")),
         {"1": {"k": "1", "v": 'com,ma "q"'}},
     )
     assert render(rel, RenderSpec(format="csv")) == 'k,v\n1,"com,ma ""q"""\n'
@@ -69,7 +69,7 @@ def test_render_heterogeneous_rows_pads_missing_columns(books, catalog):
 
 
 def test_render_null_text_in_table_and_null_in_json():
-    rel = Relation(Schema("k", ("k", "v"), derived=True), {"1": {"k": "1", "v": None}})
+    rel = Relation(Schema("k", ("k", "v")), {"1": {"k": "1", "v": None}})
     assert "NULL" in render(rel, RenderSpec())
     assert "absent" in render(rel, RenderSpec(null_text="absent"))
     assert json.loads(render(rel, RenderSpec(format="json"))) == {"k": "1", "v": None}

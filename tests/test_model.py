@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import golden_data as gd
@@ -135,7 +137,7 @@ def test_relation_equal(books):
 def test_relation_equal_distinguishes_empty_and_null():
     from sgdb.model import Relation, Schema
 
-    schema = Schema("k", ("k", "v"), derived=True)
+    schema = Schema("k", ("k", "v"))
     a = Relation(schema, {"x": {"k": "x", "v": ""}})
     b = Relation(schema, {"x": {"k": "x", "v": None}})
     assert not relation_equal(a, b)
@@ -153,3 +155,44 @@ def test_relation_from_mapping_converts_inline_pk_entry(books):
 def test_relation_from_mapping_rejects_key_mismatch():
     with pytest.raises(SchemaError):
         relation_from_mapping({"a": {"k": "b"}}, primary_key="k")
+
+
+def _insert_fold(mapping, primary_key, fields):
+    rel = create_relation(primary_key, fields)
+    for record in mapping.values():
+        rel = insert_tuple(rel, record)
+    return rel
+
+
+def test_relation_from_mapping_equals_the_insert_tuple_fold():
+    rng = random.Random(500)
+    fields = ["id", "a", "b", "c"]
+    mapping = {}
+    for i in range(500):
+        key = f"r{i}"
+        record = {f: rng.choice(["", "x", "y", "zz"]) for f in fields[1:] if rng.random() < 0.7}
+        mapping[key] = {"id": key, **record}
+    built = relation_from_mapping(mapping, primary_key="id", fields=fields)
+    folded = _insert_fold(mapping, "id", fields)
+    assert built.schema == folded.schema
+    assert built.rows == folded.rows and list(built.rows) == list(folded.rows)
+    # The relation holds copies, not the caller's records.
+    mapping["r0"]["a"] = "changed"
+    assert built.rows["r0"] == folded.rows["r0"]
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"k": "x", "bogus": "1"},  # unknown field
+        {"k": "x", "v": 1},  # value that is not a string
+        {"k": "", "v": "1"},  # empty primary-key value
+    ],
+)
+def test_relation_from_mapping_raises_what_insert_tuple_raises(record):
+    mapping = {record["k"]: record}
+    with pytest.raises(SchemaError) as folded:
+        _insert_fold(mapping, "k", ["k", "v"])
+    with pytest.raises(SchemaError) as built:
+        relation_from_mapping(mapping, primary_key="k", fields=["k", "v"])
+    assert str(built.value) == str(folded.value)

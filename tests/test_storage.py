@@ -322,32 +322,43 @@ HISTORIES = st.lists(
 def test_log_matches_a_dict_model_and_any_cut_reopens_to_its_record_prefix(history, draw):
     schema = Schema("k", ("k", "v"))
     with tempfile.TemporaryDirectory() as tmp:
+        # One Database scans after every step, so reused and fresh parses interleave.
+        db = Database(tmp)
         source, target = Path(tmp) / "full.sgt", Path(tmp) / "cut.sgt"
         model: dict[str, dict] = {}
-        prefixes = []  # (file size, live rows) after META and after each record
-        with open_table(source, schema, sync=False) as table:
-            prefixes.append((source.stat().st_size, {}))
-            for key, value in history:
+        db.create("full", schema).close()
+        prefixes = [(source.stat().st_size, {})]  # (file size, live rows) after META and after each record
+        for key, value in history:
+            with db.open("full", sync=False) as table:
                 if value is None:
                     table.delete_record(key)
                     model.pop(key, None)
                 else:
                     table.put_record({"k": key, "v": value})
                     model[key] = {"k": key, "v": value}
-                prefixes.append((source.stat().st_size, dict(model)))
-            assert table.scan_all().rows == model
+                assert table.scan_all().rows == model
+            prefixes.append((source.stat().st_size, dict(model)))
+            for _ in range(draw.draw(st.integers(1, 2), label="scans")):
+                assert db.scan("full").rows == model
         log = source.read_bytes()
         with open_table(source) as reopened:
             assert reopened.scan_all().rows == model
             reopened.compact()
             assert reopened.scan_all().rows == model
+        assert db.scan("full").rows == model
 
         cut = draw.draw(st.integers(prefixes[0][0], len(log)), label="cut")
         size, rows = [prefix for prefix in prefixes if prefix[0] <= cut][-1]
-        target.write_bytes(log[:cut])
-        with open_table(target) as reopened:
+        # The same cut twice: reopened by a plain handle, and scanned twice through the Database.
+        plain = Path(tmp) / "plain_cut.sgt"
+        plain.write_bytes(log[:cut])
+        with open_table(plain) as reopened:
             assert reopened.scan_all().rows == rows
+        assert plain.read_bytes() == log[:size]
+        target.write_bytes(log[:cut])
+        assert db.scan("cut").rows == rows
         assert target.read_bytes() == log[:size]
+        assert db.scan("cut").rows == rows
 
 
 # --- database directory --------------------------------------------------
@@ -369,3 +380,97 @@ def test_database_listing_and_lifecycle(tmp_path):
         db.drop("books")
     with pytest.raises(SchemaError):
         db.create("../evil", BOOKS_SCHEMA)
+
+
+# --- the parse Database.scan keeps between scans ---------------------------
+
+
+# Each case scans the books table of the conftest ``db`` twice through one Database.
+
+
+def test_an_unchanged_log_is_not_parsed_again(db, books, monkeypatch):
+    assert relation_equal(db.scan("books"), books)
+    parsed = []
+    monkeypatch.setattr(TableFile, "_parse", lambda *args: parsed.append(args))
+    monkeypatch.setattr(storage, "_decode_row", lambda payload: parsed.append(payload))
+    assert relation_equal(db.scan("books"), books)
+    assert parsed == []
+
+
+@pytest.mark.parametrize("change", ["put", "delete"])
+def test_a_write_from_another_handle_between_scans_is_seen(db, change):
+    before = db.scan("books")
+    with db.open("books") as table:
+        if change == "put":
+            table.put_record({**B818, "title": "Retitled"})
+        else:
+            table.delete_record("9780596159818")
+    after = db.scan("books")
+    if change == "put":
+        assert after.rows["9780596159818"]["title"] == "Retitled"
+        assert before.rows["9780596159818"]["title"] != "Retitled"
+    else:
+        assert "9780596159818" not in after.rows and "9780596159818" in before.rows
+    assert set(after.rows) - {"9780596159818"} == set(before.rows) - {"9780596159818"}
+
+
+def test_a_compaction_between_scans_is_seen(db, books):
+    with db.open("books") as table:
+        table.put_record({**B818, "title": "Retitled"})
+    db.scan("books")
+    with db.open("books") as table:
+        table.delete_record("9780596159818")
+        table.compact()
+    path = db.root / "books.sgt"
+    rel = db.scan("books")
+    assert sorted(rel.rows) == sorted(k for k in books.rows if k != "9780596159818")
+    assert db._parses["books"].data == path.read_bytes()
+
+
+def test_a_same_size_byte_flip_between_scans_is_corruption(db, books):
+    path = db.root / "books.sgt"
+    assert relation_equal(db.scan("books"), books)
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptFileError):
+        db.scan("books")
+    with pytest.raises(CorruptFileError):
+        db.scan("books")
+
+
+def test_a_torn_tail_cut_between_scans_is_repaired(db, books):
+    path = db.root / "books.sgt"
+    assert len(db.scan("books")) == 5
+    data = path.read_bytes()
+    path.write_bytes(data[:-1])
+    rel = db.scan("books")
+    assert set(rel.rows) == set(books.rows) - {"9780751404624"}
+    assert len(path.read_bytes()) < len(data) - 1
+    assert db._parses["books"].data == path.read_bytes()
+    assert relation_equal(db.scan("books"), rel)
+
+
+def test_a_scan_while_another_handle_holds_the_lock_fails(db, books):
+    assert relation_equal(db.scan("books"), books)
+    with db.open("books"):
+        with pytest.raises(TableLockedError):
+            db.scan("books")
+    assert relation_equal(db.scan("books"), books)
+
+
+def test_mutating_a_scanned_relation_does_not_change_the_next_scan(db, books):
+    rel = db.scan("books")
+    rel.rows["9780596159818"]["title"] = "Scribbled"
+    del rel.rows["9780751404624"]
+    rel.rows["extra"] = {"ISBN": "extra"}
+    assert relation_equal(db.scan("books"), books)
+
+
+def test_drop_and_recreate_between_scans_returns_the_new_rows(db, books):
+    assert relation_equal(db.scan("books"), books)
+    db.drop("books")
+    assert "books" not in db._parses
+    with db.create("books", BOOKS_SCHEMA) as table:
+        table.put_record({"ISBN": "1", "title": "New"})
+    assert db.scan("books").rows == {"1": {"ISBN": "1", "title": "New"}}
