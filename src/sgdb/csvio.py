@@ -1,9 +1,10 @@
 """CSV import/export for base tables.
 
 Import reads the header as the schema (in column order), requires the named
-primary-key column, and rejects duplicated key values.  Export writes the
-schema columns in order with rows sorted by key, so identical tables always
-produce identical files.
+primary-key column, and rejects duplicated key values.  The table appears
+only once every row is written and synced (``Database.load``), so a failed
+import leaves no table behind.  Export writes the schema columns in order
+with rows sorted by key, so identical tables always produce identical files.
 """
 
 from __future__ import annotations
@@ -41,12 +42,7 @@ def import_csv(db: Database, table: str, csv_path: str | Path, pk: str) -> int:
                 raise DuplicateKeyError(f"{csv_path}:{lineno}: duplicate primary key {key!r}")
             seen.add(key)
             rows.append(record)
-    handle = db.create(table, Schema(pk, tuple(header)), sync=False)
-    try:
-        for record in rows:
-            handle.put_record(record)
-    finally:
-        handle.close()
+    db.load(table, Schema(pk, tuple(header)), rows)
     return len(rows)
 
 

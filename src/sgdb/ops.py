@@ -10,6 +10,17 @@ and so on.  Rows of a result may be heterogeneous: a left join keeps the
 scalar joining field on unmatched rows while matched rows carry the dotted
 form.
 
+The joins and ``cartesian`` build each such row in one step rather than
+nesting and re-flattening every pair.  Each right tuple is flattened once per
+call into its dotted part (``{key.f: v}``, or ``{key: None}`` when empty),
+each left row is split once around the joining field, and a row is
+``{**before, **part, **after}``.  A merged row shorter than its three pieces
+means a left field is named like a part field; that row goes through
+``_nest_and_flatten``, the nest-then-flatten definition, which raises
+``KeyCollisionError``.  So do rows holding a nested dict, which only
+``flatten_record`` expands.  Either way the rows, their field order and the
+errors are those of nesting and flattening.
+
 Matching is by string equality only.  A row that lacks the relevant field is
 simply skipped by ``select`` and ``project`` and counts as unmatched in joins.
 """
@@ -150,6 +161,77 @@ def _nest_and_flatten(lrow: TupleRecord, key: str, rrow: TupleRecord) -> TupleRe
     return flatten_record(nested)
 
 
+def _right_part(key: str, rrow: TupleRecord) -> TupleRecord | None:
+    """The fields ``rrow`` flattens to when nested at ``key``: ``{key.f: v}``,
+    or ``{key: None}`` for an empty tuple.
+
+    None when ``rrow`` holds a nested dict; such rows are left to
+    ``_nest_and_flatten``.  Never raises: distinct right fields give
+    distinct dotted names.
+    """
+    if not rrow:
+        return {key: None}
+    prefix = key + SEPARATOR
+    part: TupleRecord = {}
+    for f, v in rrow.items():
+        if isinstance(v, dict):
+            return None
+        part[prefix + f] = v
+    return part
+
+
+class _Parts(dict):
+    """Right row key -> ``_right_part`` of that row, built when first asked for."""
+
+    def __init__(self, right: Relation, key: str):
+        super().__init__()
+        self._rows = right.rows
+        self._key = key
+
+    def __missing__(self, rk: str) -> TupleRecord | None:
+        part = self[rk] = _right_part(self._key, self._rows[rk])
+        return part
+
+
+def _split(lrow: TupleRecord, key: str) -> tuple[TupleRecord, TupleRecord] | None:
+    """The fields of ``lrow`` before ``key`` and those after it (none when
+    ``key`` is absent), or None when ``lrow`` holds a nested dict."""
+    before: TupleRecord = {}
+    after: TupleRecord = {}
+    side = before
+    for f, v in lrow.items():
+        if isinstance(v, dict):
+            return None
+        if f == key:
+            side = after
+        else:
+            side[f] = v
+    return before, after
+
+
+def _stitch(
+    lrow: TupleRecord,
+    halves: tuple[TupleRecord, TupleRecord] | None,
+    key: str,
+    rrow: TupleRecord,
+    part: TupleRecord | None,
+) -> TupleRecord:
+    """``_nest_and_flatten(lrow, key, rrow)``, built from ``halves = _split(lrow, key)``
+    and ``part = _right_part(key, rrow)``.
+
+    Row keys are distinct and so are the part's, so the one collision
+    flattening can find is a left field named like a part field, which
+    shows as a short merged row.  That row, and a nested dict on either
+    side, go through ``_nest_and_flatten``, which raises the collision.
+    """
+    if halves is not None and part is not None:
+        before, after = halves
+        row = {**before, **part, **after}
+        if len(row) == len(before) + len(part) + len(after):
+            return row
+    return _nest_and_flatten(lrow, key, rrow)
+
+
 def inner_join(left: Relation, right: Relation, key: str) -> Relation:
     """Rows of ``left`` whose ``key`` value is the row key of a non-empty right tuple.
 
@@ -157,11 +239,12 @@ def inner_join(left: Relation, right: Relation, key: str) -> Relation:
     rows are dropped.  Result rows keep the left row keys.
     """
     key = _require_key(key)
+    parts = _Parts(right, key)
     rows: dict[str, TupleRecord] = {}
     for k, lrow in left.rows.items():
         v = lrow.get(key)
         if v in right.rows and len(right.rows[v]) > 0:
-            rows[k] = _nest_and_flatten(lrow, key, right.rows[v])
+            rows[k] = _stitch(lrow, _split(lrow, key), key, right.rows[v], parts[v])
     return Relation._adopt(_joined_schema(left.schema, right.schema, key), rows)
 
 
@@ -172,31 +255,34 @@ def left_join(left: Relation, right: Relation, key: str) -> Relation:
     an explicit null at ``key`` (unlike inner_join, which drops such rows).
     """
     key = _require_key(key)
+    parts = _Parts(right, key)
     rows: dict[str, TupleRecord] = {}
     for k, lrow in left.rows.items():
         v = lrow.get(key)
         if v in right.rows:
-            rows[k] = _nest_and_flatten(lrow, key, right.rows[v])
+            rows[k] = _stitch(lrow, _split(lrow, key), key, right.rows[v], parts[v])
         else:
-            rows[k] = flatten_record(dict(lrow))
+            rows[k] = flatten_record(lrow)
     return Relation._adopt(_joined_schema(left.schema, right.schema, key), rows)
 
 
 def _synthesized_rows(left: Relation, right: Relation, key: str, into: dict[str, TupleRecord]) -> None:
     """Add one row per right key no left row references: "" in every left field,
-    with the right tuple nested at ``key``."""
+    with the right tuple nested at ``key`` when ``key`` is a left field."""
     referenced = {lrow.get(key) for lrow in left.rows.values()}
+    blank = {f: "" for f in left.schema.fields}
+    halves = _split(blank, key)
     for rk, rrow in right.rows.items():
         if rk in referenced:
             continue
-        synth: NestedRecord = {}
-        for f in left.schema.fields:
-            synth[f] = dict(rrow) if f == key else ""
         if rk in into:
             raise KeyCollisionError(
                 f"synthesized right row key {rk!r} collides with an existing result row"
             )
-        into[rk] = flatten_record(synth)
+        if key in blank:
+            into[rk] = _stitch(blank, halves, key, rrow, _right_part(key, rrow))
+        else:
+            into[rk] = dict(blank)
 
 
 def right_join(left: Relation, right: Relation, key: str) -> Relation:
@@ -223,13 +309,15 @@ def cartesian(left: Relation, right: Relation, nest_field: str) -> Relation:
     ``len(left) * len(right)`` rows.
     """
     nest_field = _require_key(nest_field)
+    parts = [(rk, rrow, _right_part(nest_field, rrow)) for rk, rrow in right.rows.items()]
     rows: dict[str, TupleRecord] = {}
     for lk, lrow in left.rows.items():
-        for rk, rrow in right.rows.items():
+        halves = _split(lrow, nest_field)
+        for rk, rrow, part in parts:
             pair_key = f"{lk}_{rk}"
             if pair_key in rows:
                 raise KeyCollisionError(f"pair key {pair_key!r} produced twice")
-            rows[pair_key] = _nest_and_flatten(lrow, nest_field, rrow)
+            rows[pair_key] = _stitch(lrow, halves, nest_field, rrow, part)
     return Relation._adopt(_joined_schema(left.schema, right.schema, nest_field), rows)
 
 

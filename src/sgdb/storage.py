@@ -35,7 +35,10 @@ artifact, and is truncated away on open.  Every other malformed log raises
 ``CorruptFileError``: a bad magic, an unknown record tag, a checksum mismatch
 on a complete record, a key that is not UTF-8, a missing or unreadable schema
 record, and a PUT payload that is not a JSON object of strings and nulls.
-A database is simply a directory of ``<table>.sgt`` files.
+A database is simply a directory of ``<table>.sgt`` files.  ``Database.load``
+writes a whole table under another name and renames it into place, and
+``Database.drop`` takes the table's lock before it unlinks the file, so it
+never deletes a table a handle has open.
 """
 
 from __future__ import annotations
@@ -45,9 +48,10 @@ import json
 import os
 import re
 import struct
+import uuid
 import zlib
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from sgdb.errors import (
     CorruptFileError,
@@ -58,7 +62,7 @@ from sgdb.errors import (
     UnknownTableError,
     UseAfterCloseError,
 )
-from sgdb.model import Relation, Schema, TupleRecord, create_relation
+from sgdb.model import Relation, Schema, TupleRecord, _checked_key, create_relation
 
 MAGIC = b"SGDB"
 VERSION = 0x01
@@ -113,6 +117,16 @@ def _decode_row(payload: bytes) -> TupleRecord | None:
         if value is not None and type(value) is not str:
             return None
     return row
+
+
+def _flock(fh, path: Path) -> None:
+    """Take the table's exclusive lock on ``fh``; if another handle holds it,
+    close ``fh`` and raise ``TableLockedError``."""
+    try:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError:
+        fh.close()
+        raise TableLockedError(f"{path} is locked by another writer") from None
 
 
 class _TornRecord(CorruptFileError):
@@ -170,11 +184,7 @@ class TableFile:
                 raise
 
     def _lock(self) -> None:
-        try:
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            self._fh.close()
-            raise TableLockedError(f"{self.path} is locked by another writer") from None
+        _flock(self._fh, self.path)
 
     def _flush(self) -> None:
         self._fh.flush()
@@ -244,24 +254,10 @@ class TableFile:
         if self._closed:
             raise UseAfterCloseError(f"{self.path} is closed")
 
-    def _validate(self, record: TupleRecord) -> str:
-        pk = self.schema.primary_key
-        if pk not in record:
-            raise SchemaError(f"record is missing the primary-key field {pk!r}")
-        for f, v in record.items():
-            if f not in self.schema.fields:
-                raise SchemaError(f"unknown field {f!r} for table {self.path.stem!r}")
-            if not isinstance(v, str):
-                raise SchemaError(f"field {f!r} must hold a string")
-        key = record[pk]
-        if not key:
-            raise SchemaError("primary-key value must be a non-empty string")
-        return key
-
     def put_record(self, record: TupleRecord) -> None:
         """Append a PUT and update the index; replaces any prior version of the key."""
         self._check_open()
-        key = self._validate(record)
+        key = _checked_key(self.schema, record)
         self._fh.seek(0, os.SEEK_END)
         offset = self._fh.tell()
         self._fh.write(_encode(OP_PUT, key.encode("utf-8"), canonical_record_bytes(record)))
@@ -417,13 +413,43 @@ class Database:
             raise TableExistsError(f"table {name!r} already exists")
         return TableFile(path, schema, sync=sync)
 
+    def load(self, name: str, schema: Schema, records: Iterable[TupleRecord]) -> None:
+        """Create table ``name`` holding ``records``, all or nothing.
+
+        The log is written under a temporary name that ``list_tables`` does
+        not match, fsynced, and renamed into place, so a load that fails or is
+        cut short leaves no table ``name`` behind.  A load that fails removes
+        its temporary file; one cut short by a crash may leave it.
+        """
+        path = self._path(name)
+        if path.exists():
+            raise TableExistsError(f"table {name!r} already exists")
+        tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.load")
+        try:
+            with TableFile(tmp, schema, sync=False) as table:
+                for record in records:
+                    table.put_record(record)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        # Make the rename itself durable.
+        root = os.open(self.root, os.O_RDONLY)
+        try:
+            os.fsync(root)
+        finally:
+            os.close(root)
+
     def open(self, name: str, *, sync: bool = True) -> TableFile:
         return TableFile(self._existing(name), sync=sync)
 
     def drop(self, name: str) -> None:
+        """Delete table ``name``; ``TableLockedError`` while any handle has it open."""
         path = self._existing(name)
-        self._parses.pop(name, None)
-        path.unlink()
+        with open(path, "rb") as fh:
+            _flock(fh, path)
+            self._parses.pop(name, None)
+            path.unlink()
 
     def scan(self, name: str) -> Relation:
         """The live rows of table ``name``, as a relation the caller owns.

@@ -11,7 +11,7 @@ from sgdb.csvio import export_csv, import_csv
 from sgdb.errors import DuplicateKeyError, MissingColumnError, UnknownTableError
 from sgdb.model import Relation, Schema, relation_equal, relation_from_mapping
 from sgdb.render import RenderSpec, columns_of, render
-from sgdb.storage import Database
+from sgdb.storage import Database, TableFile
 
 
 @pytest.fixture
@@ -132,6 +132,27 @@ def test_import_missing_pk_column(tmp_path):
         import_csv(Database(tmp_path / "db"), "t", csv_path, pk="k")
 
 
+def test_import_failing_part_way_leaves_no_table(tmp_path, monkeypatch):
+    csv_path = tmp_path / "books.csv"
+    write_books_csv(csv_path)
+    db = Database(tmp_path / "db")
+    put = TableFile.put_record
+    written = []
+
+    def failing_put(self, record):
+        assert db.list_tables() == []
+        if len(written) == 2:
+            raise OSError("disk full")
+        put(self, record)
+        written.append(record)
+
+    monkeypatch.setattr(TableFile, "put_record", failing_put)
+    with pytest.raises(OSError, match="disk full"):
+        import_csv(db, "books", csv_path, pk="ISBN")
+    assert db.list_tables() == []
+    assert list(db.root.iterdir()) == []
+
+
 def test_export_roundtrip(tmp_path, dbdir, books):
     db = Database(dbdir)
     out = tmp_path / "out.csv"
@@ -181,6 +202,16 @@ def test_exec_parse_error_exit_2(dbdir, capsys):
 def test_exec_eval_error_exit_3(dbdir, capsys):
     assert main(["--db", dbdir, "exec", "-e", 'nosuch | select a = "b"']) == 3
     assert "nosuch" in capsys.readouterr().err
+
+
+def test_exec_chained_join_collision_exit_3(dbdir, capsys):
+    # The join turns books' catalog field into catalog.catalog and
+    # catalog.description, so nesting catalog at catalog again collides.
+    code = main(["--db", dbdir, "exec", "-e", "books | ijoin catalog on catalog | cross catalog as catalog"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: flattening produced key 'catalog.catalog' twice\n"
 
 
 def test_exec_is_byte_deterministic(dbdir, capsys):

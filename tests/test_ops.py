@@ -1,4 +1,8 @@
+import copy
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import golden_data as gd
 
@@ -9,7 +13,7 @@ from sgdb.errors import (
     NoCommonFieldError,
     NotJoinableError,
 )
-from sgdb.model import Relation, create_relation, insert_tuple, relation_equal
+from sgdb.model import Relation, Schema, create_relation, insert_tuple, relation_equal
 from sgdb.ops import (
     STAR,
     Condition,
@@ -337,8 +341,6 @@ def test_pipeline_inner_select_project(books, catalog):
 
 
 def test_operators_leave_inputs_untouched(books, catalog):
-    import copy
-
     books_before = copy.deepcopy(books.rows)
     catalog_before = copy.deepcopy(catalog.rows)
     select(books, Condition("publisher", "O'Reilly"))
@@ -352,3 +354,126 @@ def test_operators_leave_inputs_untouched(books, catalog):
     natural_join(books, catalog)
     assert books.rows == books_before
     assert catalog.rows == catalog_before
+
+
+# --- joined rows against the nest-then-flatten formula --------------------
+#
+# The reference operators below build every joined row the way the paper
+# defines it: nest the right tuple under the joining field of a copy of the
+# left row, then flatten.  The operators build rows another way and must give
+# the same rows, in the same field order, and the same errors.
+
+
+def _ref_row(lrow, key, rrow):
+    return flatten_record({**lrow, key: dict(rrow)})
+
+
+def _ref_inner(left, right, key):
+    rows = {}
+    for k, lrow in left.rows.items():
+        v = lrow.get(key)
+        if v in right.rows and right.rows[v]:
+            rows[k] = _ref_row(lrow, key, right.rows[v])
+    return rows
+
+
+def _ref_left(left, right, key):
+    rows = {}
+    for k, lrow in left.rows.items():
+        v = lrow.get(key)
+        rows[k] = _ref_row(lrow, key, right.rows[v]) if v in right.rows else flatten_record(lrow)
+    return rows
+
+
+def _ref_synthesized(left, right, key, rows):
+    referenced = {lrow.get(key) for lrow in left.rows.values()}
+    for rk, rrow in right.rows.items():
+        if rk in referenced:
+            continue
+        synth = {f: dict(rrow) if f == key else "" for f in left.schema.fields}
+        if rk in rows:
+            raise KeyCollisionError(f"synthesized right row key {rk!r} collides with an existing result row")
+        rows[rk] = flatten_record(synth)
+    return rows
+
+
+def _ref_cartesian(left, right, key):
+    rows = {}
+    for lk, lrow in left.rows.items():
+        for rk, rrow in right.rows.items():
+            pair_key = f"{lk}_{rk}"
+            if pair_key in rows:
+                raise KeyCollisionError(f"pair key {pair_key!r} produced twice")
+            rows[pair_key] = _ref_row(lrow, key, rrow)
+    return rows
+
+
+REFERENCES = {
+    inner_join: _ref_inner,
+    left_join: _ref_left,
+    right_join: lambda left, right, key: _ref_synthesized(left, right, key, _ref_inner(left, right, key)),
+    outer_join: lambda left, right, key: _ref_synthesized(left, right, key, _ref_left(left, right, key)),
+    cartesian: _ref_cartesian,
+}
+
+RIGHT_FIELDS = ["id", "a", "b", "k", "a.b"]
+# Underscored row keys make cartesian pair keys collide ("1" + "2_x" and "1_2" + "x").
+ROW_KEYS = st.sampled_from(["1", "2", "x", "1_2", "2_x"])
+TEXT = st.none() | st.sampled_from(["1", "2", "x", "", "1_2"])
+VALUES = st.one_of(TEXT, TEXT, TEXT, st.dictionaries(st.sampled_from(["a", "b"]), TEXT, max_size=2))
+JOIN_FIELDS = st.sampled_from(["k", "n", "a"])
+
+
+@st.composite
+def _relation(draw, fields, key):
+    """Up to four rows of fields drawn from ``fields`` in any order, so rows need
+    not match the schema; about half of them carry ``key`` holding a row key."""
+    rows = {}
+    for row_key in draw(st.lists(ROW_KEYS, max_size=4, unique=True)):
+        pairs = draw(st.lists(st.tuples(st.sampled_from(fields), VALUES), max_size=4))
+        if draw(st.booleans()):
+            pairs.insert(draw(st.integers(0, len(pairs))), (key, draw(ROW_KEYS)))
+        rows[row_key] = dict(pairs)
+    schema_fields = draw(st.lists(st.sampled_from(fields), min_size=1, max_size=4, unique=True))
+    return Relation(Schema("id", tuple(schema_fields)), rows)
+
+
+@st.composite
+def _join_inputs(draw):
+    key = draw(JOIN_FIELDS)
+    # Dotted left fields collide with the part a right tuple flattens to at ``key``.
+    left_fields = ["id", "a", "k", "n", f"{key}.a", f"{key}.b", f"{key}.a.b"]
+    left = draw(_relation(left_fields, key))
+    if draw(st.booleans()):
+        # Chain: heterogeneous rows (a left join's output) with dotted fields.
+        try:
+            left = left_join(left, draw(_relation(RIGHT_FIELDS, key)), draw(JOIN_FIELDS))
+        except Exception:
+            pass
+    return left, draw(_relation(RIGHT_FIELDS, key)), key
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    rows = result.rows if isinstance(result, Relation) else result
+    return [(key, list(row.items())) for key, row in rows.items()]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(inputs=_join_inputs())
+# outer_join: the right row keyed "1" collides with a result row key before its
+# synthesized row (with "k.a" twice) is built, so the row-key error wins.
+@example(inputs=(
+    Relation(Schema("id", ("k", "k.a")), {"1": {"k": "x"}}),
+    Relation(Schema("id", ("a",)), {"1": {"a": "v"}}),
+    "k",
+))
+def test_joined_rows_equal_nest_then_flatten(inputs):
+    left, right, key = inputs
+    before = copy.deepcopy((left.rows, right.rows))
+    for op, reference in REFERENCES.items():
+        assert _outcome(op, left, right, key) == _outcome(reference, left, right, key), op.__name__
+    assert (left.rows, right.rows) == before

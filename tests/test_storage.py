@@ -382,6 +382,17 @@ def test_database_listing_and_lifecycle(tmp_path):
         db.create("../evil", BOOKS_SCHEMA)
 
 
+def test_drop_is_refused_while_a_handle_is_open(db, books):
+    db.scan("books")
+    with db.open("books"):
+        with pytest.raises(TableLockedError):
+            db.drop("books")
+    assert db.list_tables() == ["books", "catalog"]
+    assert relation_equal(db.scan("books"), books)
+    db.drop("books")
+    assert db.list_tables() == ["catalog"]
+
+
 # --- the parse Database.scan keeps between scans ---------------------------
 
 
