@@ -5,19 +5,25 @@ field hits the right-hand row keys about half the time, so matched,
 unmatched-left and unmatched-right paths all get exercised.  For each seed,
 ``differential_check`` runs every operator through both implementations and
 reports any case where the two disagree — on the result rows or on the class
-of error raised.
+of error raised.  Each ``select`` case also runs a second time end to end:
+the left relation is loaded into a table of a temporary database and the
+query ``left | select f = v`` is parsed and evaluated against it, so the
+select that runs inside the table scan is held to the oracle too.
 """
 
 from __future__ import annotations
 
 import copy
 import random
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
-from sgdb import ops, oracle
+from sgdb import dsl, evaluator, ops, oracle
 from sgdb.errors import SgdbError
-from sgdb.model import Relation, create_relation, insert_tuple, relation_equal
+from sgdb.model import Relation, create_relation, insert_tuple
 from sgdb.ops import Condition, STAR
+from sgdb.storage import Database
 
 ALL_OPS = (
     "select",
@@ -161,6 +167,14 @@ def _run_engine(op: str, left: Relation, right: Relation, params: dict):
     raise ValueError(f"unknown operator {op!r}")
 
 
+def _select_through_storage(root: Path, left: Relation, params: dict) -> Relation:
+    """``left | select f = v`` parsed and evaluated on ``left`` loaded into a new database at ``root``."""
+    db = Database(root)
+    db.load("left", left.schema, left.rows.values())
+    query = dsl.Query("left", (dsl.SelectStep(params["condition"]),))
+    return evaluator.evaluate(dsl.parse(dsl.render_statement(query)), db)
+
+
 def _run_oracle(op: str, left: Relation, right: Relation, params: dict):
     if op == "flatten":
         return oracle.flatten(copy.deepcopy(params["record"]))
@@ -202,35 +216,38 @@ def differential_check(seeds, operators=ALL_OPS) -> list[DivergenceReport]:
     rather than raised.
     """
     reports: list[DivergenceReport] = []
-    for seed in seeds:
-        left, right, join_field = generate_database(GenLimits(seed=seed))
-        for op in operators:
-            params = _pick_params(op, seed, left, right, join_field)
-            engine = _outcome(_run_engine, op, left, right, params)
-            orcl = _outcome(_run_oracle, op, left, right, params)
-            if engine[0] == "ok" and orcl[0] == "ok":
-                erows, orows = _rows_of(engine[1]), _rows_of(orcl[1])
-                if isinstance(engine[1], Relation) and isinstance(orcl[1], Relation):
-                    agree = relation_equal(engine[1], orcl[1])
-                else:
-                    agree = erows == orows
-                if agree:
-                    continue
-                difference = _first_difference(erows, orows)
-            elif engine[0] == "error" and orcl[0] == "error":
-                if engine[1] == orcl[1]:
-                    continue
-                difference = f"error classes differ: {engine[1]} vs {orcl[1]}"
-            else:
-                difference = f"one side errored: engine={engine[1]!r} oracle={orcl[1]!r}"
-            reports.append(
-                DivergenceReport(
-                    seed=seed,
-                    operator=op,
-                    inputs=f"left={left.rows!r} right={right.rows!r} params={params!r}",
-                    engine=repr(engine[1].rows if isinstance(engine[1], Relation) else engine[1]),
-                    oracle=repr(orcl[1].rows if isinstance(orcl[1], Relation) else orcl[1]),
-                    first_difference=difference,
-                )
-            )
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            left, right, join_field = generate_database(GenLimits(seed=seed))
+            for op in operators:
+                params = _pick_params(op, seed, left, right, join_field)
+                orcl = _outcome(_run_oracle, op, left, right, params)
+                runs = [(op, _outcome(_run_engine, op, left, right, params))]
+                if op == "select":
+                    storage_run = _outcome(_select_through_storage, Path(tmp) / str(seed), left, params)
+                    runs.append(("select through storage", storage_run))
+                for name, engine in runs:
+                    difference = _difference(engine, orcl)
+                    if difference is None:
+                        continue
+                    reports.append(
+                        DivergenceReport(
+                            seed=seed,
+                            operator=name,
+                            inputs=f"left={left.rows!r} right={right.rows!r} params={params!r}",
+                            engine=repr(engine[1].rows if isinstance(engine[1], Relation) else engine[1]),
+                            oracle=repr(orcl[1].rows if isinstance(orcl[1], Relation) else orcl[1]),
+                            first_difference=difference,
+                        )
+                    )
     return reports
+
+
+def _difference(engine: tuple, orcl: tuple) -> str | None:
+    """How two ``_outcome`` results disagree, or None when they agree."""
+    if engine[0] == "ok" and orcl[0] == "ok":
+        erows, orows = _rows_of(engine[1]), _rows_of(orcl[1])
+        return None if erows == orows else _first_difference(erows, orows)
+    if engine[0] == "error" and orcl[0] == "error":
+        return None if engine[1] == orcl[1] else f"error classes differ: {engine[1]} vs {orcl[1]}"
+    return f"one side errored: engine={engine[1]!r} oracle={orcl[1]!r}"

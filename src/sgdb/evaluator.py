@@ -1,7 +1,10 @@
 """Statement evaluation against a database directory.
 
 Queries fold their pipeline steps left to right over an in-memory scan of
-the source table; joins scan their right-hand table the same way.  Table
+the source table; joins scan their right-hand table the same way.  A
+query's leading ``select`` runs inside the scan of its source table
+(``Database.scan(name, where)``), so only the matching rows are copied out
+of storage, and a select on the primary key reads one row by key.  Table
 management and row statements go straight to storage and report how many
 rows they touched.
 """
@@ -50,7 +53,10 @@ _JOINS = {
 def evaluate(stmt: Statement, db: Database) -> Relation | Status:
     match stmt:
         case Query(source, steps):
-            rel = db.scan(source)
+            where = None
+            if steps and isinstance(steps[0], SelectStep):
+                where, steps = steps[0].condition, steps[1:]
+            rel = db.scan(source, where)
             for step in steps:
                 rel = _apply(step, rel, db)
             return rel

@@ -95,11 +95,14 @@ def select(rel: Relation, cond: Condition | None = None) -> Relation:
     Without a condition the whole relation is copied.  Rows that do not have
     the field at all are excluded, and null never equals any text value.
     """
-    rows: dict[str, TupleRecord] = {}
-    for key, row in rel.rows.items():
-        if cond is None or (cond.field in row and row[cond.field] == cond.value):
-            rows[key] = dict(row)
-    return Relation._adopt(rel.schema.derive(), rows)
+    kept = rel.rows if cond is None else matching(rel.rows, cond)
+    return Relation._adopt(rel.schema.derive(), {key: dict(row) for key, row in kept.items()})
+
+
+def matching(rows: dict[str, TupleRecord], cond: Condition) -> dict[str, TupleRecord]:
+    """The entries of ``rows`` that ``select`` keeps for ``cond``, in order and not copied."""
+    field, value = cond.field, cond.value
+    return {key: row for key, row in rows.items() if field in row and row[field] == value}
 
 
 def project(rel: Relation, columns: list[str] | tuple[str, ...] | str) -> Relation:

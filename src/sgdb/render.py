@@ -5,7 +5,9 @@ order; fields that appear only in some rows of a heterogeneous result are
 appended after the schema columns, sorted by name.  Table and CSV output pad
 missing fields with "" and show the explicit null as ``null_text``; JSON
 output emits each row's record verbatim (null as JSON null) using the same
-canonical serialization the table files use.
+canonical serialization the table files use.  Table output writes a line
+feed or carriage return inside a cell or column name as the two characters
+``\n`` or ``\r``, so every row stays on one line and the columns line up.
 """
 
 from __future__ import annotations
@@ -57,15 +59,28 @@ def render(rel: Relation, spec: RenderSpec = RenderSpec()) -> str:
         return out.getvalue()
     if spec.format != "table":
         raise ValueError(f"unknown format {spec.format!r}")
+    text = _table(cols, grid)
+    # Only a line break inside a cell or column name adds line breaks to the
+    # text: rows are stripped of their space padding and of nothing else.
+    if text.count("\n") != len(grid) + 3 or "\r" in text:
+        text = _table([_escaped(c) for c in cols], [[_escaped(cell) for cell in cells] for cells in grid])
+    return text
+
+
+def _escaped(text: str) -> str:
+    return text.replace("\n", "\\n").replace("\r", "\\r")
+
+
+def _table(cols: list[str], grid: list[list[str]]) -> str:
     widths = [len(c) for c in cols]
     for cells in grid:
         for i, cell in enumerate(cells):
             widths[i] = max(widths[i], len(cell))
     lines = [
-        "  ".join(c.ljust(widths[i]) for i, c in enumerate(cols)).rstrip(),
+        "  ".join(c.ljust(widths[i]) for i, c in enumerate(cols)).rstrip(" "),
         "  ".join("-" * w for w in widths),
     ]
     for cells in grid:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)).rstrip())
+        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)).rstrip(" "))
     lines.append(f"({len(grid)} row{'s' if len(grid) != 1 else ''})")
     return "\n".join(lines) + "\n"

@@ -28,17 +28,23 @@ the first scan in a new ``Database`` (each ``sgdb exec`` process), parses
 in full as before.  The kept parses stay resident until the table is
 dropped or the ``Database`` is freed: about one decoded copy, plus the log
 bytes, of every table it has scanned, which for rows of a few short text
-fields is 7 to 10 bytes held per byte of log.
+fields is 7 to 10 bytes held per byte of log.  A scan given a condition (a
+query's leading ``select``) copies out only the kept rows that match it, and
+a condition on the primary key is one lookup of the key, which is exact
+because a row is always stored under its own primary-key value.
 
 A record that runs past the end of the file is a torn tail, a crash
 artifact, and is truncated away on open.  Every other malformed log raises
 ``CorruptFileError``: a bad magic, an unknown record tag, a checksum mismatch
 on a complete record, a key that is not UTF-8, a missing or unreadable schema
-record, and a PUT payload that is not a JSON object of strings and nulls.
+record, a PUT payload that is not a JSON object of strings and nulls, and a
+PUT payload whose primary-key field is missing or differs from the record key.
 A database is simply a directory of ``<table>.sgt`` files.  ``Database.load``
 writes a whole table under another name and renames it into place, and
 ``Database.drop`` takes the table's lock before it unlinks the file, so it
-never deletes a table a handle has open.
+never deletes a table a handle has open.  Creating a table file, renaming one
+into place (load, compact) and unlinking one (drop) each fsync the directory,
+so the change to its entries is as durable as the data.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from sgdb.errors import (
     UseAfterCloseError,
 )
 from sgdb.model import Relation, Schema, TupleRecord, _checked_key, create_relation
+from sgdb.ops import Condition, matching
 
 MAGIC = b"SGDB"
 VERSION = 0x01
@@ -129,6 +136,15 @@ def _flock(fh, path: Path) -> None:
         raise TableLockedError(f"{path} is locked by another writer") from None
 
 
+def _fsync_dir(path: Path) -> None:
+    """fsync the directory holding ``path``, making a create, rename or unlink of it durable."""
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class _TornRecord(CorruptFileError):
     """The log ends in the middle of a record: a torn tail at open, corruption elsewhere."""
 
@@ -167,6 +183,7 @@ class TableFile:
             self._fh.write(_HEADER)
             self._fh.write(_encode(OP_META, META_KEY, _schema_bytes(self.schema)))
             self._flush()
+            _fsync_dir(self.path)
         else:
             self._fh = open(self.path, "r+b")
             self._lock()
@@ -274,11 +291,16 @@ class TableFile:
 
     def _live_rows(self, data: bytes) -> dict[str, TupleRecord]:
         """Decode the PUT at every live offset from ``data``, the whole log."""
+        pk = self.schema.primary_key
         rows = {}
         for key, offset in self.live_index.items():
             row = _decode_row(self._parse(data, offset)[2])
             if row is None:
                 raise CorruptFileError(f"{self.path}: payload of record {key!r} is not a field map")
+            if row.get(pk) != key:
+                raise CorruptFileError(
+                    f"{self.path}: record {key!r} holds primary key {row.get(pk)!r}"
+                )
             rows[key] = row
         return rows
 
@@ -307,6 +329,7 @@ class TableFile:
         self._fh.close()
         self._fh = open(self.path, "r+b")
         self._lock()
+        _fsync_dir(self.path)
         self.live_index.clear()
         self._load(self._read_log())
 
@@ -367,12 +390,21 @@ class _ScanHandle(TableFile):
         # The lock keeps writers out, so the log read at open is still the file.
         return self._log if self._log is not None else super()._read_log()
 
-    def scan_all(self) -> Relation:
+    def scan_all(self, where: Condition | None = None) -> Relation:
+        """The live rows, or with ``where`` only those ``ops.select`` would keep."""
         self._check_open()
         if self.parsed is None:
             self.parsed = _Parse(self._log, self.schema, super().scan_all().rows)
-        # The parse is kept for later scans, so callers get a copy of its rows.
-        return Relation(self.schema, self.parsed.rows)
+        rows = self.parsed.rows
+        if where is None:
+            taken = rows
+        elif where.field == self.schema.primary_key:
+            # _live_rows keeps each row under its own primary-key value.
+            taken = {where.value: rows[where.value]} if where.value in rows else {}
+        else:
+            taken = matching(rows, where)
+        # The parse is kept for later scans, so callers get a copy of the rows they take.
+        return Relation(self.schema, taken)
 
 
 class Database:
@@ -433,12 +465,7 @@ class Database:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-        # Make the rename itself durable.
-        root = os.open(self.root, os.O_RDONLY)
-        try:
-            os.fsync(root)
-        finally:
-            os.close(root)
+        _fsync_dir(path)
 
     def open(self, name: str, *, sync: bool = True) -> TableFile:
         return TableFile(self._existing(name), sync=sync)
@@ -450,8 +477,9 @@ class Database:
             _flock(fh, path)
             self._parses.pop(name, None)
             path.unlink()
+        _fsync_dir(path)
 
-    def scan(self, name: str) -> Relation:
+    def scan(self, name: str, where: Condition | None = None) -> Relation:
         """The live rows of table ``name``, as a relation the caller owns.
 
         The table is opened, locked, read in full and closed as by ``open``.
@@ -459,8 +487,14 @@ class Database:
         scanned for the table, the schema and rows parsed then are reused and
         no record is parsed or decoded; otherwise the log is parsed afresh
         and that parse is kept in place of the old one.
+
+        With ``where``, the result holds only the rows ``ops.select`` keeps
+        for that condition, and only those are copied out of the parse.  A
+        condition on the primary key is a point read: one lookup of its value
+        among the live rows.  Either way the whole log is still read and
+        checked, and kept or parsed as above.
         """
         with _ScanHandle(self._existing(name), self._parses.pop(name, None)) as table:
-            rel = table.scan_all()
+            rel = table.scan_all(where)
         self._parses[name] = table.parsed
         return rel

@@ -75,6 +75,30 @@ def test_render_null_text_in_table_and_null_in_json():
     assert json.loads(render(rel, RenderSpec(format="json"))) == {"k": "1", "v": None}
 
 
+def test_render_table_escapes_line_breaks_in_cells():
+    rel = Relation(
+        Schema("k", ("k", "v")),
+        {"1": {"k": "1", "v": "two\nlines"}, "2": {"k": "2", "v": "cr\r"}, "3": {"k": "3", "v": "x"}},
+    )
+    assert render(rel, RenderSpec()) == (
+        "k  v\n"
+        "-  ----------\n"
+        "1  two\\nlines\n"
+        "2  cr\\r\n"
+        "3  x\n"
+        "(3 rows)\n"
+    )
+    # A line break at the end of the last column is escaped too, not stripped with the padding.
+    for end, shown in (("\n", "\\n"), ("\r", "\\r")):
+        rel_end = Relation(Schema("k", ("k", "v")), {"1": {"k": "1", "v": "end" + end}})
+        assert render(rel_end, RenderSpec()) == f"k  v\n-  -----\n1  end{shown}\n(1 row)\n"
+    # CSV and JSON keep the characters themselves.
+    assert render(rel, RenderSpec(format="csv")) == 'k,v\n1,"two\nlines"\n2,cr\r\n3,x\n'
+    assert render(rel, RenderSpec(format="json")) == (
+        '{"k":"1","v":"two\\nlines"}\n{"k":"2","v":"cr\\r"}\n{"k":"3","v":"x"}\n'
+    )
+
+
 def test_render_sorts_rows_by_key(books):
     out = render(books, RenderSpec(format="csv"))
     keys = [line.split(",")[0] for line in out.splitlines()[1:]]
@@ -185,6 +209,14 @@ def test_exec_select_json(dbdir, capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert rows == [gd.SELECT_OREILLY["9780596159818"], gd.SELECT_OREILLY["9780596516499"]]
+
+
+def test_exec_primary_key_select(dbdir, capsys):
+    query = "books | select ISBN = {} | project ISBN, title"
+    assert main(["--db", dbdir, "exec", "-e", query.format("9780596159818"), "--format", "json"]) == 0
+    assert capsys.readouterr().out == '{"ISBN":"9780596159818","title":"Beautiful testing"}\n'
+    assert main(["--db", dbdir, "exec", "-e", query.format("0000000000000")]) == 0
+    assert capsys.readouterr().out == "ISBN  title\n----  -----\n(0 rows)\n"
 
 
 def test_exec_cross_csv_has_sixteen_lines(dbdir, capsys):

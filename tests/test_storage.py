@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import stat
 import struct
 import tempfile
 import zlib
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 
 import golden_data as gd
 
-from sgdb import storage
+from sgdb import ops, storage
+from sgdb.dsl import ProjectStep, Query, SelectStep, parse, render_statement
 from sgdb.errors import (
     CorruptFileError,
     SchemaError,
@@ -21,7 +24,9 @@ from sgdb.errors import (
     UnknownTableError,
     UseAfterCloseError,
 )
-from sgdb.model import Schema, create_relation, insert_tuple, relation_equal
+from sgdb.evaluator import evaluate
+from sgdb.model import Relation, Schema, create_relation, insert_tuple, relation_equal
+from sgdb.ops import Condition
 from sgdb.storage import (
     Database,
     TableFile,
@@ -307,6 +312,27 @@ def test_malformed_payload_is_reported_as_corruption(path, payload):
             table.scan_all()
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"ISBN": "zz", "title": "Misfiled"},  # another key's value
+        {"title": "Keyless"},  # no primary-key field
+        {"ISBN": None},  # null in the primary-key field
+    ],
+)
+def test_a_row_whose_primary_key_differs_from_its_record_key_is_corruption(db, payload):
+    path = db.root / "books.sgt"
+    db.scan("books")
+    append_record(path, storage.OP_PUT, b"b", canonical_record_bytes(payload))
+    with pytest.raises(CorruptFileError):
+        db.scan("books")
+    with pytest.raises(CorruptFileError):
+        db.scan("books", Condition("ISBN", "b"))
+    with open_table(path) as table:
+        with pytest.raises(CorruptFileError):
+            table.scan_all()
+
+
 # A history of puts (key, value) and deletes (key, None) over a few colliding keys.
 HISTORIES = st.lists(
     st.tuples(
@@ -380,6 +406,34 @@ def test_database_listing_and_lifecycle(tmp_path):
         db.drop("books")
     with pytest.raises(SchemaError):
         db.create("../evil", BOOKS_SCHEMA)
+
+
+def test_create_drop_and_compact_fsync_the_directory(tmp_path, monkeypatch):
+    root = tmp_path / "db"
+    db = Database(root)
+    synced = []
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        synced.append(stat.S_ISDIR(st.st_mode) and os.path.samestat(st, os.stat(root)))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+
+    def syncs_the_directory(action):
+        synced.clear()
+        action()
+        return any(synced)
+
+    assert syncs_the_directory(lambda: db.create("books", BOOKS_SCHEMA).close())
+    with db.open("books") as table:
+        fill(table, gd.BOOKS.values())
+        table.delete_record("9780596159818")
+        assert syncs_the_directory(table.compact)
+        assert not syncs_the_directory(lambda: table.put_record(B818))
+    assert syncs_the_directory(lambda: db.drop("books"))
+    assert syncs_the_directory(lambda: db.load("books", BOOKS_SCHEMA, gd.BOOKS.values()))
 
 
 def test_drop_is_refused_while_a_handle_is_open(db, books):
@@ -485,3 +539,109 @@ def test_drop_and_recreate_between_scans_returns_the_new_rows(db, books):
     with db.create("books", BOOKS_SCHEMA) as table:
         table.put_record({"ISBN": "1", "title": "New"})
     assert db.scan("books").rows == {"1": {"ISBN": "1", "title": "New"}}
+
+
+# --- a query's leading select, run inside the scan -------------------------
+
+
+def test_a_primary_key_select_is_one_lookup(db, books, monkeypatch):
+    db.scan("books")
+    copied = []
+    monkeypatch.setattr(storage, "matching", lambda *args: pytest.fail("filtered a key select"))
+    monkeypatch.setattr(storage, "Relation", lambda schema, rows: copied.extend(rows) or Relation(schema, rows))
+    rel = evaluate(parse("books | select ISBN = 9780596159818"), db)
+    assert rel.rows == {"9780596159818": B818}
+    assert copied == ["9780596159818"]
+    assert evaluate(parse("books | select ISBN = absent"), db).rows == {}
+
+
+def test_a_non_key_select_copies_only_its_matches(db, books, monkeypatch):
+    db.scan("books")
+    copied = []
+    monkeypatch.setattr(storage, "Relation", lambda schema, rows: copied.extend(rows) or Relation(schema, rows))
+    rel = evaluate(parse('books | select publisher = "O\'Reilly" | project title'), db)
+    assert rel.rows == {k: {"title": r["title"]} for k, r in gd.SELECT_OREILLY.items()}
+    assert sorted(copied) == sorted(gd.SELECT_OREILLY)
+
+
+def _write(db, step, model):
+    key, value = step
+    with db.open("t", sync=False) as table:
+        if value is None:
+            table.delete_record(key)
+            model.pop(key, None)
+        else:
+            c, d = value
+            model[key] = {"id": key, "c": c} if d is None else {"id": key, "c": c, "d": d}
+            table.put_record(model[key])
+
+
+def _select_query(db, cond, columns):
+    """``t | select cond [| project columns]`` through the DSL and evaluator."""
+    steps = (SelectStep(cond),) if columns is None else (SelectStep(cond), ProjectStep(tuple(columns)))
+    return evaluate(parse(render_statement(Query("t", steps))), db)
+
+
+def _select_after_scan(root, cond, columns):
+    """The same query as ``ops`` calls on a full scan by a Database of its own."""
+    rel = ops.select(Database(root).scan("t"), cond)
+    return rel if columns is None else ops.project(rel, tuple(columns))
+
+
+def _select_in_model(model, cond, columns):
+    """The same query's rows computed from the dict model alone."""
+    rows = {k: r for k, r in model.items() if cond.field in r and r[cond.field] == cond.value}
+    return rows if columns is None else {k: {f: r[f] for f in columns if f in r} for k, r in rows.items()}
+
+
+def _ordered(rel):
+    return rel.schema, [(key, list(row.items())) for key, row in rel.rows.items()]
+
+
+# Puts of ("id", "c", maybe "d") and deletes over three keys; "" is a value, never a key.
+PUT_OR_DELETE = st.tuples(
+    st.sampled_from(("a", "b", "c")),
+    st.none() | st.tuples(st.sampled_from(("", "x", "y")), st.none() | st.sampled_from(("", "x"))),
+)
+# Keys that are live, deleted or never written, and "" on the primary key; present and
+# absent values on "c" and "d" (which some rows lack), and a field outside the schema.
+CONDITIONS = st.builds(
+    Condition,
+    st.sampled_from(("id", "c", "d", "ghost")),
+    st.sampled_from(("a", "b", "c", "zz", "", "x", "y")),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    history=st.lists(PUT_OR_DELETE, max_size=12),
+    checks=st.lists(
+        st.tuples(
+            CONDITIONS,
+            st.none() | st.lists(st.sampled_from(("id", "c", "d", "ghost")), min_size=1, max_size=3, unique=True),
+            PUT_OR_DELETE,
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_a_select_inside_the_scan_equals_a_select_after_it(history, checks):
+    with tempfile.TemporaryDirectory() as tmp:
+        Database(tmp).create("t", Schema("id", ("id", "c", "d"))).close()
+        model: dict[str, dict] = {}
+        for step in history:
+            _write(Database(tmp), step, model)
+        for cond, columns, write in checks:
+            db = Database(tmp)
+            for when in ("a fresh Database", "a kept parse", "a write"):
+                if when == "a write":
+                    _write(db, write, model)
+                got = _select_query(db, cond, columns)
+                assert _ordered(got) == _ordered(_select_after_scan(tmp, cond, columns)), when
+                assert got.rows == _select_in_model(model, cond, columns), when
+                full = _ordered(Database(tmp).scan("t"))
+                for row in got.rows.values():
+                    row["c"] = "scribbled"
+                    row.pop("id", None)
+                got.rows["new"] = {"id": "new"}
+                assert _ordered(db.scan("t")) == full
