@@ -5,12 +5,16 @@ primary-key column, and rejects duplicated key values.  The table appears
 only once every row is written and synced (``Database.load``), so a failed
 import leaves no table behind.  Export writes the schema columns in order
 with rows sorted by key, so identical tables always produce identical files.
+Lines end in ``\n``, and a cell holding ``\r`` is quoted so that it reads
+back whole (see ``write_rows``).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
+from typing import Iterable, TextIO
 
 from sgdb.errors import CsvFormatError, DuplicateKeyError, MissingColumnError
 from sgdb.model import Schema
@@ -51,9 +55,24 @@ def export_csv(db: Database, table: str, csv_path: str | Path) -> int:
     rel = db.scan(table)
     cols = list(rel.schema.fields)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for key in sorted(rel.rows):
-            row = rel.rows[key]
-            writer.writerow([row.get(c) or "" for c in cols])
+        write_rows(fh, [cols])
+        write_rows(fh, ([rel.rows[key].get(c) or "" for c in cols] for key in sorted(rel.rows)))
     return len(rel.rows)
+
+
+def write_rows(fh: TextIO, rows: Iterable[list[str]]) -> None:
+    """Write ``rows`` to ``fh`` as CSV lines ending in ``\n``.
+
+    A cell is quoted where the csv module quotes it, and also when it holds
+    a carriage return: unquoted, a ``\r`` before the line end reads back as
+    part of the line end, and the value loses it.
+    """
+    plain = csv.writer(fh, lineterminator="\n")
+    for cells in rows:
+        if any("\r" in cell for cell in cells):
+            # The csv module quotes a cell holding any character of the line terminator.
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\r\n").writerow(cells)
+            fh.write(line.getvalue()[:-2] + "\n")
+        else:
+            plain.writerow(cells)

@@ -5,10 +5,15 @@ field hits the right-hand row keys about half the time, so matched,
 unmatched-left and unmatched-right paths all get exercised.  For each seed,
 ``differential_check`` runs every operator through both implementations and
 reports any case where the two disagree — on the result rows or on the class
-of error raised.  Each ``select`` case also runs a second time end to end:
-the left relation is loaded into a table of a temporary database and the
-query ``left | select f = v`` is parsed and evaluated against it, so the
-select that runs inside the table scan is held to the oracle too.
+of error raised.  The two relations are also loaded into tables ``left``
+and ``right`` of a temporary database.  Each ``select`` case runs a second
+time end to end there, as the parsed query ``left | select f = v``, so the
+select that runs inside the table scan is held to the oracle too.  The
+``pipeline`` case parses and evaluates a random query of one to four steps
+over those tables, which the evaluator may rewrite (see ``sgdb.evaluator``).
+Its result must equal, exactly, a plain left fold of ``ops`` over full
+scans: rows, row order, field order and schema, or error class and message.
+Its rows or error class must also match the oracle's fold of the same steps.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from pathlib import Path
 
 from sgdb import dsl, evaluator, ops, oracle
 from sgdb.errors import SgdbError
-from sgdb.model import Relation, create_relation, insert_tuple
+from sgdb.model import Relation, Schema, relation_from_mapping
 from sgdb.ops import Condition, STAR
 from sgdb.storage import Database
 
@@ -36,17 +41,20 @@ ALL_OPS = (
     "cartesian",
     "natural_join",
     "flatten",
+    "pipeline",
 )
 
-# Row keys never contain "_" so cartesian pair keys cannot collide, and the
-# value pool never contains "=" so the oracle's condition-string form parses
-# back to the same condition the engine sees.
+# The value pool never contains "=" so the oracle's condition-string form
+# parses back to the same condition the engine sees.  Some row keys contain
+# "_", so cartesian pair keys can collide.
 _VALUE_POOL = ("", "red", "blue", "green", "gold", "x1", "y2")
-_RIGHT_KEY_POOL = ("p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8")
+_RIGHT_KEY_POOL = ("p1", "p2", "p3", "p4", "p5", "p6", "p7", "p1_p2")
 _MISS_POOL = ("zz1", "zz2", "zz3", "")
 _LEFT_EXTRAS = ("shade", "size", "grade")
 _RIGHT_EXTRAS = ("label", "note", "rank")
 JOIN_FIELD = "link"
+_NEST_NAMES = ("n", JOIN_FIELD)
+PIPELINE = "pipeline through storage"
 
 
 @dataclass(frozen=True)
@@ -91,27 +99,31 @@ def generate_database(limits: GenLimits) -> tuple[Relation, Relation, str]:
     right_fields = [JOIN_FIELD, *(_RIGHT_EXTRAS[:right_extra_n])]
 
     n_right = rng.randint(0, limits.max_rows)
-    right = create_relation(JOIN_FIELD, right_fields)
     right_keys = rng.sample(_RIGHT_KEY_POOL, min(n_right, len(_RIGHT_KEY_POOL)))
+    right_rows = {}
     for key in right_keys:
         record = {JOIN_FIELD: key}
         for f in right_fields[1:]:
             record[f] = rng.choice(_VALUE_POOL)
-        right = insert_tuple(right, record)
+        right_rows[key] = record
 
     n_left = rng.randint(0, limits.max_rows)
-    left = create_relation("lid", left_fields)
+    left_rows = {}
     for i in range(n_left):
-        record = {"lid": f"a{i}"}
+        # About one key in four extends an earlier key by "_p1", so that with
+        # the right keys "p2" and "p1_p2" two pairs get the same pair key.
+        key = f"a{rng.randrange(i)}_p1" if i and rng.random() < 0.25 else f"a{i}"
+        record = {"lid": key}
         for f in _LEFT_EXTRAS[:left_extra_n]:
             record[f] = rng.choice(_VALUE_POOL)
         if right_keys and rng.random() < 0.5:
             record[JOIN_FIELD] = rng.choice(right_keys)
         else:
             record[JOIN_FIELD] = rng.choice(_MISS_POOL)
-        left = insert_tuple(left, record)
+        left_rows[key] = record
 
-    return left, right, JOIN_FIELD
+    left = relation_from_mapping(left_rows, "lid", left_fields)
+    return left, relation_from_mapping(right_rows, JOIN_FIELD, right_fields), JOIN_FIELD
 
 
 def _pick_params(op: str, seed: int, left: Relation, right: Relation, join_field: str) -> dict:
@@ -167,12 +179,151 @@ def _run_engine(op: str, left: Relation, right: Relation, params: dict):
     raise ValueError(f"unknown operator {op!r}")
 
 
-def _select_through_storage(root: Path, left: Relation, params: dict) -> Relation:
-    """``left | select f = v`` parsed and evaluated on ``left`` loaded into a new database at ``root``."""
+def _stored(root: Path, left: Relation, right: Relation) -> Database:
+    """A new database at ``root`` holding ``left`` and ``right`` as tables of those names."""
     db = Database(root)
     db.load("left", left.schema, left.rows.values())
-    query = dsl.Query("left", (dsl.SelectStep(params["condition"]),))
+    db.load("right", right.schema, right.rows.values())
+    return db
+
+
+def _evaluated(db: Database, query: dsl.Query) -> Relation:
+    """``query`` printed, parsed back and evaluated against ``db``."""
     return evaluator.evaluate(dsl.parse(dsl.render_statement(query)), db)
+
+
+def _pick_pipeline(seed: int, left: Relation, right: Relation) -> dsl.Query:
+    """A query of one to four steps over the tables ``left`` and ``right``.
+
+    Steps are selects, projects, the four joins on ``link`` and ``cross
+    right as n`` (``n`` or ``link``).  A cross or join is often followed by a
+    select on a field of the table it adds, the pair the evaluator may
+    rewrite.  A second cross or join under the same name meets dotted
+    ``n.*`` left fields, and a cross after a cross meets pair keys holding
+    ``_``: the cases the rewrite must leave alone.
+    """
+    rng = random.Random(f"{seed}/pipeline")
+    fields = list(left.schema.fields)
+    values = _VALUE_POOL + tuple(right.rows) + tuple(left.rows)[:2]
+    steps: list[dsl.Step] = []
+    n_steps = rng.randint(1, 4)
+    while len(steps) < n_steps:
+        kind = rng.choices(("select", "project", "join", "cross"), weights=(1, 1, 2, 2))[0]
+        if kind == "select":
+            steps.append(dsl.SelectStep(Condition(rng.choice(fields + ["ghost"]), rng.choice(values))))
+        elif kind == "project":
+            if rng.random() < 0.2:
+                steps.append(dsl.ProjectStep(STAR))
+            else:
+                fields = rng.sample(fields, rng.randint(1, len(fields)))
+                steps.append(dsl.ProjectStep(tuple(fields)))
+        else:
+            if kind == "join":
+                name = JOIN_FIELD
+                steps.append(dsl.JoinStep(rng.choice(("inner", "left", "right", "outer")), "right", name))
+            else:
+                # Mostly "link", which a join before it has already dotted.
+                name = rng.choices(_NEST_NAMES, weights=(1, 2))[0]
+                steps.append(dsl.CrossStep("right", name))
+            added = [f"{name}.{f}" for f in right.schema.fields]
+            fields = list(dict.fromkeys([f for f in fields if f != name] + added))
+            if rng.random() < 0.6:
+                field = rng.choice(added + [f"{name}.ghost"])
+                steps.append(dsl.SelectStep(Condition(field, rng.choice(values))))
+    return dsl.Query("left", tuple(steps))
+
+
+def _as_operator(step: dsl.Step) -> tuple[str, str | None, dict]:
+    """The operator a pipeline step runs, the table it scans (if any) and its parameters."""
+    match step:
+        case dsl.SelectStep(condition):
+            return "select", None, {"condition": condition}
+        case dsl.ProjectStep(columns):
+            return "project", None, {"columns": columns}
+        case dsl.JoinStep(kind, table, key):
+            return f"{kind}_join", table, {"key": key}
+        case dsl.CrossStep(table, nest_field):
+            return "cartesian", table, {"key": nest_field}
+    raise ValueError(f"not a pipeline step: {step!r}")
+
+
+def _exact(fn, *args) -> tuple:
+    """The outcome of ``fn(*args)`` with everything a caller can observe of it:
+    schema, rows in order with their fields in order, or error class and message."""
+    try:
+        rel = fn(*args)
+    except SgdbError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("ok", rel.schema, [(key, list(row.items())) for key, row in rel.rows.items()])
+
+
+def _fold_plainly(db: Database, query: dsl.Query, schemas: list[Schema]) -> Relation:
+    """``query`` as a left fold of ``ops`` over full scans, with no rewrite.
+
+    Appends the schema of each step's input to ``schemas``, up to and
+    including the step that raises, if one does.
+    """
+    rel = db.scan(query.source)
+    for step in query.steps:
+        schemas.append(rel.schema)
+        op, table, params = _as_operator(step)
+        rel = _run_engine(op, rel, db.scan(table) if table else None, params)
+    return rel
+
+
+def _oracle_judges(step: dsl.Step, left: Relation) -> bool:
+    """Whether the oracle's literal joins mean what the engine's do on ``left``.
+
+    They read the joining field of every left row, and the right and outer
+    joins build the rows they add from the first left row's fields where
+    the engine uses the schema's.
+    """
+    if not isinstance(step, dsl.JoinStep):
+        return True
+    if any(step.key not in row for row in left.rows.values()):
+        return False
+    fields = set(left.schema.fields)
+    return step.kind in ("inner", "left") or all(set(row) == fields for row in left.rows.values())
+
+
+def _oracle_fold(db: Database, query: dsl.Query, schemas: list[Schema]):
+    """The oracle's fold of ``query`` as an ``_outcome``, or None where ``_oracle_judges`` says no.
+
+    The oracle builds no schemas, so each step's input carries the engine's.
+    It runs only the steps the engine's fold reached.
+    """
+    rel = db.scan(query.source)
+    try:
+        for step, schema in zip(query.steps, schemas):
+            left = Relation._adopt(schema, rel.rows)
+            if not _oracle_judges(step, left):
+                return None
+            op, table, params = _as_operator(step)
+            rel = _run_oracle(op, left, db.scan(table) if table else None, params)
+    except SgdbError as exc:
+        return ("error", type(exc).__name__)
+    return ("ok", rel)
+
+
+def _pipeline_reports(seed: int, db: Database, left: Relation, right: Relation) -> list[DivergenceReport]:
+    """Divergences of a random pipeline query: evaluated vs a plain fold, exactly, and vs the oracle."""
+    query = _pick_pipeline(seed, left, right)
+    inputs = f"left={left.rows!r} right={right.rows!r} query={dsl.render_statement(query)!r}"
+    evaluated = _exact(_evaluated, db, query)
+    schemas: list[Schema] = []
+    folded = _exact(_fold_plainly, db, query, schemas)
+    reports = []
+    if evaluated != folded:
+        difference = "the evaluated query differs from the plain fold"
+        reports.append(DivergenceReport(seed, PIPELINE, inputs, repr(evaluated), repr(folded), difference))
+    orcl = _oracle_fold(db, query, schemas)
+    engine = evaluated[:2] if evaluated[0] == "error" else ("ok", {k: dict(items) for k, items in evaluated[2]})
+    difference = None if orcl is None else _difference(engine, orcl)
+    if difference is not None:
+        reports.append(
+            DivergenceReport(seed, PIPELINE, inputs, repr(engine[1]), repr(_rows_of(orcl[1])), difference)
+        )
+    return reports
 
 
 def _run_oracle(op: str, left: Relation, right: Relation, params: dict):
@@ -219,13 +370,17 @@ def differential_check(seeds, operators=ALL_OPS) -> list[DivergenceReport]:
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
             left, right, join_field = generate_database(GenLimits(seed=seed))
+            db = _stored(Path(tmp) / str(seed), left, right) if {"select", "pipeline"} & set(operators) else None
             for op in operators:
+                if op == "pipeline":
+                    reports.extend(_pipeline_reports(seed, db, left, right))
+                    continue
                 params = _pick_params(op, seed, left, right, join_field)
                 orcl = _outcome(_run_oracle, op, left, right, params)
                 runs = [(op, _outcome(_run_engine, op, left, right, params))]
                 if op == "select":
-                    storage_run = _outcome(_select_through_storage, Path(tmp) / str(seed), left, params)
-                    runs.append(("select through storage", storage_run))
+                    query = dsl.Query("left", (dsl.SelectStep(params["condition"]),))
+                    runs.append(("select through storage", _outcome(_evaluated, db, query)))
                 for name, engine in runs:
                     difference = _difference(engine, orcl)
                     if difference is None:

@@ -1,12 +1,33 @@
 """Statement evaluation against a database directory.
 
 Queries fold their pipeline steps left to right over an in-memory scan of
-the source table; joins scan their right-hand table the same way.  A
-query's leading ``select`` runs inside the scan of its source table
+the source table; joins scan their right-hand table the same way.  The fold
+looks one step ahead and moves a ``select`` into the scan it follows
 (``Database.scan(name, where)``), so only the matching rows are copied out
-of storage, and a select on the primary key reads one row by key.  Table
-management and row statements go straight to storage and report how many
-rows they touched.
+of storage, and a select on the primary key reads one row by key:
+
+* a query's leading ``select f = v`` runs inside the scan of its source;
+* ``cross T as n`` or ``ijoin T on n`` followed at once by ``select n.g = v``
+  becomes the same step over the scan of ``T`` with ``g = v``, and the
+  select is dropped.  This is σ_p(R × S) = R × σ_p(S) for a p that reads
+  only S, and the same law for the inner join.  It fires only when the
+  left relation shows that the result cannot change:
+
+  1. no left row has a field starting with ``n.``, so no pair the select
+     drops could have raised the flatten ``KeyCollisionError``, and no pair
+     is kept for a left field named ``n.g``;
+  2. for ``cross``, no left row key contains ``_``, so pair keys
+     ``<left key>_<right key>`` are all distinct and no dropped pair could
+     have raised the duplicate pair-key error.
+
+  Otherwise the two steps run one after the other.  Left, right and outer
+  joins are never rewritten: filtering their right side changes which rows
+  go unmatched, and those rows stay in their result.  Natural joins are not
+  rewritten either.
+
+Rows, row order, field order, schema and errors are those of applying each
+step in turn over full scans.  Table management and row statements go
+straight to storage and report how many rows they touched.
 """
 
 from __future__ import annotations
@@ -31,6 +52,7 @@ from sgdb.dsl import (
     Step,
 )
 from sgdb.model import Relation, Schema
+from sgdb.ops import Condition
 from sgdb.storage import Database
 
 
@@ -53,12 +75,15 @@ _JOINS = {
 def evaluate(stmt: Statement, db: Database) -> Relation | Status:
     match stmt:
         case Query(source, steps):
-            where = None
-            if steps and isinstance(steps[0], SelectStep):
-                where, steps = steps[0].condition, steps[1:]
+            pending = list(steps)
+            where = pending.pop(0).condition if pending and isinstance(pending[0], SelectStep) else None
             rel = db.scan(source, where)
-            for step in steps:
-                rel = _apply(step, rel, db)
+            while pending:
+                step = pending.pop(0)
+                where = _pushed_condition(step, pending[0] if pending else None, rel)
+                if where is not None:
+                    pending.pop(0)
+                rel = _apply(step, rel, db, where)
             return rel
         case CreateTable(name, pk, fields):
             db.create(name, Schema(pk, tuple(fields))).close()
@@ -81,7 +106,29 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
     raise TypeError(f"not a statement: {stmt!r}")
 
 
-def _apply(step: Step, rel: Relation, db: Database) -> Relation:
+def _pushed_condition(step: Step, after: Step | None, left: Relation) -> Condition | None:
+    """The condition on ``step``'s own table that the select ``after`` applies,
+    when the module docstring's rule lets it run inside that table's scan."""
+    if not isinstance(after, SelectStep):
+        return None
+    match step:
+        case CrossStep(nest_field=name) | JoinStep(kind="inner", key=name):
+            pass
+        case _:
+            return None
+    prefix = name + ops.SEPARATOR
+    field, value = after.condition.field, after.condition.value
+    if not field.startswith(prefix):
+        return None
+    if any(f.startswith(prefix) for row in left.rows.values() for f in row):
+        return None
+    if isinstance(step, CrossStep) and any("_" in key for key in left.rows):
+        return None
+    return Condition(field[len(prefix):], value)
+
+
+def _apply(step: Step, rel: Relation, db: Database, where: Condition | None) -> Relation:
+    """``step`` applied to ``rel``; a join or cross scans its table with ``where``."""
     match step:
         case SelectStep(cond):
             return ops.select(rel, cond)
@@ -90,9 +137,9 @@ def _apply(step: Step, rel: Relation, db: Database) -> Relation:
         case RenameStep(old, new):
             return ops.rename(rel, old, new)
         case JoinStep(kind, table, key):
-            return _JOINS[kind](rel, db.scan(table), key)
+            return _JOINS[kind](rel, db.scan(table, where), key)
         case CrossStep(table, nest_field):
-            return ops.cartesian(rel, db.scan(table), nest_field)
+            return ops.cartesian(rel, db.scan(table, where), nest_field)
         case NaturalJoinStep(table):
             return ops.natural_join(rel, db.scan(table))
     raise TypeError(f"not a step: {step!r}")

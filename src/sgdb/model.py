@@ -34,6 +34,9 @@ class Schema:
     fields: tuple[str, ...]
 
     def derive(self, fields: tuple[str, ...] | None = None, primary_key: str | None = None) -> "Schema":
+        """This schema with the given parts replaced; itself when none is given."""
+        if fields is None and primary_key is None:
+            return self
         return replace(
             self,
             fields=self.fields if fields is None else tuple(fields),

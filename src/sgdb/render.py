@@ -8,14 +8,15 @@ output emits each row's record verbatim (null as JSON null) using the same
 canonical serialization the table files use.  Table output writes a line
 feed or carriage return inside a cell or column name as the two characters
 ``\n`` or ``\r``, so every row stays on one line and the columns line up.
+CSV output quotes cells as ``csvio.write_rows`` does.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
 
+from sgdb.csvio import write_rows
 from sgdb.model import Relation
 from sgdb.storage import canonical_record_bytes
 
@@ -53,9 +54,7 @@ def render(rel: Relation, spec: RenderSpec = RenderSpec()) -> str:
         grid.append(cells)
     if spec.format == "csv":
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(cols)
-        writer.writerows(grid)
+        write_rows(out, [cols, *grid])
         return out.getvalue()
     if spec.format != "table":
         raise ValueError(f"unknown format {spec.format!r}")

@@ -40,11 +40,11 @@ on a complete record, a key that is not UTF-8, a missing or unreadable schema
 record, a PUT payload that is not a JSON object of strings and nulls, and a
 PUT payload whose primary-key field is missing or differs from the record key.
 A database is simply a directory of ``<table>.sgt`` files.  ``Database.load``
-writes a whole table under another name and renames it into place, and
+writes a whole table under another name and links it into place, and
 ``Database.drop`` takes the table's lock before it unlinks the file, so it
-never deletes a table a handle has open.  Creating a table file, renaming one
-into place (load, compact) and unlinking one (drop) each fsync the directory,
-so the change to its entries is as durable as the data.
+never deletes a table a handle has open.  Creating a table file, linking
+(load) or renaming (compact) one into place and unlinking one (drop) each
+fsync the directory, so the change to its entries is as durable as the data.
 """
 
 from __future__ import annotations
@@ -449,22 +449,25 @@ class Database:
         """Create table ``name`` holding ``records``, all or nothing.
 
         The log is written under a temporary name that ``list_tables`` does
-        not match, fsynced, and renamed into place, so a load that fails or is
-        cut short leaves no table ``name`` behind.  A load that fails removes
-        its temporary file; one cut short by a crash may leave it.
+        not match, fsynced, and hard-linked to the table's name, so a load
+        that fails or is cut short leaves no table ``name`` behind.  The link
+        fails if the name exists, so a table created meanwhile, by this or
+        another process, is never replaced: that is ``TableExistsError``.
+        The temporary name is then removed, whether the load succeeded or
+        failed; a load cut short by a crash may leave it.
         """
         path = self._path(name)
-        if path.exists():
-            raise TableExistsError(f"table {name!r} already exists")
         tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.load")
         try:
             with TableFile(tmp, schema, sync=False) as table:
                 for record in records:
                     table.put_record(record)
-            os.replace(tmp, path)
-        except BaseException:
+            try:
+                os.link(tmp, path)
+            except FileExistsError:
+                raise TableExistsError(f"table {name!r} already exists") from None
+        finally:
             tmp.unlink(missing_ok=True)
-            raise
         _fsync_dir(path)
 
     def open(self, name: str, *, sync: bool = True) -> TableFile:

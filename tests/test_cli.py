@@ -6,10 +6,14 @@ import pytest
 import golden_data as gd
 from conftest import load_fixture_db
 
+from sgdb import evaluator
 from sgdb.cli import main, run_repl
 from sgdb.csvio import export_csv, import_csv
+from sgdb.difftest import differential_check
+from sgdb.dsl import CrossStep, SelectStep
 from sgdb.errors import DuplicateKeyError, MissingColumnError, UnknownTableError
 from sgdb.model import Relation, Schema, relation_equal, relation_from_mapping
+from sgdb.ops import Condition
 from sgdb.render import RenderSpec, columns_of, render
 from sgdb.storage import Database, TableFile
 
@@ -92,8 +96,8 @@ def test_render_table_escapes_line_breaks_in_cells():
     for end, shown in (("\n", "\\n"), ("\r", "\\r")):
         rel_end = Relation(Schema("k", ("k", "v")), {"1": {"k": "1", "v": "end" + end}})
         assert render(rel_end, RenderSpec()) == f"k  v\n-  -----\n1  end{shown}\n(1 row)\n"
-    # CSV and JSON keep the characters themselves.
-    assert render(rel, RenderSpec(format="csv")) == 'k,v\n1,"two\nlines"\n2,cr\r\n3,x\n'
+    # CSV and JSON keep the characters themselves; CSV quotes a cell holding either.
+    assert render(rel, RenderSpec(format="csv")) == 'k,v\n1,"two\nlines"\n2,"cr\r"\n3,x\n'
     assert render(rel, RenderSpec(format="json")) == (
         '{"k":"1","v":"two\\nlines"}\n{"k":"2","v":"cr\\r"}\n{"k":"3","v":"x"}\n'
     )
@@ -187,6 +191,17 @@ def test_export_roundtrip(tmp_path, dbdir, books):
     assert relation_equal(db.scan("books2"), books)
 
 
+def test_export_then_import_keeps_carriage_returns(tmp_path):
+    db = Database(tmp_path / "db")
+    values = {"1": "cr\r", "2": "\r\nboth", "3": "a\rb", "4": "plain"}
+    db.load("t", Schema("k", ("k", "v")), [{"k": k, "v": v} for k, v in values.items()])
+    out = tmp_path / "t.csv"
+    assert export_csv(db, "t", out) == 4
+    assert out.read_bytes() == b'k,v\n1,"cr\r"\n2,"\r\nboth"\n3,"a\rb"\n4,plain\n'
+    assert import_csv(db, "back", out, pk="k") == 4
+    assert db.scan("back").rows == db.scan("t").rows
+
+
 def test_export_empty_table(tmp_path):
     db = Database(tmp_path / "db")
     db.create("empty", Schema("k", ("k", "v"))).close()
@@ -246,6 +261,62 @@ def test_exec_chained_join_collision_exit_3(dbdir, capsys):
     assert captured.err == "error: flattening produced key 'catalog.catalog' twice\n"
 
 
+# Tables for the select-after-cross/ijoin cases: t's key "a_b" and u's keys
+# "b_c" and "c" give the pair key "a_b_c" twice; s joins u and w on n; v has no g.
+GUARD_TABLES = """
+create table t pk k fields k; insert t { k: a }; insert t { k: a_b };
+create table u pk k fields k, g; insert u { k: b_c, g: x }; insert u { k: c, g: y };
+create table s pk k fields k, n; insert s { k: a, n: c }; insert s { k: b, n: b_c };
+create table w pk wk fields wk, g; insert w { wk: c, g: x }; insert w { wk: b_c, g: y };
+create table v pk k fields k, h; insert v { k: p, h: 1 };
+"""
+
+
+@pytest.fixture
+def guard_db(tmp_path, capsys):
+    root = str(tmp_path / "db")
+    assert main(["--db", root, "exec", "-e", GUARD_TABLES]) == 0
+    capsys.readouterr()
+    return root
+
+
+def exec_csv(root, capsys, query):
+    code = main(["--db", root, "exec", "-e", query, "--format", "csv"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_exec_cross_pair_key_collision_in_a_pair_the_select_drops_exit_3(guard_db, capsys):
+    # (a_b, c) repeats the key of (a, b_c); u's row c fails the select.
+    assert exec_csv(guard_db, capsys, "t | cross u as n | select n.g = x") == (
+        3, "", "error: pair key 'a_b_c' produced twice\n"
+    )
+
+
+@pytest.mark.parametrize("query", [
+    "s | cross u as n | cross u as n | select n.g = none",
+    "s | ijoin u on n | cross u as n | select n.g = none",
+])
+def test_exec_flatten_collision_in_pairs_the_select_drops_exit_3(guard_db, capsys, query):
+    # The left rows already hold n.g and n.k, so every pair collides, though no u row has g = none.
+    assert exec_csv(guard_db, capsys, query) == (3, "", "error: flattening produced key 'n.g' twice\n")
+
+
+def test_exec_select_after_cross_sees_a_left_field_of_the_same_name(guard_db, capsys):
+    # n.g comes from w through the left rows; v has no g at all.
+    assert exec_csv(guard_db, capsys, "s | ijoin w on n | cross v as n | select n.g = x") == (
+        0, "k,n.wk,n.g,n.k,n.h\na,c,x,p,1\n", ""
+    )
+
+
+@pytest.mark.parametrize("key, rows", [("c", "a,c,y\n"), ("b_c", "b,b_c,x\n"), ("zz", "")])
+def test_exec_select_on_the_joined_key_after_ijoin(guard_db, capsys, key, rows):
+    expected = (0, "k,n.k,n.g\n" + rows, "")
+    assert exec_csv(guard_db, capsys, f"s | ijoin u on n | select n.k = {key}") == expected
+    # With a step in between, the select runs after the join.
+    assert exec_csv(guard_db, capsys, f"s | ijoin u on n | project * | select n.k = {key}") == expected
+
+
 def test_exec_is_byte_deterministic(dbdir, capsys):
     args = ["--db", dbdir, "exec", "-e", "books | njoin catalog", "--format", "table"]
     main(args)
@@ -303,6 +374,20 @@ def test_cli_difftest_small(dbdir, capsys):
     assert main(["--db", dbdir, "difftest", "--seeds", "25"]) == 0
     assert "0 divergences" in capsys.readouterr().out
     assert main(["--db", dbdir, "difftest", "--seeds", "5", "--ops", "select,bogus"]) == 2
+
+
+def test_difftest_pipeline_finds_a_cross_rewrite_that_skips_its_checks(monkeypatch):
+    def unchecked(step, after, left):
+        if isinstance(step, CrossStep) and isinstance(after, SelectStep):
+            field, value = after.condition.field, after.condition.value
+            if field.startswith(step.nest_field + "."):
+                return Condition(field[len(step.nest_field) + 1:], value)
+        return None
+
+    monkeypatch.setattr(evaluator, "_pushed_condition", unchecked)
+    reports = differential_check(range(200), ("pipeline",))
+    assert reports
+    assert {report.operator for report in reports} == {"pipeline through storage"}
 
 
 # --- REPL ---------------------------------------------------------------------

@@ -6,6 +6,7 @@ import golden_data as gd
 
 from sgdb.errors import KeyNotFoundError, SchemaError
 from sgdb.model import (
+    Schema,
     as_star_graph,
     create_relation,
     delete_tuple,
@@ -23,6 +24,13 @@ def test_create_relation_schemas():
     assert len(books) == 0
     catalog = create_relation("catalog", ["catalog", "description"])
     assert catalog.schema.fields == ("catalog", "description")
+
+
+def test_derive_replaces_only_the_parts_it_is_given():
+    schema = create_relation("ISBN", list(gd.BOOKS_FIELDS)).schema
+    assert schema.derive() is schema
+    assert schema.derive(fields=("ISBN", "title")) == Schema("ISBN", ("ISBN", "title"))
+    assert schema.derive(primary_key="title") == Schema("title", gd.BOOKS_FIELDS)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import golden_data as gd
 
 from sgdb import ops, storage
+from sgdb.difftest import _exact, _fold_plainly
 from sgdb.dsl import ProjectStep, Query, SelectStep, parse, render_statement
 from sgdb.errors import (
     CorruptFileError,
@@ -408,6 +409,25 @@ def test_database_listing_and_lifecycle(tmp_path):
         db.create("../evil", BOOKS_SCHEMA)
 
 
+def test_a_load_never_replaces_a_table_created_while_it_runs(tmp_path):
+    db = Database(tmp_path / "db")
+    other = Database(tmp_path / "db")
+    catalog_schema = Schema("catalog", gd.CATALOG_FIELDS)
+
+    def records():
+        yield B818
+        with other.create("books", catalog_schema) as table:
+            table.put_record(gd.CATALOG["001"])
+        yield gd.BOOKS["9780596516499"]
+
+    with pytest.raises(TableExistsError):
+        db.load("books", BOOKS_SCHEMA, records())
+    kept = other.scan("books")
+    assert kept.schema == catalog_schema
+    assert kept.rows == {"001": gd.CATALOG["001"]}
+    assert [p.name for p in db.root.iterdir()] == ["books.sgt"]
+
+
 def test_create_drop_and_compact_fsync_the_directory(tmp_path, monkeypatch):
     root = tmp_path / "db"
     db = Database(root)
@@ -541,7 +561,7 @@ def test_drop_and_recreate_between_scans_returns_the_new_rows(db, books):
     assert db.scan("books").rows == {"1": {"ISBN": "1", "title": "New"}}
 
 
-# --- a query's leading select, run inside the scan -------------------------
+# --- a select run inside a scan --------------------------------------------
 
 
 def test_a_primary_key_select_is_one_lookup(db, books, monkeypatch):
@@ -562,6 +582,23 @@ def test_a_non_key_select_copies_only_its_matches(db, books, monkeypatch):
     rel = evaluate(parse('books | select publisher = "O\'Reilly" | project title'), db)
     assert rel.rows == {k: {"title": r["title"]} for k, r in gd.SELECT_OREILLY.items()}
     assert sorted(copied) == sorted(gd.SELECT_OREILLY)
+
+
+@pytest.mark.parametrize("query, pushed", [
+    ('books | cross catalog as c | select c.catalog = "002"', Condition("catalog", "002")),
+    ("books | ijoin catalog on catalog | select catalog.description = biology", Condition("description", "biology")),
+    ("books | ljoin catalog on catalog | select catalog.description = biology", None),
+    ("books | ijoin catalog on catalog | project * | select catalog.description = biology", None),
+])
+def test_a_select_on_the_joined_table_runs_inside_its_scan(db, monkeypatch, query, pushed):
+    wheres = []
+    scan = Database.scan
+    monkeypatch.setattr(Database, "scan", lambda self, name, where=None: wheres.append(where) or scan(self, name, where))
+    evaluated = _exact(evaluate, parse(query), db)
+    assert wheres == [None, pushed]
+    assert evaluated[0] == "ok" and evaluated[2]
+    # Schema, rows in order and fields in order, as applying each step over full scans gives them.
+    assert evaluated == _exact(_fold_plainly, db, parse(query), [])
 
 
 def _write(db, step, model):
