@@ -150,10 +150,7 @@ def main(argv: list[str] | None = None) -> int:
             for report in reports:
                 print(str(report))
             return 1 if reports else 0
-    except SgdbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (SgdbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     raise AssertionError("unreachable")

@@ -271,23 +271,8 @@ def _fold_plainly(db: Database, query: dsl.Query, schemas: list[Schema]) -> Rela
     return rel
 
 
-def _oracle_judges(step: dsl.Step, left: Relation) -> bool:
-    """Whether the oracle's literal joins mean what the engine's do on ``left``.
-
-    They read the joining field of every left row, and the right and outer
-    joins build the rows they add from the first left row's fields where
-    the engine uses the schema's.
-    """
-    if not isinstance(step, dsl.JoinStep):
-        return True
-    if any(step.key not in row for row in left.rows.values()):
-        return False
-    fields = set(left.schema.fields)
-    return step.kind in ("inner", "left") or all(set(row) == fields for row in left.rows.values())
-
-
 def _oracle_fold(db: Database, query: dsl.Query, schemas: list[Schema]):
-    """The oracle's fold of ``query`` as an ``_outcome``, or None where ``_oracle_judges`` says no.
+    """The oracle's fold of ``query`` as an ``_outcome``.
 
     The oracle builds no schemas, so each step's input carries the engine's.
     It runs only the steps the engine's fold reached.
@@ -295,10 +280,8 @@ def _oracle_fold(db: Database, query: dsl.Query, schemas: list[Schema]):
     rel = db.scan(query.source)
     try:
         for step, schema in zip(query.steps, schemas):
-            left = Relation._adopt(schema, rel.rows)
-            if not _oracle_judges(step, left):
-                return None
             op, table, params = _as_operator(step)
+            left = Relation._adopt(schema, rel.rows)
             rel = _run_oracle(op, left, db.scan(table) if table else None, params)
     except SgdbError as exc:
         return ("error", type(exc).__name__)
@@ -318,7 +301,7 @@ def _pipeline_reports(seed: int, db: Database, left: Relation, right: Relation) 
         reports.append(DivergenceReport(seed, PIPELINE, inputs, repr(evaluated), repr(folded), difference))
     orcl = _oracle_fold(db, query, schemas)
     engine = evaluated[:2] if evaluated[0] == "error" else ("ok", {k: dict(items) for k, items in evaluated[2]})
-    difference = None if orcl is None else _difference(engine, orcl)
+    difference = _difference(engine, orcl)
     if difference is not None:
         reports.append(
             DivergenceReport(seed, PIPELINE, inputs, repr(engine[1]), repr(_rows_of(orcl[1])), difference)

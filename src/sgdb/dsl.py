@@ -236,17 +236,19 @@ class _Parser:
         return self._advance()
 
     def _name(self, what: str = "identifier") -> str:
-        """A name position: a bare identifier or any quoted string."""
+        """A name or literal position: a bare identifier or any quoted string."""
         tok = self._peek()
         if tok is None or tok.kind not in ("IDENT", "STRING"):
             raise self._fail({what})
         return self._advance().text
 
-    def _literal(self) -> str:
-        tok = self._peek()
-        if tok is None or tok.kind not in ("IDENT", "STRING"):
-            raise self._fail({"literal"})
-        return self._advance().text
+    def _names(self, what: str) -> list[str]:
+        """One or more names, separated by commas."""
+        names = [self._name(what)]
+        while self._peek() is not None and self._peek().kind == "COMMA":
+            self._advance()
+            names.append(self._name(what))
+        return names
 
     def _at_keyword(self, *words: str) -> bool:
         tok = self._peek()
@@ -296,16 +298,12 @@ class _Parser:
         if word == "select":
             fieldname = self._name("field name")
             self._take("EQUALS", "=")
-            return SelectStep(Condition(fieldname, self._literal()))
+            return SelectStep(Condition(fieldname, self._name("literal")))
         if word == "project":
             if self._peek() is not None and self._peek().kind == "STAR":
                 self._advance()
                 return ProjectStep(STAR)
-            columns = [self._name("column")]
-            while self._peek() is not None and self._peek().kind == "COMMA":
-                self._advance()
-                columns.append(self._name("column"))
-            return ProjectStep(tuple(columns))
+            return ProjectStep(tuple(self._names("column")))
         if word == "rename":
             old = self._name("field name")
             self._take("ARROW", "->")
@@ -327,11 +325,7 @@ class _Parser:
         self._take("KEYWORD", "pk")
         pk = self._name("field name")
         self._take("KEYWORD", "fields")
-        fields = [self._name("field name")]
-        while self._peek() is not None and self._peek().kind == "COMMA":
-            self._advance()
-            fields.append(self._name("field name"))
-        return CreateTable(name, pk, tuple(fields))
+        return CreateTable(name, pk, tuple(self._names("field name")))
 
     def _drop(self) -> DropTable:
         self._advance()
@@ -346,7 +340,7 @@ class _Parser:
         while True:
             fieldname = self._name("field name")
             self._take("COLON", ":")
-            pairs.append((fieldname, self._literal()))
+            pairs.append((fieldname, self._name("literal")))
             if self._peek() is not None and self._peek().kind == "COMMA":
                 self._advance()
                 continue
@@ -358,7 +352,7 @@ class _Parser:
         self._advance()
         table = self._name("table name")
         self._take("KEYWORD", "key")
-        return Delete(table, self._literal())
+        return Delete(table, self._name("literal"))
 
 
 def _end_position(text: str) -> tuple[int, int]:

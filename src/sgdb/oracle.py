@@ -20,8 +20,10 @@ engine and with ``sgdb.difftest``:
 * ``natural_join`` picks its joining field from the declared field lists
   (the right relation's primary key among the shared names) instead of
   scanning one arbitrary row of each side, so the choice is deterministic.
-* The synthesized-row template for right/outer joins falls back to the
-  declared left field list when the left table has no rows to copy it from.
+* The joins read a left row's joining field with ``get``, so a row that
+  lacks it is unmatched, as in the engine, instead of a ``KeyError``.
+* Right/outer joins build each synthesized row from the declared left
+  field list (the schema), not from the fields of the first left row.
 * Error cases raise the same exception classes the engine raises (missing
   joining field, rename collisions, flatten/result key collisions) instead
   of silently returning or overwriting.
@@ -137,7 +139,7 @@ def left_join(left, right, key=None):
     ret = {}
     for k in left:
         ret[k] = left[k]
-        if left[k][key] in right:
+        if left[k].get(key) in right:
             ret[k][key] = right[left[k][key]]
         ret[k] = flatten(ret[k])
     return ret
@@ -148,7 +150,7 @@ def inner_join(left, right, key=None):
         raise MissingJoinKeyError("a joining-field name is required")
     ret = {}
     for k in left:
-        if left[k][key] in right:
+        if left[k].get(key) in right:
             if len(right[left[k][key]]) > 0:
                 ret[k] = left[k]
                 ret[k][key] = right[left[k][key]]
@@ -161,15 +163,10 @@ def _unmatched_right(ret, left, right, key, left_fields):
         found = 0
         empty = {}
         for kk in left:
-            if left[kk][key] == k:
+            if left[kk].get(key) == k:
                 found = 1
         if found == 0:
-            left_keys = list(left.keys())
-            if left_keys:
-                template = list(left[left_keys[0]].keys())
-            else:
-                template = list(left_fields)
-            for kk in template:
+            for kk in left_fields:
                 if kk == key:
                     empty[kk] = right[k]
                 else:
@@ -223,7 +220,7 @@ def natural_join(left, right, left_fields, right_fields, right_pk):
     key = right_pk
     ret = {}
     for k in left:
-        if left[k][key] in right:
+        if left[k].get(key) in right:
             if len(right[left[k][key]]) > 0:
                 ret[k] = left[k]
                 ret[k][key] = right[left[k][key]]

@@ -10,28 +10,33 @@ value.  The META record (key = the single byte 0x00) carries the schema as
 JSON and is written first.  Values are canonical JSON: keys sorted by code
 point, UTF-8, no insignificant whitespace, null for the explicit null value.
 
-Opening reads the whole log in one pass and replays it from memory into a
-key -> offset index (last write wins, DEL removes).  Scanning and compacting
-read the log in one more pass and decode the record at each live offset.
-Each pass briefly holds a buffer as large as the file.
+Opening reads the whole log with one sized read and replays it from memory
+(``_replay``) into a key -> offset index (last write wins, DEL removes).
+The handle keeps the bytes it read, and ``scan_all`` and ``compact`` decode
+the record at each live offset from them, so a handle reads its log once
+until it writes; after a write they read the log again.  A handle thus
+holds a buffer as large as the file.
 
-``Database.scan`` keeps, per table, the log bytes of its last scan together
-with the schema and live rows parsed from them.  A later scan in the same
-``Database`` still opens, locks, reads and closes the file, but when the
-bytes it reads are identical to the kept ones it reuses that parse instead
-of replaying and decoding again.  Parsing is a pure function of the bytes,
-so a reused parse gives the same rows, and the same verdict on corruption,
-as a fresh one; any change to the file, however small, is a fresh parse.
-So only scans of a log unchanged since the last scan in the same
-``Database`` are spared the parse: a scan after a write to the table, or
-the first scan in a new ``Database`` (each ``sgdb exec`` process), parses
-in full as before.  The kept parses stay resident until the table is
-dropped or the ``Database`` is freed: about one decoded copy, plus the log
-bytes, of every table it has scanned, which for rows of a few short text
-fields is 7 to 10 bytes held per byte of log.  A scan given a condition (a
-query's leading ``select``) copies out only the kept rows that match it, and
-a condition on the primary key is one lookup of the key, which is exact
-because a row is always stored under its own primary-key value.
+``Database.scan`` keeps, per table, the parse of its last scan: the log
+bytes, the schema and live index replayed from them, and the decoded live
+rows.  It hands that parse to the handle it opens (``TableFile``'s ``kept``),
+which still opens, locks, reads and closes the file; when the bytes read are
+identical to the kept ones, ``_replay`` returns the kept parse and nothing
+is replayed or decoded.  Parsing is a pure function of the bytes, so a
+reused parse gives the same rows, and the same verdict on corruption, as a
+fresh one; any change to the file, however small, is a fresh parse.  So
+only scans of a log unchanged since the last scan in the same ``Database``
+are spared the parse: a scan after a write to the table, or the first scan
+in a new ``Database`` (each ``sgdb exec`` process), parses in full.  The
+handle takes the kept parse over, and the ``Database`` keeps a parse again
+only once a scan has succeeded.  Kept parses stay resident until the table
+is dropped or the ``Database`` is freed: about one decoded copy, plus the
+log bytes, of every table it has scanned, which for rows of a few short
+text fields is 7 to 10 bytes held per byte of log.  A scan given a
+condition (a query's leading ``select``) copies out only the kept rows that
+match it, and a condition on the primary key is one lookup of the key,
+which is exact because a row is always stored under its own primary-key
+value.
 
 A record that runs past the end of the file is a torn tail, a crash
 artifact, and is truncated away on open.  Every other malformed log raises
@@ -145,11 +150,84 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-class _TornRecord(CorruptFileError):
-    """The log ends in the middle of a record: a torn tail at open, corruption elsewhere."""
+class _Parse(NamedTuple):
+    """A table's whole log, the schema and live index replayed from it, and its
+    live rows once ``Database.scan`` has decoded them."""
 
-    def __init__(self, path: Path, pos: int):
-        super().__init__(f"{path}: the record at offset {pos} runs past the end of the file")
+    data: bytes
+    schema: Schema
+    index: dict[str, int]
+    rows: dict[str, TupleRecord] | None = None
+
+
+def _record(path: Path, data: bytes, pos: int) -> tuple[int, str, bytes | None, int] | None:
+    """The record at ``data[pos]`` as (op, key, value, offset just past it),
+    or None when it runs past the end of ``data``."""
+    size = len(data)
+    op = data[pos]
+    if op > OP_DEL:
+        raise CorruptFileError(f"{path}: invalid record tag 0x{op:02x}")
+    if pos + 5 > size:
+        return None
+    key_end = pos + 5 + _U32.unpack_from(data, pos + 1)[0]
+    value_end = key_end
+    if op != OP_DEL:
+        if key_end + 4 > size:
+            return None
+        value_end = key_end + 4 + _U32.unpack_from(data, key_end)[0]
+    if value_end + 4 > size:
+        return None
+    if _U32.unpack_from(data, value_end)[0] != zlib.crc32(data[pos:value_end]):
+        raise CorruptFileError(f"{path}: checksum mismatch")
+    try:
+        key = data[pos + 5:key_end].decode("utf-8")
+    except UnicodeDecodeError:
+        raise CorruptFileError(f"{path}: record key at offset {pos} is not UTF-8") from None
+    value = None if op == OP_DEL else data[key_end + 4:value_end]
+    return op, key, value, value_end + 4
+
+
+def _replay(path: Path, data: bytes, kept: _Parse | None = None) -> _Parse:
+    """``kept`` if its bytes are ``data``; otherwise ``data``, a whole log, replayed
+    up to its last complete record (last write wins, DEL removes)."""
+    if kept is not None and kept.data == data:
+        return kept
+    if data[:len(_HEADER)] != _HEADER:
+        raise CorruptFileError(f"{path}: bad magic")
+    schema: Schema | None = None
+    index: dict[str, int] = {}
+    pos = len(_HEADER)
+    while pos < len(data):
+        record = _record(path, data, pos)
+        if record is None:
+            break
+        op, key, value, end = record
+        if op == OP_PUT:
+            index[key] = pos
+        elif op == OP_DEL:
+            index.pop(key, None)
+        else:
+            schema = _schema_from_bytes(value)
+        pos = end
+    if schema is None:
+        raise CorruptFileError(f"{path}: no schema record")
+    # Slicing all of a bytes object copies nothing.
+    return _Parse(data[:pos], schema, index)
+
+
+def _decoded(path: Path, parse: _Parse) -> dict[str, TupleRecord]:
+    """The PUT at every live offset of ``parse``, decoded."""
+    pk = parse.schema.primary_key
+    rows = {}
+    for key, offset in parse.index.items():
+        record = _record(path, parse.data, offset)
+        row = None if record is None else _decode_row(record[2])
+        if row is None:
+            raise CorruptFileError(f"{path}: payload of record {key!r} is not a field map")
+        if row.get(pk) != key:
+            raise CorruptFileError(f"{path}: record {key!r} holds primary key {row.get(pk)!r}")
+        rows[key] = row
+    return rows
 
 
 class TableFile:
@@ -160,48 +238,54 @@ class TableFile:
     which is faster for bulk loads but trades away crash durability for the
     unsynced suffix (replay still never yields a half-written record).
 
-    Opening, ``scan_all`` and ``compact`` each read the file once, into a
-    buffer as large as the file that is freed when they return, and parse
-    records from it; a malformed record raises ``CorruptFileError`` (see the
-    module docstring for which ones).
+    ``kept`` is an earlier parse of the same table, which the handle takes
+    over; see the module docstring.
     """
 
-    def __init__(self, path: str | Path, schema: Schema | None = None, *, sync: bool = True):
+    def __init__(
+        self, path: str | Path, schema: Schema | None = None, *, sync: bool = True, kept: _Parse | None = None
+    ):
         self.path = Path(path)
         self.sync = sync
         self._closed = False
-        self.live_index: dict[str, int] = {}
-        creating = not self.path.exists()
-        if creating:
+        if not self.path.exists():
             if schema is None:
                 raise SchemaError(f"{self.path}: creating a table requires a schema")
             # Validate through the same rules as an in-memory relation.
             create_relation(schema.primary_key, list(schema.fields))
+            meta = _schema_bytes(Schema(schema.primary_key, tuple(schema.fields)))
+            data = _HEADER + _encode(OP_META, META_KEY, meta)
             self._fh = open(self.path, "x+b")
-            self._lock()
-            self.schema = Schema(schema.primary_key, tuple(schema.fields))
-            self._fh.write(_HEADER)
-            self._fh.write(_encode(OP_META, META_KEY, _schema_bytes(self.schema)))
+            _flock(self._fh, self.path)
+            self._fh.write(data)
             self._flush()
             _fsync_dir(self.path)
+            self._parse = _replay(self.path, data)
         else:
             self._fh = open(self.path, "r+b")
-            self._lock()
+            _flock(self._fh, self.path)
             try:
-                self.schema = self._load(self._read_log())
+                data = self._read_log()
+                self._parse = _replay(self.path, data, kept)
+                if len(self._parse.data) < len(data):
+                    # Crash artifact: cut off the incomplete tail, keep the good
+                    # prefix.  A truncated write can never yield a complete
+                    # record with a bad checksum, so those stay CorruptFileError.
+                    self._fh.truncate(len(self._parse.data))
+                    self._flush()
                 if schema is not None and (
-                    schema.primary_key != self.schema.primary_key or tuple(schema.fields) != self.schema.fields
+                    schema.primary_key != self._parse.schema.primary_key
+                    or tuple(schema.fields) != self._parse.schema.fields
                 ):
                     raise SchemaMismatchError(
-                        f"{self.path}: stored schema {self.schema} != given {schema}"
+                        f"{self.path}: stored schema {self._parse.schema} != given {schema}"
                     )
             except BaseException:
                 # Release the file and its lock now, not when the failed handle is collected.
                 self._fh.close()
                 raise
-
-    def _lock(self) -> None:
-        _flock(self._fh, self.path)
+        self.schema = self._parse.schema
+        self.live_index = self._parse.index
 
     def _flush(self) -> None:
         self._fh.flush()
@@ -213,125 +297,74 @@ class TableFile:
         self._fh.seek(0)
         return self._fh.read(os.fstat(self._fh.fileno()).st_size)
 
-    def _parse(self, data: bytes, pos: int) -> tuple[int, str, bytes | None, int]:
-        """The record at ``data[pos]`` as (op, key, value, offset just past it)."""
-        size = len(data)
-        op = data[pos]
-        if op > OP_DEL:
-            raise CorruptFileError(f"{self.path}: invalid record tag 0x{op:02x}")
-        if pos + 5 > size:
-            raise _TornRecord(self.path, pos)
-        key_end = pos + 5 + _U32.unpack_from(data, pos + 1)[0]
-        value_end = key_end
-        if op != OP_DEL:
-            if key_end + 4 > size:
-                raise _TornRecord(self.path, pos)
-            value_end = key_end + 4 + _U32.unpack_from(data, key_end)[0]
-        if value_end + 4 > size:
-            raise _TornRecord(self.path, pos)
-        if _U32.unpack_from(data, value_end)[0] != zlib.crc32(data[pos:value_end]):
-            raise CorruptFileError(f"{self.path}: checksum mismatch")
-        try:
-            key = data[pos + 5:key_end].decode("utf-8")
-        except UnicodeDecodeError:
-            raise CorruptFileError(f"{self.path}: record key at offset {pos} is not UTF-8") from None
-        value = None if op == OP_DEL else data[key_end + 4:value_end]
-        return op, key, value, value_end + 4
-
-    def _load(self, data: bytes) -> Schema:
-        """Replay ``data``, the whole log as just read, into the index; return the schema."""
-        if data[:len(_HEADER)] != _HEADER:
-            raise CorruptFileError(f"{self.path}: bad magic")
-        schema: Schema | None = None
-        index = self.live_index
-        pos = len(_HEADER)
-        while pos < len(data):
-            try:
-                op, key, value, end = self._parse(data, pos)
-            except _TornRecord:
-                # Crash artifact: drop the incomplete tail, keep the good
-                # prefix.  A truncated write can never yield a complete
-                # record with a bad checksum, so those stay CorruptFileError.
-                self._fh.seek(pos)
-                self._fh.truncate(pos)
-                self._flush()
-                break
-            if op == OP_PUT:
-                index[key] = pos
-            elif op == OP_DEL:
-                index.pop(key, None)
-            else:
-                schema = _schema_from_bytes(value)
-            pos = end
-        if schema is None:
-            raise CorruptFileError(f"{self.path}: no schema record")
-        return schema
+    def _current(self) -> _Parse:
+        """The log as the file holds it, with the live index."""
+        if self._parse is None:
+            # The handle wrote since it last read the log; the lock kept other writers out.
+            self._parse = _Parse(self._read_log(), self.schema, self.live_index)
+        return self._parse
 
     def _check_open(self) -> None:
         if self._closed:
             raise UseAfterCloseError(f"{self.path} is closed")
 
+    def _append(self, record: bytes) -> int:
+        """Append ``record``, flush it and return its offset; the parse read at open is now stale."""
+        self._parse = None
+        self._fh.seek(0, os.SEEK_END)
+        offset = self._fh.tell()
+        self._fh.write(record)
+        self._flush()
+        return offset
+
     def put_record(self, record: TupleRecord) -> None:
         """Append a PUT and update the index; replaces any prior version of the key."""
         self._check_open()
         key = _checked_key(self.schema, record)
-        self._fh.seek(0, os.SEEK_END)
-        offset = self._fh.tell()
-        self._fh.write(_encode(OP_PUT, key.encode("utf-8"), canonical_record_bytes(record)))
-        self._flush()
-        self.live_index[key] = offset
+        record_bytes = _encode(OP_PUT, key.encode("utf-8"), canonical_record_bytes(record))
+        self.live_index[key] = self._append(record_bytes)
 
     def delete_record(self, key: str) -> None:
         """Append a DEL; deleting an absent key still logs the DEL (tolerant)."""
         self._check_open()
-        self._fh.seek(0, os.SEEK_END)
-        self._fh.write(_encode(OP_DEL, key.encode("utf-8"), None))
-        self._flush()
+        self._append(_encode(OP_DEL, key.encode("utf-8"), None))
         self.live_index.pop(key, None)
-
-    def _live_rows(self, data: bytes) -> dict[str, TupleRecord]:
-        """Decode the PUT at every live offset from ``data``, the whole log."""
-        pk = self.schema.primary_key
-        rows = {}
-        for key, offset in self.live_index.items():
-            row = _decode_row(self._parse(data, offset)[2])
-            if row is None:
-                raise CorruptFileError(f"{self.path}: payload of record {key!r} is not a field map")
-            if row.get(pk) != key:
-                raise CorruptFileError(
-                    f"{self.path}: record {key!r} holds primary key {row.get(pk)!r}"
-                )
-            rows[key] = row
-        return rows
 
     def scan_all(self) -> Relation:
         """Materialize the live rows as an in-memory relation."""
         self._check_open()
-        return Relation._adopt(self.schema, self._live_rows(self._read_log()))
+        return Relation._adopt(self.schema, _decoded(self.path, self._current()))
 
     def compact(self) -> None:
         """Rewrite the file as META plus one PUT per live key, in key order.
 
-        Writes to a temp file and renames over the original, so a failure
-        leaves the table untouched.
+        Writes to a temp file, locks it and renames it over the original, so
+        a failure leaves the table untouched and no other handle can take
+        the lock of the new file.
         """
         self._check_open()
-        rows = self._live_rows(self._read_log())
+        rows = _decoded(self.path, self._current())
+        log = [_HEADER, _encode(OP_META, META_KEY, _schema_bytes(self.schema))]
+        for key in sorted(rows):
+            log.append(_encode(OP_PUT, key.encode("utf-8"), canonical_record_bytes(rows[key])))
+        data = b"".join(log)
         tmp = self.path.with_name(self.path.name + ".compact")
-        with open(tmp, "wb") as out:
-            out.write(_HEADER)
-            out.write(_encode(OP_META, META_KEY, _schema_bytes(self.schema)))
-            for key in sorted(rows):
-                out.write(_encode(OP_PUT, key.encode("utf-8"), canonical_record_bytes(rows[key])))
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(tmp, self.path)
+        fh = open(tmp, "w+b")
+        try:
+            _flock(fh, tmp)
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+        except BaseException:
+            fh.close()
+            tmp.unlink(missing_ok=True)
+            raise
         self._fh.close()
-        self._fh = open(self.path, "r+b")
-        self._lock()
+        self._fh = fh
         _fsync_dir(self.path)
-        self.live_index.clear()
-        self._load(self._read_log())
+        self._parse = _replay(self.path, data)
+        self.live_index = self._parse.index
 
     def close(self) -> None:
         """Flush and release the handle; closing twice is a no-op."""
@@ -354,67 +387,11 @@ def open_table(path: str | Path, schema: Schema | None = None, *, sync: bool = T
     return TableFile(path, schema, sync=sync)
 
 
-class _Parse(NamedTuple):
-    """A table's whole log and the schema and live rows parsed from it."""
-
-    data: bytes
-    schema: Schema
-    rows: dict[str, TupleRecord]
-
-
-class _ScanHandle(TableFile):
-    """The handle ``Database.scan`` reads a table through.
-
-    It opens, locks, reads and closes the log like any handle.  When the
-    bytes it reads equal those of ``parsed``, an earlier parse of the same
-    table, it takes the schema and rows from there and parses nothing;
-    otherwise it parses the log and leaves the result in ``parsed``.
-    """
-
-    def __init__(self, path: Path, parsed: _Parse | None):
-        self.parsed = parsed
-        self._log: bytes | None = None
-        super().__init__(path)
-
-    def _load(self, data: bytes) -> Schema:
-        if self.parsed is not None and self.parsed.data == data:
-            return self.parsed.schema
-        self.parsed = None
-        schema = super()._load(data)
-        # The log as the file now holds it: shorter than data once a torn tail
-        # was cut off, and data itself (slicing all of a bytes copies nothing) otherwise.
-        self._log = data[:os.fstat(self._fh.fileno()).st_size]
-        return schema
-
-    def _read_log(self) -> bytes:
-        # The lock keeps writers out, so the log read at open is still the file.
-        return self._log if self._log is not None else super()._read_log()
-
-    def scan_all(self, where: Condition | None = None) -> Relation:
-        """The live rows, or with ``where`` only those ``ops.select`` would keep."""
-        self._check_open()
-        if self.parsed is None:
-            self.parsed = _Parse(self._log, self.schema, super().scan_all().rows)
-        rows = self.parsed.rows
-        if where is None:
-            taken = rows
-        elif where.field == self.schema.primary_key:
-            # _live_rows keeps each row under its own primary-key value.
-            taken = {where.value: rows[where.value]} if where.value in rows else {}
-        else:
-            taken = matching(rows, where)
-        # The parse is kept for later scans, so callers get a copy of the rows they take.
-        return Relation(self.schema, taken)
-
-
 class Database:
     """A directory of table files; tables are discovered by listing it.
 
-    ``scan`` keeps the last parse of each table it scanned: the log bytes,
-    the schema and the decoded live rows, held in memory until the table is
-    dropped or the ``Database`` is freed, and never an open file.  That costs
-    about one decoded copy of each scanned table (plus its log bytes) for as
-    long as the ``Database`` lives; the module docstring gives its size.
+    ``scan`` keeps the last parse of each table it scanned, never an open
+    file; the module docstring says what that spares and costs.
     """
 
     def __init__(self, root: str | Path):
@@ -485,19 +462,21 @@ class Database:
     def scan(self, name: str, where: Condition | None = None) -> Relation:
         """The live rows of table ``name``, as a relation the caller owns.
 
-        The table is opened, locked, read in full and closed as by ``open``.
-        If the bytes read are identical to those this ``Database`` last
-        scanned for the table, the schema and rows parsed then are reused and
-        no record is parsed or decoded; otherwise the log is parsed afresh
-        and that parse is kept in place of the old one.
-
         With ``where``, the result holds only the rows ``ops.select`` keeps
-        for that condition, and only those are copied out of the parse.  A
-        condition on the primary key is a point read: one lookup of its value
-        among the live rows.  Either way the whole log is still read and
-        checked, and kept or parsed as above.
+        for that condition; see the module docstring for what is reused.
         """
-        with _ScanHandle(self._existing(name), self._parses.pop(name, None)) as table:
-            rel = table.scan_all(where)
-        self._parses[name] = table.parsed
-        return rel
+        with TableFile(self._existing(name), kept=self._parses.pop(name, None)) as table:
+            parse = table._parse
+            if parse.rows is None:
+                parse = parse._replace(rows=table.scan_all().rows)
+        rows = parse.rows
+        if where is None:
+            taken = rows
+        elif where.field == parse.schema.primary_key:
+            # _decoded keeps each row under its own primary-key value.
+            taken = {where.value: rows[where.value]} if where.value in rows else {}
+        else:
+            taken = matching(rows, where)
+        self._parses[name] = parse
+        # The parse is kept for later scans, so the caller gets a copy of the rows it takes.
+        return Relation(parse.schema, taken)

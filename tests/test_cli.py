@@ -371,7 +371,7 @@ def test_cli_import_export(dbdir, tmp_path, capsys):
 
 
 def test_cli_difftest_small(dbdir, capsys):
-    assert main(["--db", dbdir, "difftest", "--seeds", "25"]) == 0
+    assert main(["--db", dbdir, "difftest", "--seeds", "1000"]) == 0
     assert "0 divergences" in capsys.readouterr().out
     assert main(["--db", dbdir, "difftest", "--seeds", "5", "--ops", "select,bogus"]) == 2
 

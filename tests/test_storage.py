@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -157,6 +158,63 @@ def test_compact_preserves_contents_and_shrinks(path):
         after = table.scan_all()
         assert relation_equal(before, after)
         assert path.stat().st_size <= size_before
+
+
+def test_no_other_handle_can_lock_the_table_while_compact_renames_it(path, monkeypatch):
+    refused = []
+    replace = os.replace
+
+    def replace_then_intrude(src, dst):
+        replace(src, dst)
+        with pytest.raises(TableLockedError):
+            open_table(path).close()
+        refused.append(dst)
+
+    with open_table(path, BOOKS_SCHEMA) as table:
+        fill(table, gd.BOOKS.values())
+        monkeypatch.setattr(storage.os, "replace", replace_then_intrude)
+        table.compact()
+        monkeypatch.undo()
+        assert refused == [path]
+        table.put_record({**B818, "title": "After"})
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+    with open_table(path) as reopened:
+        assert reopened.scan_all().rows["9780596159818"]["title"] == "After"
+
+
+def test_a_failed_compact_removes_its_temporary_file_and_keeps_the_table(path, monkeypatch, books):
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    with open_table(path, BOOKS_SCHEMA) as table:
+        fill(table, gd.BOOKS.values())
+        monkeypatch.setattr(storage.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            table.compact()
+        monkeypatch.undo()
+        assert relation_equal(table.scan_all(), books)
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+def test_opening_and_scanning_a_table_reads_its_log_once(path, monkeypatch, books):
+    with open_table(path, BOOKS_SCHEMA) as table:
+        fill(table, gd.BOOKS.values())
+    reads = []
+
+    class CountingFile(io.FileIO):
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            reads.append(n)
+            return n
+
+    def counting_open(file, mode):
+        return io.BufferedRandom(CountingFile(file, mode.replace("b", "")))
+
+    monkeypatch.setattr(storage, "open", counting_open, raising=False)
+    with open_table(path) as table:
+        assert relation_equal(table.scan_all(), books)
+        assert relation_equal(table.scan_all(), books)
+    assert sum(reads) == path.stat().st_size
 
 
 def _schema_payload() -> bytes:
@@ -476,7 +534,7 @@ def test_drop_is_refused_while_a_handle_is_open(db, books):
 def test_an_unchanged_log_is_not_parsed_again(db, books, monkeypatch):
     assert relation_equal(db.scan("books"), books)
     parsed = []
-    monkeypatch.setattr(TableFile, "_parse", lambda *args: parsed.append(args))
+    monkeypatch.setattr(storage, "_record", lambda *args: parsed.append(args))
     monkeypatch.setattr(storage, "_decode_row", lambda payload: parsed.append(payload))
     assert relation_equal(db.scan("books"), books)
     assert parsed == []
