@@ -55,16 +55,7 @@ _RIGHT_EXTRAS = ("label", "note", "rank")
 JOIN_FIELD = "link"
 _NEST_NAMES = ("n", JOIN_FIELD)
 PIPELINE = "pipeline through storage"
-
-
-@dataclass(frozen=True)
-class GenLimits:
-    """Bounds for the generator; generation is a pure function of ``seed``."""
-
-    max_tables: int = 2
-    max_rows: int = 8
-    max_fields: int = 5
-    seed: int = 0
+_MAX_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -85,20 +76,21 @@ class DivergenceReport:
         )
 
 
-def generate_database(limits: GenLimits) -> tuple[Relation, Relation, str]:
+def generate_database(seed: int) -> tuple[Relation, Relation, str]:
     """Two relations plus the left field whose values reference right row keys.
 
-    The right relation is keyed by its ``link`` primary key; the left
-    relation's ``link`` values are drawn from the live right keys with
-    probability 1/2 and from never-matching values otherwise.
+    Generation is a pure function of ``seed``.  Each relation has up to
+    ``_MAX_ROWS`` rows.  The right relation is keyed by its ``link`` primary
+    key; the left relation's ``link`` values are drawn from the live right
+    keys with probability 1/2 and from never-matching values otherwise.
     """
-    rng = random.Random(limits.seed)
-    left_extra_n = rng.randint(0, max(0, min(len(_LEFT_EXTRAS), limits.max_fields - 2)))
-    right_extra_n = rng.randint(1, max(1, min(len(_RIGHT_EXTRAS), limits.max_fields - 1)))
+    rng = random.Random(seed)
+    left_extra_n = rng.randint(0, len(_LEFT_EXTRAS))
+    right_extra_n = rng.randint(1, len(_RIGHT_EXTRAS))
     left_fields = ["lid", *(_LEFT_EXTRAS[:left_extra_n]), JOIN_FIELD]
     right_fields = [JOIN_FIELD, *(_RIGHT_EXTRAS[:right_extra_n])]
 
-    n_right = rng.randint(0, limits.max_rows)
+    n_right = rng.randint(0, _MAX_ROWS)
     right_keys = rng.sample(_RIGHT_KEY_POOL, min(n_right, len(_RIGHT_KEY_POOL)))
     right_rows = {}
     for key in right_keys:
@@ -107,7 +99,7 @@ def generate_database(limits: GenLimits) -> tuple[Relation, Relation, str]:
             record[f] = rng.choice(_VALUE_POOL)
         right_rows[key] = record
 
-    n_left = rng.randint(0, limits.max_rows)
+    n_left = rng.randint(0, _MAX_ROWS)
     left_rows = {}
     for i in range(n_left):
         # About one key in four extends an earlier key by "_p1", so that with
@@ -352,7 +344,7 @@ def differential_check(seeds, operators=ALL_OPS) -> list[DivergenceReport]:
     reports: list[DivergenceReport] = []
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
-            left, right, join_field = generate_database(GenLimits(seed=seed))
+            left, right, join_field = generate_database(seed)
             db = _stored(Path(tmp) / str(seed), left, right) if {"select", "pipeline"} & set(operators) else None
             for op in operators:
                 if op == "pipeline":
@@ -373,8 +365,8 @@ def differential_check(seeds, operators=ALL_OPS) -> list[DivergenceReport]:
                             seed=seed,
                             operator=name,
                             inputs=f"left={left.rows!r} right={right.rows!r} params={params!r}",
-                            engine=repr(engine[1].rows if isinstance(engine[1], Relation) else engine[1]),
-                            oracle=repr(orcl[1].rows if isinstance(orcl[1], Relation) else orcl[1]),
+                            engine=repr(_rows_of(engine[1])),
+                            oracle=repr(_rows_of(orcl[1])),
                             first_difference=difference,
                         )
                     )

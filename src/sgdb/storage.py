@@ -44,12 +44,21 @@ artifact, and is truncated away on open.  Every other malformed log raises
 on a complete record, a key that is not UTF-8, a missing or unreadable schema
 record, a PUT payload that is not a JSON object of strings and nulls, and a
 PUT payload whose primary-key field is missing or differs from the record key.
-A database is simply a directory of ``<table>.sgt`` files.  ``Database.load``
-writes a whole table under another name and links it into place, and
-``Database.drop`` takes the table's lock before it unlinks the file, so it
-never deletes a table a handle has open.  Creating a table file, linking
-(load) or renaming (compact) one into place and unlinking one (drop) each
-fsync the directory, so the change to its entries is as durable as the data.
+A database is simply a directory of ``<table>.sgt`` files.  A new log is
+put in place one way (``_install``), whether a table is created empty,
+loaded whole (``Database.load``) or compacted.  The whole log goes to a
+temporary file ``<table>.sgt.<hex>.tmp`` beside the table, which
+``list_tables`` ignores.  That file is locked, written and fsynced, then
+hard-linked to the table's name (create, load) or renamed over it
+(compact), and the directory is fsynced.  So a table file only ever
+appears complete and already locked by the handle that made it, and with
+``sync`` (every create but a ``sync=False`` one, every load and every
+compact) a crash leaves either the whole new log or none of it under the
+table's name.  A crash can leave a temporary file behind; and a crash
+between the link and the unlink of the temporary name leaves a second
+name for the table's file.  ``Database.drop`` takes the table's lock before
+it unlinks the file, so it never deletes a table a handle has open, and
+then fsyncs the directory.
 """
 
 from __future__ import annotations
@@ -116,6 +125,23 @@ def _encode(op: int, key: bytes, value: bytes | None) -> bytes:
     return buf + _U32.pack(zlib.crc32(buf) & 0xFFFFFFFF)
 
 
+def _put(key: str, record: TupleRecord) -> bytes:
+    """The PUT record that stores ``record`` under ``key``."""
+    return _encode(OP_PUT, key.encode("utf-8"), canonical_record_bytes(record))
+
+
+def _log(schema: Schema, records: Iterable[TupleRecord]) -> bytes:
+    """A whole log: the header, the META record of ``schema`` and one PUT per record.
+
+    Raises ``SchemaError`` for a schema an in-memory relation would refuse,
+    or for a record ``put_record`` would refuse.
+    """
+    schema = create_relation(schema.primary_key, schema.fields).schema
+    log = [_HEADER, _encode(OP_META, META_KEY, _schema_bytes(schema))]
+    log.extend(_put(_checked_key(schema, record), record) for record in records)
+    return b"".join(log)
+
+
 def _decode_row(payload: bytes) -> TupleRecord | None:
     """The row a PUT payload holds, or None unless it is one JSON object of strings and nulls."""
     try:
@@ -148,6 +174,40 @@ def _fsync_dir(path: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def _install(path: Path, data: bytes, *, replace: bool, sync: bool = True):
+    """Put the log ``data`` in place at ``path``; return the new file, open and locked.
+
+    ``data`` goes to a new temporary file beside ``path``, which is locked
+    before it is written, fsynced (unless ``sync`` is false), then renamed
+    over ``path`` (``replace``) or hard-linked to it (otherwise; a ``path``
+    that exists is ``TableExistsError``).  The directory is fsynced last.  So
+    ``path`` only ever names a complete log that its creator already holds
+    locked, a failure leaves no temporary file and no open file, and one
+    before the rename or link leaves ``path`` as it was.
+    """
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    fh = open(tmp, "x+b")
+    try:
+        _flock(fh, tmp)
+        fh.write(data)
+        fh.flush()
+        if sync:
+            os.fsync(fh.fileno())
+        if replace:
+            os.replace(tmp, path)
+        else:
+            os.link(tmp, path)
+            tmp.unlink()
+        _fsync_dir(path)
+    except BaseException as exc:
+        fh.close()
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, FileExistsError):
+            raise TableExistsError(f"table {path.stem!r} already exists") from None
+        raise
+    return fh
 
 
 class _Parse(NamedTuple):
@@ -236,7 +296,10 @@ class TableFile:
     An exclusive lock is taken at open and held until close, so two handles
     on the same file cannot coexist.  ``sync=False`` defers fsync to close,
     which is faster for bulk loads but trades away crash durability for the
-    unsynced suffix (replay still never yields a half-written record).
+    unsynced suffix (replay still never yields a half-written record).  A
+    ``sync=False`` create links the new file into place before its bytes
+    are fsynced, so a crash can leave that table's file empty or cut short,
+    which opens as ``CorruptFileError``.
 
     ``kept`` is an earlier parse of the same table, which the handle takes
     over; see the module docstring.
@@ -251,15 +314,8 @@ class TableFile:
         if not self.path.exists():
             if schema is None:
                 raise SchemaError(f"{self.path}: creating a table requires a schema")
-            # Validate through the same rules as an in-memory relation.
-            create_relation(schema.primary_key, list(schema.fields))
-            meta = _schema_bytes(Schema(schema.primary_key, tuple(schema.fields)))
-            data = _HEADER + _encode(OP_META, META_KEY, meta)
-            self._fh = open(self.path, "x+b")
-            _flock(self._fh, self.path)
-            self._fh.write(data)
-            self._flush()
-            _fsync_dir(self.path)
+            data = _log(schema, ())
+            self._fh = _install(self.path, data, replace=False, sync=sync)
             self._parse = _replay(self.path, data)
         else:
             self._fh = open(self.path, "r+b")
@@ -321,8 +377,7 @@ class TableFile:
         """Append a PUT and update the index; replaces any prior version of the key."""
         self._check_open()
         key = _checked_key(self.schema, record)
-        record_bytes = _encode(OP_PUT, key.encode("utf-8"), canonical_record_bytes(record))
-        self.live_index[key] = self._append(record_bytes)
+        self.live_index[key] = self._append(_put(key, record))
 
     def delete_record(self, key: str) -> None:
         """Append a DEL; deleting an absent key still logs the DEL (tolerant)."""
@@ -338,31 +393,16 @@ class TableFile:
     def compact(self) -> None:
         """Rewrite the file as META plus one PUT per live key, in key order.
 
-        Writes to a temp file, locks it and renames it over the original, so
-        a failure leaves the table untouched and no other handle can take
-        the lock of the new file.
+        The new log is renamed over the old one already locked by this
+        handle (``_install``), so a failure leaves the table untouched and no
+        other handle can take the lock of the new file.
         """
         self._check_open()
         rows = _decoded(self.path, self._current())
-        log = [_HEADER, _encode(OP_META, META_KEY, _schema_bytes(self.schema))]
-        for key in sorted(rows):
-            log.append(_encode(OP_PUT, key.encode("utf-8"), canonical_record_bytes(rows[key])))
-        data = b"".join(log)
-        tmp = self.path.with_name(self.path.name + ".compact")
-        fh = open(tmp, "w+b")
-        try:
-            _flock(fh, tmp)
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            fh.close()
-            tmp.unlink(missing_ok=True)
-            raise
+        data = _log(self.schema, (rows[key] for key in sorted(rows)))
+        fh = _install(self.path, data, replace=True)
         self._fh.close()
         self._fh = fh
-        _fsync_dir(self.path)
         self._parse = _replay(self.path, data)
         self.live_index = self._parse.index
 
@@ -413,9 +453,6 @@ class Database:
     def list_tables(self) -> list[str]:
         return sorted(p.stem for p in self.root.glob(f"*{TABLE_SUFFIX}"))
 
-    def exists(self, name: str) -> bool:
-        return self._path(name).exists()
-
     def create(self, name: str, schema: Schema, *, sync: bool = True) -> TableFile:
         path = self._path(name)
         if path.exists():
@@ -425,30 +462,17 @@ class Database:
     def load(self, name: str, schema: Schema, records: Iterable[TupleRecord]) -> None:
         """Create table ``name`` holding ``records``, all or nothing.
 
-        The log is written under a temporary name that ``list_tables`` does
-        not match, fsynced, and hard-linked to the table's name, so a load
-        that fails or is cut short leaves no table ``name`` behind.  The link
-        fails if the name exists, so a table created meanwhile, by this or
-        another process, is never replaced: that is ``TableExistsError``.
-        The temporary name is then removed, whether the load succeeded or
-        failed; a load cut short by a crash may leave it.
+        Every record is checked, as ``put_record`` checks it, before anything
+        is written; then the whole log is put in place by the one path that
+        creates and compacts (``_install``), so a load that fails or is cut
+        short leaves no table ``name`` behind.  The link fails if the name
+        exists, so a table created meanwhile, by this or another process, is
+        never replaced: that is ``TableExistsError``.
         """
-        path = self._path(name)
-        tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.load")
-        try:
-            with TableFile(tmp, schema, sync=False) as table:
-                for record in records:
-                    table.put_record(record)
-            try:
-                os.link(tmp, path)
-            except FileExistsError:
-                raise TableExistsError(f"table {name!r} already exists") from None
-        finally:
-            tmp.unlink(missing_ok=True)
-        _fsync_dir(path)
+        _install(self._path(name), _log(schema, records), replace=False).close()
 
-    def open(self, name: str, *, sync: bool = True) -> TableFile:
-        return TableFile(self._existing(name), sync=sync)
+    def open(self, name: str) -> TableFile:
+        return TableFile(self._existing(name))
 
     def drop(self, name: str) -> None:
         """Delete table ``name``; ``TableLockedError`` while any handle has it open."""

@@ -6,7 +6,7 @@ import pytest
 import golden_data as gd
 from conftest import load_fixture_db
 
-from sgdb import evaluator
+from sgdb import evaluator, storage
 from sgdb.cli import main, run_repl
 from sgdb.csvio import export_csv, import_csv
 from sgdb.difftest import differential_check
@@ -15,7 +15,7 @@ from sgdb.errors import DuplicateKeyError, MissingColumnError, UnknownTableError
 from sgdb.model import Relation, Schema, relation_equal, relation_from_mapping
 from sgdb.ops import Condition
 from sgdb.render import RenderSpec, columns_of, render
-from sgdb.storage import Database, TableFile
+from sgdb.storage import Database
 
 
 @pytest.fixture
@@ -164,17 +164,13 @@ def test_import_failing_part_way_leaves_no_table(tmp_path, monkeypatch):
     csv_path = tmp_path / "books.csv"
     write_books_csv(csv_path)
     db = Database(tmp_path / "db")
-    put = TableFile.put_record
-    written = []
 
-    def failing_put(self, record):
+    def failing_link(src, dst):
         assert db.list_tables() == []
-        if len(written) == 2:
-            raise OSError("disk full")
-        put(self, record)
-        written.append(record)
+        assert [p.name for p in db.root.iterdir()] == [src.name]
+        raise OSError("disk full")
 
-    monkeypatch.setattr(TableFile, "put_record", failing_put)
+    monkeypatch.setattr(storage.os, "link", failing_link)
     with pytest.raises(OSError, match="disk full"):
         import_csv(db, "books", csv_path, pk="ISBN")
     assert db.list_tables() == []

@@ -21,6 +21,7 @@ from sgdb.errors import (
     CorruptFileError,
     SchemaError,
     SchemaMismatchError,
+    SgdbError,
     TableExistsError,
     TableLockedError,
     UnknownTableError,
@@ -414,7 +415,7 @@ def test_log_matches_a_dict_model_and_any_cut_reopens_to_its_record_prefix(histo
         db.create("full", schema).close()
         prefixes = [(source.stat().st_size, {})]  # (file size, live rows) after META and after each record
         for key, value in history:
-            with db.open("full", sync=False) as table:
+            with open_table(source, sync=False) as table:
                 if value is None:
                     table.delete_record(key)
                     model.pop(key, None)
@@ -483,6 +484,100 @@ def test_a_load_never_replaces_a_table_created_while_it_runs(tmp_path):
     kept = other.scan("books")
     assert kept.schema == catalog_schema
     assert kept.rows == {"001": gd.CATALOG["001"]}
+    assert [p.name for p in db.root.iterdir()] == ["books.sgt"]
+
+
+def test_a_create_whose_write_fails_leaves_no_file_and_no_open_handle(tmp_path, monkeypatch):
+    db = Database(tmp_path / "db")
+    opened = []
+
+    class FullDisk(io.BufferedRandom):
+        def write(self, data):
+            raise OSError("disk full")
+
+    def opening(file, mode):
+        assert "x" in mode
+        opened.append(FullDisk(io.FileIO(file, mode.replace("b", ""))))
+        return opened[-1]
+
+    monkeypatch.setattr(storage, "open", opening, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        db.create("t", BOOKS_SCHEMA)
+    monkeypatch.undo()
+    assert opened and all(fh.closed for fh in opened)
+    assert db.list_tables() == []
+    assert list(db.root.iterdir()) == []
+
+
+def test_a_scan_during_a_create_never_reads_a_partial_table(tmp_path, monkeypatch):
+    db, other = Database(tmp_path / "db"), Database(tmp_path / "db")
+    flock = storage._flock
+    intruding = False
+    outcomes = []
+
+    def scan_from_the_other_database():
+        try:
+            other.scan("t")
+        except SgdbError as exc:
+            outcomes.append(type(exc).__name__)
+
+    def flock_around_a_scan(fh, path):
+        nonlocal intruding
+        if intruding:  # the other database's own open
+            return flock(fh, path)
+        intruding = True
+        scan_from_the_other_database()
+        flock(fh, path)
+        scan_from_the_other_database()
+        intruding = False
+
+    monkeypatch.setattr(storage, "_flock", flock_around_a_scan)
+    table = db.create("t", BOOKS_SCHEMA)
+    monkeypatch.undo()
+    scan_from_the_other_database()
+    table.close()
+    assert len(outcomes) == 3
+    assert set(outcomes) <= {"UnknownTableError", "TableLockedError"}
+    assert outcomes[-1] == "TableLockedError"
+    assert other.scan("t").rows == {}
+
+
+def test_a_create_that_loses_a_race_to_another_create_is_table_exists(tmp_path, monkeypatch):
+    db, other = Database(tmp_path / "db"), Database(tmp_path / "db")
+    flock = storage._flock
+    other_schema = Schema("catalog", gd.CATALOG_FIELDS)
+
+    def flock_after_another_create(fh, path):
+        monkeypatch.setattr(storage, "_flock", flock)
+        other.create("books", other_schema).close()
+        flock(fh, path)
+
+    monkeypatch.setattr(storage, "_flock", flock_after_another_create)
+    with pytest.raises(TableExistsError, match="'books' already exists"):
+        db.create("books", BOOKS_SCHEMA)
+    assert [p.name for p in db.root.iterdir()] == ["books.sgt"]
+    assert other.scan("books").schema == other_schema
+
+
+@pytest.mark.parametrize("make", [
+    lambda db: db.create("books", BOOKS_SCHEMA).close(),
+    lambda db: db.load("books", BOOKS_SCHEMA, gd.BOOKS.values()),
+], ids=["create", "load"])
+def test_no_other_handle_can_lock_a_new_table_once_it_is_linked(tmp_path, monkeypatch, make):
+    db = Database(tmp_path / "db")
+    refused = []
+    link = os.link
+
+    def link_then_intrude(src, dst):
+        link(src, dst)
+        with pytest.raises(TableLockedError):
+            open_table(dst).close()
+        refused.append(dst)
+
+    monkeypatch.setattr(storage.os, "link", link_then_intrude)
+    make(db)
+    monkeypatch.undo()
+    assert refused == [db.root / "books.sgt"]
     assert [p.name for p in db.root.iterdir()] == ["books.sgt"]
 
 
@@ -661,7 +756,7 @@ def test_a_select_on_the_joined_table_runs_inside_its_scan(db, monkeypatch, quer
 
 def _write(db, step, model):
     key, value = step
-    with db.open("t", sync=False) as table:
+    with open_table(db.root / "t.sgt", sync=False) as table:
         if value is None:
             table.delete_record(key)
             model.pop(key, None)
