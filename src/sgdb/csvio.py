@@ -1,9 +1,10 @@
 """CSV import/export for base tables.
 
 Import reads the header as the schema (in column order), requires the named
-primary-key column, and rejects duplicated key values.  The table appears
-only once every row is written and synced (``Database.load``), so a failed
-import leaves no table behind.  Export writes the schema columns in order
+primary-key column, and rejects duplicated key values.  A UTF-8 byte-order
+mark at the start of the file is not part of the first column's name.  The
+table appears only once every row is written and synced (``Database.load``),
+so a failed import leaves no table behind.  Export writes the schema columns in order
 with rows sorted by key, so identical tables always produce identical files.
 Lines end in ``\n``, and a cell holding ``\r`` is quoted so that it reads
 back whole (see ``write_rows``).
@@ -23,7 +24,7 @@ from sgdb.storage import Database
 
 def import_csv(db: Database, table: str, csv_path: str | Path, pk: str) -> int:
     """Create ``table`` from a headed CSV file; returns the number of rows loaded."""
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

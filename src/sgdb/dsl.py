@@ -13,14 +13,18 @@ Statements also cover table management and row changes:
     show tables;
 
 Bare identifiers may contain letters, digits, ``_`` and ``.``; anything else
-(spaces, quotes, keywords used as names) must be quoted.  ``#`` starts a
-comment running to the end of the line.
+(spaces, quotes, keywords used as names) must be quoted.  A string is quoted
+with either ``"`` or ``'``.  Inside it a backslash escapes any character, the
+other quote needs no escape, and ``\\n`` and ``\\t`` mean line feed and tab; a
+raw line feed inside a string is an error.  ``#`` starts a comment running to
+the end of the line.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, TypeVar
 
 from sgdb.errors import LexError, ParseError
 from sgdb.ops import STAR, Condition
@@ -31,8 +35,9 @@ KEYWORDS = frozenset(
 )
 
 JOIN_KINDS = {"ijoin": "inner", "ljoin": "left", "rjoin": "right", "ojoin": "outer"}
+_STEP_WORDS = ("select", "project", "rename", "cross", "njoin", *JOIN_KINDS)
 
-_IDENT_RE = re.compile(r"[A-Za-z0-9_.]+")
+_WORD_RE = re.compile(r"[A-Za-z0-9_.]+")
 _PUNCT = {
     "|": "PIPE",
     ",": "COMMA",
@@ -42,12 +47,25 @@ _PUNCT = {
     ":": "COLON",
     ";": "SEMI",
     "*": "STAR",
+    "->": "ARROW",
 }
+# Alternatives are tried in order.  SKIP spans line feeds; STRING may hold
+# escaped ones; OTHER takes any character the others do not start with,
+# such as a quote that opens no complete string.
+_TOKEN_RE = re.compile(
+    rf"(?P<WORD>{_WORD_RE.pattern})"
+    r"|(?P<SKIP>\s+|#[^\n]*)"
+    rf"|(?P<PUNCT>{'|'.join(map(re.escape, _PUNCT))})"
+    r"""|(?P<STRING>"[^"\\\n]*(?:\\.[^"\\\n]*)*"|'[^'\\\n]*(?:\\.[^'\\\n]*)*')"""
+    r"|(?P<OTHER>.)",
+    re.DOTALL,
+)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t"}
+_T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -55,72 +73,27 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
-    """Longest-match scan; positions are 1-based line:col."""
+    """The tokens of ``text``, in order; positions are 1-based line:col."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "-" and text[i : i + 2] == "->":
-            tokens.append(Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in "'\"":
-            start_line, start_col = line, col
-            quote = ch
-            i += 1
-            col += 1
-            parts: list[str] = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise LexError("unterminated string", start_line, start_col)
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise LexError("unterminated string", start_line, start_col)
-                    nxt = text[i + 1]
-                    parts.append(_ESCAPES.get(nxt, nxt))
-                    i += 2
-                    col += 2
-                    continue
-                if c == quote:
-                    i += 1
-                    col += 1
-                    break
-                parts.append(c)
-                i += 1
-                col += 1
-            tokens.append(Token("STRING", "".join(parts), start_line, start_col))
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = "KEYWORD" if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, line, col))
-            i = m.end()
-            col += len(word)
-            continue
-        raise LexError(f"unexpected character {ch!r}", line, col)
+    line, line_start = 1, 0  # line_start: the offset just past the last line feed
+    for m in _TOKEN_RE.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind != "SKIP":
+            col = m.start() - line_start + 1
+            if kind == "WORD":
+                tokens.append(Token("KEYWORD" if word in KEYWORDS else "IDENT", word, line, col))
+            elif kind == "PUNCT":
+                tokens.append(Token(_PUNCT[word], word, line, col))
+            elif kind == "STRING":
+                body = _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]), word[1:-1])
+                tokens.append(Token("STRING", body, line, col))
+            elif word in "'\"":
+                raise LexError("unterminated string", line, col)
+            else:
+                raise LexError(f"unexpected character {word!r}", line, col)
+        if "\n" in word:
+            line += word.count("\n")
+            line_start = m.start() + word.rindex("\n") + 1
     return tokens
 
 
@@ -206,11 +179,11 @@ Statement = Query | CreateTable | DropTable | Insert | Delete | ShowTables
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], end_line: int, end_col: int):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.tokens = tokenize(text)
         self.pos = 0
-        self.end_line = end_line
-        self.end_col = end_col
+        lines = text.split("\n")
+        self.end_line, self.end_col = len(lines), len(lines[-1]) + 1
 
     def _peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -228,143 +201,129 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def _take(self, kind: str, text: str | None = None) -> Token:
+    def _at(self, *texts: str) -> bool:
+        """Whether the next token is one of the keywords or punctuation marks ``texts``."""
         tok = self._peek()
-        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
-            glyphs = {v: k for k, v in _PUNCT.items()} | {"ARROW": "->"}
-            raise self._fail({text if text is not None else glyphs.get(kind, kind.lower())})
+        return tok is not None and tok.text in texts and tok.kind == _PUNCT.get(tok.text, "KEYWORD")
+
+    def _take(self, text: str) -> Token:
+        if not self._at(text):
+            raise self._fail({text})
         return self._advance()
 
-    def _name(self, what: str = "identifier") -> str:
+    def _name(self, *what: str) -> str:
         """A name or literal position: a bare identifier or any quoted string."""
         tok = self._peek()
         if tok is None or tok.kind not in ("IDENT", "STRING"):
-            raise self._fail({what})
+            raise self._fail(set(what))
         return self._advance().text
 
-    def _names(self, what: str) -> list[str]:
-        """One or more names, separated by commas."""
-        names = [self._name(what)]
-        while self._peek() is not None and self._peek().kind == "COMMA":
+    def _commas(self, item: Callable[[], _T]) -> list[_T]:
+        """One or more ``item()`` results, separated by commas."""
+        items = [item()]
+        while self._at(","):
             self._advance()
-            names.append(self._name(what))
-        return names
-
-    def _at_keyword(self, *words: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == "KEYWORD" and tok.text in words
+            items.append(item())
+        return items
 
     def parse_script(self) -> list[Statement]:
         statements = [self.parse_statement()]
         while self._peek() is not None:
-            self._take("SEMI")
+            self._take(";")
             if self._peek() is None:
                 break
             statements.append(self.parse_statement())
         return statements
 
     def parse_statement(self) -> Statement:
-        if self._at_keyword("create"):
+        if self._at("create"):
             return self._create()
-        if self._at_keyword("drop"):
+        if self._at("drop"):
             return self._drop()
-        if self._at_keyword("insert"):
+        if self._at("insert"):
             return self._insert()
-        if self._at_keyword("delete"):
+        if self._at("delete"):
             return self._delete()
-        if self._at_keyword("show"):
+        if self._at("show"):
             self._advance()
-            self._take("KEYWORD", "tables")
+            self._take("tables")
             return ShowTables()
         return self._query()
 
     def _query(self) -> Query:
-        tok = self._peek()
-        if tok is None or tok.kind not in ("IDENT", "STRING"):
-            raise self._fail({"table name", "create", "drop", "insert", "delete", "show"})
-        source = self._advance().text
+        source = self._name("table name", "create", "drop", "insert", "delete", "show")
         steps: list[Step] = []
-        while self._peek() is not None and self._peek().kind == "PIPE":
+        while self._at("|"):
             self._advance()
             steps.append(self._step())
         return Query(source, tuple(steps))
 
     def _step(self) -> Step:
-        step_words = {"select", "project", "rename", "cross", "njoin"} | set(JOIN_KINDS)
-        tok = self._peek()
-        if tok is None or tok.kind != "KEYWORD" or tok.text not in step_words:
-            raise self._fail(step_words)
+        if not self._at(*_STEP_WORDS):
+            raise self._fail(set(_STEP_WORDS))
         word = self._advance().text
         if word == "select":
             fieldname = self._name("field name")
-            self._take("EQUALS", "=")
+            self._take("=")
             return SelectStep(Condition(fieldname, self._name("literal")))
         if word == "project":
-            if self._peek() is not None and self._peek().kind == "STAR":
+            if self._at("*"):
                 self._advance()
                 return ProjectStep(STAR)
-            return ProjectStep(tuple(self._names("column")))
+            return ProjectStep(tuple(self._commas(lambda: self._name("column"))))
         if word == "rename":
             old = self._name("field name")
-            self._take("ARROW", "->")
+            self._take("->")
             return RenameStep(old, self._name("field name"))
         if word in JOIN_KINDS:
             table = self._name("table name")
-            self._take("KEYWORD", "on")
+            self._take("on")
             return JoinStep(JOIN_KINDS[word], table, self._name("joining field"))
         if word == "cross":
             table = self._name("table name")
-            self._take("KEYWORD", "as")
+            self._take("as")
             return CrossStep(table, self._name("nesting field"))
         return NaturalJoinStep(self._name("table name"))
 
     def _create(self) -> CreateTable:
         self._advance()
-        self._take("KEYWORD", "table")
+        self._take("table")
         name = self._name("table name")
-        self._take("KEYWORD", "pk")
+        self._take("pk")
         pk = self._name("field name")
-        self._take("KEYWORD", "fields")
-        return CreateTable(name, pk, tuple(self._names("field name")))
+        self._take("fields")
+        return CreateTable(name, pk, tuple(self._commas(lambda: self._name("field name"))))
 
     def _drop(self) -> DropTable:
         self._advance()
-        self._take("KEYWORD", "table")
+        self._take("table")
         return DropTable(self._name("table name"))
 
     def _insert(self) -> Insert:
         self._advance()
         table = self._name("table name")
-        self._take("LBRACE", "{")
-        pairs: list[tuple[str, str]] = []
-        while True:
-            fieldname = self._name("field name")
-            self._take("COLON", ":")
-            pairs.append((fieldname, self._name("literal")))
-            if self._peek() is not None and self._peek().kind == "COMMA":
-                self._advance()
-                continue
-            break
-        self._take("RBRACE", "}")
+        self._take("{")
+        pairs = self._commas(self._pair)
+        self._take("}")
         return Insert(table, tuple(pairs))
+
+    def _pair(self) -> tuple[str, str]:
+        fieldname = self._name("field name")
+        self._take(":")
+        return fieldname, self._name("literal")
 
     def _delete(self) -> Delete:
         self._advance()
         table = self._name("table name")
-        self._take("KEYWORD", "key")
+        self._take("key")
         return Delete(table, self._name("literal"))
-
-
-def _end_position(text: str) -> tuple[int, int]:
-    lines = text.split("\n")
-    return len(lines), len(lines[-1]) + 1
 
 
 def parse(text: str) -> Statement:
     """Parse a single statement (an optional trailing ``;`` is allowed)."""
-    parser = _Parser(tokenize(text), *_end_position(text))
+    parser = _Parser(text)
     stmt = parser.parse_statement()
-    if parser._peek() is not None and parser._peek().kind == "SEMI":
+    if parser._at(";"):
         parser._advance()
     if parser._peek() is not None:
         raise parser._fail({"end of statement"})
@@ -373,19 +332,15 @@ def parse(text: str) -> Statement:
 
 def parse_script(text: str) -> list[Statement]:
     """Parse ``;``-separated statements; an empty script parses to []."""
-    tokens = tokenize(text)
-    if not tokens:
-        return []
-    return _Parser(tokens, *_end_position(text)).parse_script()
+    parser = _Parser(text)
+    return parser.parse_script() if parser.tokens else []
 
 
 # --- pretty printer --------------------------------------------------------
 
-_BARE_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
-
 
 def _quote(name: str) -> str:
-    if _BARE_RE.match(name) and name not in KEYWORDS:
+    if _WORD_RE.fullmatch(name) and name not in KEYWORDS:
         return name
     escaped = name.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
     return f'"{escaped}"'

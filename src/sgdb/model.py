@@ -5,7 +5,8 @@ field name to value, which is exactly a star graph whose center is the
 primary-key value and whose labeled edges carry the remaining field values.
 
 Values are plain strings, or ``None`` for the explicit null produced when an
-empty nested record is flattened.  The empty string ``""`` is an ordinary
+empty nested record is flattened; the ``Relation`` constructor rejects any
+other value with ``SchemaError``.  The empty string ``""`` is an ordinary
 text value (it marks absent left-side fields in right/outer joins) and is
 never equal to null.
 """
@@ -22,8 +23,7 @@ TupleRecord = dict[str, Value]
 
 # Characters with reserved meaning in field names: "." is the flatten
 # separator, "," and "=" belong to the projection/condition syntax.
-_RESERVED_IN_BASE = frozenset(".")
-_RESERVED_ALWAYS = frozenset(",=")
+_RESERVED = ",=."
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,7 @@ class Schema:
     fields: tuple[str, ...]
 
     def derive(self, fields: tuple[str, ...] | None = None, primary_key: str | None = None) -> "Schema":
-        """This schema with the given parts replaced; itself when none is given."""
-        if fields is None and primary_key is None:
-            return self
+        """This schema with the given parts replaced."""
         return replace(
             self,
             fields=self.fields if fields is None else tuple(fields),
@@ -49,6 +47,8 @@ class Relation:
 
     Instances are treated as immutable values: every operation returns a new
     relation and never mutates its inputs, so relations are safe to share.
+    The constructor copies every row and raises ``SchemaError`` for a value
+    that is neither a string nor None.
     """
 
     __slots__ = ("schema", "rows")
@@ -56,6 +56,12 @@ class Relation:
     def __init__(self, schema: Schema, rows: Mapping[str, TupleRecord] | None = None):
         self.schema = schema
         self.rows: dict[str, TupleRecord] = {k: dict(v) for k, v in (rows or {}).items()}
+        for key, row in self.rows.items():
+            for f, v in row.items():
+                if not isinstance(v, str) and v is not None:
+                    raise SchemaError(
+                        f"field {f!r} of row {key!r} must hold a string or null, not {type(v).__name__}"
+                    )
 
     @classmethod
     def _adopt(cls, schema: Schema, rows: dict[str, TupleRecord]) -> "Relation":
@@ -91,11 +97,10 @@ class StarGraphView:
     edges: tuple[tuple[str, Value], ...]
 
 
-def _check_field_name(name: str, *, base: bool) -> None:
+def _check_field_name(name: str) -> None:
     if not isinstance(name, str) or not name:
         raise SchemaError("field names must be non-empty strings")
-    bad = _RESERVED_ALWAYS | (_RESERVED_IN_BASE if base else frozenset())
-    hit = [c for c in bad if c in name]
+    hit = [c for c in _RESERVED if c in name]
     if hit:
         raise SchemaError(f"field name {name!r} contains reserved character {hit[0]!r}")
 
@@ -106,7 +111,7 @@ def create_relation(pk_field: str, fields: list[str] | tuple[str, ...]) -> Relat
         raise SchemaError("a relation needs at least one field")
     seen = set()
     for f in fields:
-        _check_field_name(f, base=True)
+        _check_field_name(f)
         if f in seen:
             raise SchemaError(f"duplicate field name {f!r}")
         seen.add(f)

@@ -17,9 +17,8 @@ each left row is split once around the joining field, and a row is
 ``{**before, **part, **after}``.  A merged row shorter than its three pieces
 means a left field is named like a part field; that row goes through
 ``_nest_and_flatten``, the nest-then-flatten definition, which raises
-``KeyCollisionError``.  So do rows holding a nested dict, which only
-``flatten_record`` expands.  Either way the rows, their field order and the
-errors are those of nesting and flattening.
+``KeyCollisionError``; so the rows, their field order and the errors are
+those of nesting and flattening.
 
 Matching is by string equality only.  A row that lacks the relevant field is
 simply skipped by ``select`` and ``project`` and counts as unmatched in joins.
@@ -64,24 +63,24 @@ NestedValue = Value | dict
 NestedRecord = dict[str, NestedValue]
 
 
-def flatten_record(record: NestedRecord, prefix: str | None = None, sep: str = SEPARATOR) -> TupleRecord:
+def flatten_record(record: NestedRecord) -> TupleRecord:
     """Collapse nested records into dotted compound keys, depth first.
 
     A non-empty nested record at key ``p`` contributes ``p.q`` entries; an
     empty nested record becomes the explicit null ``p = None``.  Scalars keep
-    their keys (prefixed only when ``prefix`` is given).
+    their keys.
     """
     result: TupleRecord = {}
-    _flatten_into(record, prefix or "", sep, result)
+    _flatten_into(record, "", result)
     return result
 
 
-def _flatten_into(record: NestedRecord, prefix: str, sep: str, result: TupleRecord) -> None:
+def _flatten_into(record: NestedRecord, prefix: str, result: TupleRecord) -> None:
     for k, v in record.items():
-        key = prefix + sep + k if prefix else k
+        key = prefix + SEPARATOR + k if prefix else k
         if isinstance(v, dict):
             if v:
-                _flatten_into(v, key, sep, result)
+                _flatten_into(v, key, result)
                 continue
             v = None
         if key in result:
@@ -96,7 +95,7 @@ def select(rel: Relation, cond: Condition | None = None) -> Relation:
     the field at all are excluded, and null never equals any text value.
     """
     kept = rel.rows if cond is None else matching(rel.rows, cond)
-    return Relation._adopt(rel.schema.derive(), {key: dict(row) for key, row in kept.items()})
+    return Relation._adopt(rel.schema, {key: dict(row) for key, row in kept.items()})
 
 
 def matching(rows: dict[str, TupleRecord], cond: Condition) -> dict[str, TupleRecord]:
@@ -112,7 +111,7 @@ def project(rel: Relation, columns: list[str] | tuple[str, ...] | str) -> Relati
     Row keys are preserved, so projection never merges duplicate rows.
     """
     if columns == STAR:
-        return Relation._adopt(rel.schema.derive(), {k: dict(r) for k, r in rel.rows.items()})
+        return Relation._adopt(rel.schema, {k: dict(r) for k, r in rel.rows.items()})
     wanted = list(columns)
     rows = {
         key: {f: row[f] for f in wanted if f in row}
@@ -164,23 +163,16 @@ def _nest_and_flatten(lrow: TupleRecord, key: str, rrow: TupleRecord) -> TupleRe
     return flatten_record(nested)
 
 
-def _right_part(key: str, rrow: TupleRecord) -> TupleRecord | None:
+def _right_part(key: str, rrow: TupleRecord) -> TupleRecord:
     """The fields ``rrow`` flattens to when nested at ``key``: ``{key.f: v}``,
     or ``{key: None}`` for an empty tuple.
 
-    None when ``rrow`` holds a nested dict; such rows are left to
-    ``_nest_and_flatten``.  Never raises: distinct right fields give
-    distinct dotted names.
+    Never raises: distinct right fields give distinct dotted names.
     """
     if not rrow:
         return {key: None}
     prefix = key + SEPARATOR
-    part: TupleRecord = {}
-    for f, v in rrow.items():
-        if isinstance(v, dict):
-            return None
-        part[prefix + f] = v
-    return part
+    return {prefix + f: v for f, v in rrow.items()}
 
 
 class _Parts(dict):
@@ -191,20 +183,18 @@ class _Parts(dict):
         self._rows = right.rows
         self._key = key
 
-    def __missing__(self, rk: str) -> TupleRecord | None:
+    def __missing__(self, rk: str) -> TupleRecord:
         part = self[rk] = _right_part(self._key, self._rows[rk])
         return part
 
 
-def _split(lrow: TupleRecord, key: str) -> tuple[TupleRecord, TupleRecord] | None:
+def _split(lrow: TupleRecord, key: str) -> tuple[TupleRecord, TupleRecord]:
     """The fields of ``lrow`` before ``key`` and those after it (none when
-    ``key`` is absent), or None when ``lrow`` holds a nested dict."""
+    ``key`` is absent)."""
     before: TupleRecord = {}
     after: TupleRecord = {}
     side = before
     for f, v in lrow.items():
-        if isinstance(v, dict):
-            return None
         if f == key:
             side = after
         else:
@@ -214,24 +204,23 @@ def _split(lrow: TupleRecord, key: str) -> tuple[TupleRecord, TupleRecord] | Non
 
 def _stitch(
     lrow: TupleRecord,
-    halves: tuple[TupleRecord, TupleRecord] | None,
+    halves: tuple[TupleRecord, TupleRecord],
     key: str,
     rrow: TupleRecord,
-    part: TupleRecord | None,
+    part: TupleRecord,
 ) -> TupleRecord:
     """``_nest_and_flatten(lrow, key, rrow)``, built from ``halves = _split(lrow, key)``
     and ``part = _right_part(key, rrow)``.
 
     Row keys are distinct and so are the part's, so the one collision
     flattening can find is a left field named like a part field, which
-    shows as a short merged row.  That row, and a nested dict on either
-    side, go through ``_nest_and_flatten``, which raises the collision.
+    shows as a short merged row.  That row goes through
+    ``_nest_and_flatten``, which raises the collision.
     """
-    if halves is not None and part is not None:
-        before, after = halves
-        row = {**before, **part, **after}
-        if len(row) == len(before) + len(part) + len(after):
-            return row
+    before, after = halves
+    row = {**before, **part, **after}
+    if len(row) == len(before) + len(part) + len(after):
+        return row
     return _nest_and_flatten(lrow, key, rrow)
 
 
@@ -265,7 +254,7 @@ def left_join(left: Relation, right: Relation, key: str) -> Relation:
         if v in right.rows:
             rows[k] = _stitch(lrow, _split(lrow, key), key, right.rows[v], parts[v])
         else:
-            rows[k] = flatten_record(lrow)
+            rows[k] = dict(lrow)
     return Relation._adopt(_joined_schema(left.schema, right.schema, key), rows)
 
 

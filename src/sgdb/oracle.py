@@ -241,7 +241,7 @@ def oracle_eval(
 ) -> Relation:
     """Run one operator through the naive implementation, on engine inputs.
 
-    Returns a derived relation wrapping the raw row dict, so results compare
+    Returns a relation with ``left``'s schema holding the raw rows, so results compare
     directly against engine output with ``relation_equal``.
     """
     lview = _ShelfView(left.rows)
@@ -274,4 +274,4 @@ def oracle_eval(
         )
     else:
         raise ValueError(f"unknown operator {op!r}")
-    return Relation(left.schema.derive(), rows)
+    return Relation(left.schema, rows)

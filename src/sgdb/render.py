@@ -3,7 +3,7 @@
 Rows are always emitted in row-key order.  Columns follow the schema's field
 order; fields that appear only in some rows of a heterogeneous result are
 appended after the schema columns, sorted by name.  Table and CSV output pad
-missing fields with "" and show the explicit null as ``null_text``; JSON
+missing fields with "" and show the explicit null as ``NULL``; JSON
 output emits each row's record verbatim (null as JSON null) using the same
 canonical serialization the table files use.  Table output writes a line
 feed or carriage return inside a cell or column name as the two characters
@@ -26,7 +26,6 @@ FORMATS = ("table", "csv", "json")
 @dataclass(frozen=True)
 class RenderSpec:
     format: str = "table"
-    null_text: str = "NULL"
 
 
 def columns_of(rel: Relation) -> list[str]:
@@ -50,7 +49,7 @@ def render(rel: Relation, spec: RenderSpec = RenderSpec()) -> str:
         cells = []
         for c in cols:
             v = row.get(c, "")
-            cells.append(spec.null_text if v is None else v)
+            cells.append("NULL" if v is None else v)
         grid.append(cells)
     if spec.format == "csv":
         out = io.StringIO()

