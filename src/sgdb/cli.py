@@ -53,28 +53,39 @@ def _exec_text(db: Database, text: str, spec: RenderSpec, out, err) -> int:
     return 0
 
 
+def _ends_statement(text: str) -> bool:
+    """Whether the REPL should run ``text`` now: its last token is ``;``.
+
+    Text that does not lex runs at once, so its error shows, unless it ends
+    in a string opened with a line feed escaped at its end, which the next
+    line may still close.
+    """
+    try:
+        tokens = dsl.tokenize(text)
+    except LexError as exc:
+        return not (str(exc).startswith("unterminated string") and text.endswith("\\\n"))
+    return bool(tokens) and tokens[-1].kind == "SEMI"
+
+
 def run_repl(db: Database, stdin=None, out=None) -> int:
-    """Read statements (terminated by ';'), evaluate, render; errors keep the session alive."""
+    """Read statements (terminated by a ';' token), evaluate, render; errors keep the session alive."""
     stdin = stdin if stdin is not None else sys.stdin
     out = out if out is not None else sys.stdout
     interactive = stdin.isatty()
-    buffer: list[str] = []
+    buffer = ""
     if interactive:
         out.write(PROMPT)
         out.flush()
     for line in stdin:
-        buffer.append(line)
-        if ";" in line:
-            text = "".join(buffer).strip()
-            buffer = []
-            if text:
-                _exec_text(db, text, RenderSpec(), out, out)
+        buffer += line
+        if _ends_statement(buffer):
+            _exec_text(db, buffer.strip(), RenderSpec(), out, out)
+            buffer = ""
         if interactive:
             out.write(PROMPT if not buffer else CONTINUATION)
             out.flush()
-    leftover = "".join(buffer).strip()
-    if leftover:
-        _exec_text(db, leftover, RenderSpec(), out, out)
+    if buffer.strip():
+        _exec_text(db, buffer.strip(), RenderSpec(), out, out)
     return 0
 
 

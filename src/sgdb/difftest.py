@@ -155,6 +155,14 @@ def _pick_params(op: str, seed: int, left: Relation, right: Relation, join_field
     return params
 
 
+def _another_condition(seed: int, left: Relation, cond: Condition) -> Condition:
+    """A condition on ``cond``'s field whose value some row of ``left`` holds there
+    and ``cond`` does not name; a pool value when no row holds one."""
+    rng = random.Random(f"{seed}/select again")
+    values = {row[cond.field] for row in left.rows.values() if row.get(cond.field) is not None}
+    return Condition(cond.field, rng.choice(sorted(values - {cond.value}) or _VALUE_POOL))
+
+
 def _run_engine(op: str, left: Relation, right: Relation, params: dict):
     if op == "select":
         return ops.select(left, params["condition"])
@@ -352,11 +360,18 @@ def differential_check(seeds, operators=ALL_OPS) -> list[DivergenceReport]:
                     continue
                 params = _pick_params(op, seed, left, right, join_field)
                 orcl = _outcome(_run_oracle, op, left, right, params)
-                runs = [(op, _outcome(_run_engine, op, left, right, params))]
+                runs = [(op, params, _outcome(_run_engine, op, left, right, params), orcl)]
                 if op == "select":
-                    query = dsl.Query("left", (dsl.SelectStep(params["condition"]),))
-                    runs.append(("select through storage", _outcome(_evaluated, db, query)))
-                for name, engine in runs:
+                    # The second select reads what the first left in the same Database.
+                    for cond in (params["condition"], _another_condition(seed, left, params["condition"])):
+                        query = dsl.Query("left", (dsl.SelectStep(cond),))
+                        runs.append((
+                            "select through storage",
+                            {"condition": cond},
+                            _outcome(_evaluated, db, query),
+                            _outcome(_run_oracle, op, left, right, {"condition": cond}),
+                        ))
+                for name, run_params, engine, orcl in runs:
                     difference = _difference(engine, orcl)
                     if difference is None:
                         continue
@@ -364,7 +379,7 @@ def differential_check(seeds, operators=ALL_OPS) -> list[DivergenceReport]:
                         DivergenceReport(
                             seed=seed,
                             operator=name,
-                            inputs=f"left={left.rows!r} right={right.rows!r} params={params!r}",
+                            inputs=f"left={left.rows!r} right={right.rows!r} params={run_params!r}",
                             engine=repr(_rows_of(engine[1])),
                             oracle=repr(_rows_of(orcl[1])),
                             first_difference=difference,

@@ -4,7 +4,9 @@ Queries fold their pipeline steps left to right over an in-memory scan of
 the source table; joins scan their right-hand table the same way.  The fold
 looks one step ahead and moves a ``select`` into the scan it follows
 (``Database.scan(name, where)``), so only the matching rows are copied out
-of storage, and a select on the primary key reads one row by key:
+of storage: a select on the primary key reads one row by key, and a select
+on another field reads its matches from that field's equality index, which
+is built once per parse of the table's log and kept with it:
 
 * a query's leading ``select f = v`` runs inside the scan of its source;
 * ``cross T as n`` or ``ijoin T on n`` followed at once by ``select n.g = v``

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from sgdb.csvio import write_rows
 from sgdb.model import Relation
-from sgdb.storage import canonical_record_bytes
+from sgdb.storage import CANONICAL_JSON
 
 FORMATS = ("table", "csv", "json")
 
@@ -38,10 +38,7 @@ def columns_of(rel: Relation) -> list[str]:
 
 def render(rel: Relation, spec: RenderSpec = RenderSpec()) -> str:
     if spec.format == "json":
-        return "".join(
-            canonical_record_bytes(rel.rows[key]).decode("utf-8") + "\n"
-            for key in sorted(rel.rows)
-        )
+        return "".join(CANONICAL_JSON.encode(rel.rows[key]) + "\n" for key in sorted(rel.rows))
     cols = columns_of(rel)
     grid = []
     for key in sorted(rel.rows):

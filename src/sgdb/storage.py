@@ -18,32 +18,43 @@ until it writes; after a write they read the log again.  A handle thus
 holds a buffer as large as the file.
 
 ``Database.scan`` keeps, per table, the parse of its last scan: the log
-bytes, the schema and live index replayed from them, and the decoded live
-rows.  It hands that parse to the handle it opens (``TableFile``'s ``kept``),
-which still opens, locks, reads and closes the file; when the bytes read are
-identical to the kept ones, ``_replay`` returns the kept parse and nothing
-is replayed or decoded.  Parsing is a pure function of the bytes, so a
-reused parse gives the same rows, and the same verdict on corruption, as a
-fresh one; any change to the file, however small, is a fresh parse.  So
-only scans of a log unchanged since the last scan in the same ``Database``
-are spared the parse: a scan after a write to the table, or the first scan
-in a new ``Database`` (each ``sgdb exec`` process), parses in full.  The
-handle takes the kept parse over, and the ``Database`` keeps a parse again
-only once a scan has succeeded.  Kept parses stay resident until the table
-is dropped or the ``Database`` is freed: about one decoded copy, plus the
-log bytes, of every table it has scanned, which for rows of a few short
-text fields is 7 to 10 bytes held per byte of log.  A scan given a
-condition (a query's leading ``select``) copies out only the kept rows that
-match it, and a condition on the primary key is one lookup of the key,
-which is exact because a row is always stored under its own primary-key
-value.
+bytes, the schema and live index replayed from them, the decoded live rows,
+and an equality index over those rows (``_Parse.by_value``).  It hands that
+parse to the handle it opens (``TableFile``'s ``kept``), which still opens,
+locks, reads and closes the file; when the bytes read are identical to the
+kept ones, ``_replay`` returns the kept parse and nothing is replayed or
+decoded.  Parsing is a pure function of the bytes, so a reused parse gives
+the same rows, and the same verdict on corruption, as a fresh one; any
+change to the file, however small, is a fresh parse, with no rows and no
+equality index.  So only scans of a log unchanged since the last scan in
+the same ``Database`` are spared the parse: a scan after a write to the
+table, or the first scan in a new ``Database`` (each ``sgdb exec``
+process), parses in full.  The handle takes the kept parse over, and the
+``Database`` keeps a parse again only once a scan has succeeded.  Kept
+parses stay resident until the table is dropped or the ``Database`` is
+freed: about one decoded copy, plus the log bytes, of every table it has
+scanned, which for rows of a few short text fields is 7 to 10 bytes held
+per byte of log.
+
+A scan given a condition (a query's leading ``select``) copies out only the
+kept rows that match it.  A condition on the primary key is one lookup of
+the key, which is exact because a row is always stored under its own
+primary-key value.  A condition on another field of the schema reads the
+equality index of that field: value -> the keys of the rows holding it, in
+row order.  The first such condition on a field builds its index in one
+pass over the rows; every later one on the same parse reads only its
+matches.  Null is never indexed, as a condition's value is always text.
+An index costs one list of key references per distinct value of each field
+selected on, and it is discarded with its parse.  A field outside the
+schema matches no row, since every decoded row holds schema fields only.
 
 A record that runs past the end of the file is a torn tail, a crash
 artifact, and is truncated away on open.  Every other malformed log raises
 ``CorruptFileError``: a bad magic, an unknown record tag, a checksum mismatch
 on a complete record, a key that is not UTF-8, a missing or unreadable schema
 record, a PUT payload that is not a JSON object of strings and nulls, and a
-PUT payload whose primary-key field is missing or differs from the record key.
+PUT payload with a field outside the schema, and a PUT payload whose
+primary-key field is missing or differs from the record key.
 A database is simply a directory of ``<table>.sgt`` files.  A new log is
 put in place one way (``_install``), whether a table is created empty,
 loaded whole (``Database.load``) or compacted.  The whole log goes to a
@@ -70,6 +81,7 @@ import re
 import struct
 import uuid
 import zlib
+from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -83,7 +95,7 @@ from sgdb.errors import (
     UseAfterCloseError,
 )
 from sgdb.model import Relation, Schema, TupleRecord, _checked_key, create_relation
-from sgdb.ops import Condition, matching
+from sgdb.ops import Condition
 
 MAGIC = b"SGDB"
 VERSION = 0x01
@@ -95,6 +107,9 @@ _HEADER = MAGIC + bytes([VERSION])
 
 _U32 = struct.Struct("<I")
 _DECODER = json.JSONDecoder()
+# The canonical JSON of records and schemas: keys sorted by code point, UTF-8
+# text, no insignificant whitespace.  One encoder serves every call.
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 TABLE_SUFFIX = ".sgt"
 _TABLE_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -102,12 +117,12 @@ _TABLE_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 def canonical_record_bytes(record: TupleRecord) -> bytes:
     """Byte-identical serialization for any record with the same contents."""
-    return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return CANONICAL_JSON.encode(record).encode("utf-8")
 
 
 def _schema_bytes(schema: Schema) -> bytes:
     payload = {"primary_key": schema.primary_key, "fields": list(schema.fields)}
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return CANONICAL_JSON.encode(payload).encode("utf-8")
 
 
 def _schema_from_bytes(raw: bytes) -> Schema:
@@ -211,13 +226,16 @@ def _install(path: Path, data: bytes, *, replace: bool, sync: bool = True):
 
 
 class _Parse(NamedTuple):
-    """A table's whole log, the schema and live index replayed from it, and its
-    live rows once ``Database.scan`` has decoded them."""
+    """A table's whole log, the schema and live index replayed from it, and, once
+    ``Database.scan`` has decoded them, its live rows and their equality index:
+    field -> value -> the keys of the rows holding that value, in row order,
+    for each field a condition has named so far."""
 
     data: bytes
     schema: Schema
     index: dict[str, int]
     rows: dict[str, TupleRecord] | None = None
+    by_value: dict[str, dict[str, list[str]]] | None = None
 
 
 def _record(path: Path, data: bytes, pos: int) -> tuple[int, str, bytes | None, int] | None:
@@ -278,16 +296,28 @@ def _replay(path: Path, data: bytes, kept: _Parse | None = None) -> _Parse:
 def _decoded(path: Path, parse: _Parse) -> dict[str, TupleRecord]:
     """The PUT at every live offset of ``parse``, decoded."""
     pk = parse.schema.primary_key
+    fields = frozenset(parse.schema.fields)
     rows = {}
     for key, offset in parse.index.items():
         record = _record(path, parse.data, offset)
         row = None if record is None else _decode_row(record[2])
         if row is None:
             raise CorruptFileError(f"{path}: payload of record {key!r} is not a field map")
+        if not fields.issuperset(row):
+            raise CorruptFileError(f"{path}: record {key!r} holds fields outside the schema")
         if row.get(pk) != key:
             raise CorruptFileError(f"{path}: record {key!r} holds primary key {row.get(pk)!r}")
         rows[key] = row
     return rows
+
+
+def _value_index(rows: dict[str, TupleRecord], field: str) -> dict[str, list[str]]:
+    """The keys of ``rows`` by their value of ``field``, in row order; nulls are left out."""
+    index: defaultdict[str | None, list[str]] = defaultdict(list)
+    for key, row in rows.items():
+        index[row.get(field)].append(key)
+    index.pop(None, None)
+    return index
 
 
 class TableFile:
@@ -487,20 +517,28 @@ class Database:
         """The live rows of table ``name``, as a relation the caller owns.
 
         With ``where``, the result holds only the rows ``ops.select`` keeps
-        for that condition; see the module docstring for what is reused.
+        for that condition, in the same order: one lookup for the primary
+        key, no row for a field outside the schema, and otherwise the
+        matches the parse's equality index lists, which the first condition
+        on that field builds.  See the module docstring for what is reused.
         """
         with TableFile(self._existing(name), kept=self._parses.pop(name, None)) as table:
             parse = table._parse
             if parse.rows is None:
-                parse = parse._replace(rows=table.scan_all().rows)
+                parse = parse._replace(rows=table.scan_all().rows, by_value={})
         rows = parse.rows
         if where is None:
             taken = rows
         elif where.field == parse.schema.primary_key:
             # _decoded keeps each row under its own primary-key value.
             taken = {where.value: rows[where.value]} if where.value in rows else {}
+        elif where.field not in parse.schema.fields:
+            taken = {}
         else:
-            taken = matching(rows, where)
+            index = parse.by_value.get(where.field)
+            if index is None:
+                index = parse.by_value[where.field] = _value_index(rows, where.field)
+            taken = {key: rows[key] for key in index.get(where.value, ())}
         self._parses[name] = parse
         # The parse is kept for later scans, so the caller gets a copy of the rows it takes.
         return Relation(parse.schema, taken)

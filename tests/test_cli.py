@@ -434,3 +434,26 @@ def test_repl_os_error_keeps_session_alive(dbdir, tmp_path):
 
 def test_repl_statement_without_trailing_semicolon(dbdir):
     assert "catalog" in repl_session(dbdir, "show tables")
+
+
+def test_repl_a_semicolon_inside_a_string_does_not_end_the_statement(dbdir):
+    out = repl_session(
+        dbdir,
+        'insert books { ISBN: 1, title: "a;b" };\n'
+        'books | select title = "a;b"\n'
+        "  | project ISBN;\n",
+    )
+    assert out.endswith("ISBN\n----\n1\n(1 row)\n")
+    assert "error" not in out
+
+
+def test_repl_reads_on_only_while_a_string_can_still_close(dbdir):
+    out = repl_session(
+        dbdir,
+        'books | select title = "x;\\\n'  # an escaped line feed: the string goes on
+        'y" | project ISBN;\n'
+        'books | select title = "x;\n'  # a raw line feed: the string can never close
+        "show tables;\n",
+    )
+    assert out.startswith("ISBN\n----\n(0 rows)\nerror: unterminated string (line 1, col 24)\n")
+    assert out.endswith("books\ncatalog\n")

@@ -30,6 +30,7 @@ from sgdb.errors import (
 from sgdb.evaluator import evaluate
 from sgdb.model import Relation, Schema, create_relation, insert_tuple, relation_equal
 from sgdb.ops import Condition
+from sgdb.render import RenderSpec, render
 from sgdb.storage import (
     Database,
     TableFile,
@@ -252,6 +253,24 @@ def test_canonical_serialization_sorts_keys_and_keeps_utf8():
     assert raw == canonical_record_bytes(dict(reversed(record.items())))
 
 
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("record", [
+    {"ISBN": "9780596159818", "title": "Beautiful testing", "publisher": None},
+    {"z": "日本語 é \u2028", "a": "tab\tquote\"back\\slash", "m": "\x00\x1f"},
+    {'quote"d': "1", "back\\slash": None, "line\nfeed": "", "é": "x", "\u2028": "y"},
+])
+def test_one_shared_encoder_writes_what_json_dumps_wrote(record):
+    schema = Schema(next(iter(record)), tuple(record))
+    for ordered in (record, dict(reversed(record.items()))):
+        assert canonical_record_bytes(ordered) == _dumps(record).encode("utf-8")
+        assert render(Relation(schema, {"k": ordered}), RenderSpec("json")) == _dumps(record) + "\n"
+    payload = {"primary_key": schema.primary_key, "fields": list(schema.fields)}
+    assert storage._schema_bytes(schema) == _dumps(payload).encode("utf-8")
+
+
 def test_truncated_tail_is_dropped_cleanly(path):
     table = open_table(path, BOOKS_SCHEMA)
     boundaries = []
@@ -362,6 +381,7 @@ def test_non_utf8_key_is_reported_as_corruption(path):
         b'\xff{"ISBN":"k"}',  # not UTF-8
         b'["k"]',  # not an object
         b'{"ISBN":1}',  # a value that is not a string or null
+        b'{"ISBN":"k","ghost":"x"}',  # a field outside the schema
     ],
 )
 def test_malformed_payload_is_reported_as_corruption(path, payload):
@@ -720,12 +740,29 @@ def test_drop_and_recreate_between_scans_returns_the_new_rows(db, books):
 def test_a_primary_key_select_is_one_lookup(db, books, monkeypatch):
     db.scan("books")
     copied = []
-    monkeypatch.setattr(storage, "matching", lambda *args: pytest.fail("filtered a key select"))
+    monkeypatch.setattr(storage, "_value_index", lambda *args: pytest.fail("indexed a key select"))
     monkeypatch.setattr(storage, "Relation", lambda schema, rows: copied.extend(rows) or Relation(schema, rows))
     rel = evaluate(parse("books | select ISBN = 9780596159818"), db)
     assert rel.rows == {"9780596159818": B818}
     assert copied == ["9780596159818"]
     assert evaluate(parse("books | select ISBN = absent"), db).rows == {}
+    # A field outside the schema matches no row and builds no index.
+    assert evaluate(parse("books | select ghost = 9780596159818"), db).rows == {}
+
+
+def test_a_second_non_key_select_on_an_unchanged_log_reuses_the_index(db, books):
+    first = db.scan("books", Condition("publisher", "O'Reilly"))
+    assert list(first.rows) == list(gd.SELECT_OREILLY)
+    index = db._parses["books"].by_value["publisher"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(storage, "_value_index", lambda *args: pytest.fail("built the index again"))
+        assert db.scan("books", Condition("publisher", "O'Reilly")).rows == first.rows
+        assert db.scan("books", Condition("publisher", "absent")).rows == {}
+    assert db._parses["books"].by_value["publisher"] is index
+    with db.open("books") as table:
+        table.delete_record(next(iter(gd.SELECT_OREILLY)))
+    # A write is a new parse, with no index until a select names the field again.
+    assert list(db.scan("books", Condition("publisher", "O'Reilly")).rows) == list(gd.SELECT_OREILLY)[1:]
 
 
 def test_a_non_key_select_copies_only_its_matches(db, books, monkeypatch):
@@ -835,3 +872,41 @@ def test_a_select_inside_the_scan_equals_a_select_after_it(history, checks):
                     row.pop("id", None)
                 got.rows["new"] = {"id": "new"}
                 assert _ordered(db.scan("t")) == full
+
+
+# Writes from a second handle, compactions, drop-and-recreate, and selects through the one Database.
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), PUT_OR_DELETE),
+        st.tuples(st.just("compact"), st.none()),
+        st.tuples(st.just("recreate"), st.none()),
+        st.tuples(st.just("select"), CONDITIONS),
+    ),
+    max_size=16,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(steps=STEPS)
+def test_a_select_through_a_kept_parse_equals_a_select_over_a_fresh_scan(steps):
+    schema = Schema("id", ("id", "c", "d"))
+    with tempfile.TemporaryDirectory() as tmp:
+        db = Database(tmp)
+        db.create("t", schema).close()
+        model: dict[str, dict] = {}
+        # Last, every condition the strategy can draw, so a stale index left by any step shows.
+        every = [Condition(f, v) for f in ("id", "c", "d", "ghost") for v in ("a", "b", "c", "zz", "", "x", "y")]
+        for kind, arg in [*steps, *(("select", cond) for cond in every)]:
+            if kind == "write":
+                _write(db, arg, model)
+            elif kind == "compact":
+                with open_table(db.root / "t.sgt", sync=False) as table:
+                    table.compact()
+            elif kind == "recreate":
+                db.drop("t")
+                db.create("t", schema).close()
+                model.clear()
+            else:
+                got = db.scan("t", arg)
+                assert _ordered(got) == _ordered(ops.select(Database(tmp).scan("t"), arg))
+                assert got.rows == _select_in_model(model, arg, None)
