@@ -56,15 +56,23 @@ def _exec_text(db: Database, text: str, spec: RenderSpec, out, err) -> int:
 def _ends_statement(text: str) -> bool:
     """Whether the REPL should run ``text`` now: its last token is ``;``.
 
-    Text that does not lex runs at once, so its error shows, unless it ends
-    in a string opened with a line feed escaped at its end, which the next
-    line may still close.
+    Text that does not lex runs at once, so its error shows, unless a closing
+    quote would make it lex: then it ends inside a string whose last line feed
+    is escaped, and the next line may still close it.
     """
     try:
         tokens = dsl.tokenize(text)
-    except LexError as exc:
-        return not (str(exc).startswith("unterminated string") and text.endswith("\\\n"))
+    except LexError:
+        return not any(_lexes(text + quote) for quote in "\"'")
     return bool(tokens) and tokens[-1].kind == "SEMI"
+
+
+def _lexes(text: str) -> bool:
+    try:
+        dsl.tokenize(text)
+    except LexError:
+        return False
+    return True
 
 
 def run_repl(db: Database, stdin=None, out=None) -> int:

@@ -362,7 +362,7 @@ def differential_check(seeds, operators=ALL_OPS) -> list[DivergenceReport]:
                 orcl = _outcome(_run_oracle, op, left, right, params)
                 runs = [(op, params, _outcome(_run_engine, op, left, right, params), orcl)]
                 if op == "select":
-                    # The second select reads what the first left in the same Database.
+                    # On a non-key field the first select filters and the second reads the index it builds.
                     for cond in (params["condition"], _another_condition(seed, left, params["condition"])):
                         query = dsl.Query("left", (dsl.SelectStep(cond),))
                         runs.append((

@@ -94,11 +94,14 @@ def select(rel: Relation, cond: Condition | None = None) -> Relation:
     Without a condition the whole relation is copied.  Rows that do not have
     the field at all are excluded, and null never equals any text value.
     """
-    if cond is None:
-        return Relation._adopt(rel.schema, {key: dict(row) for key, row in rel.rows.items()})
+    kept = rel.rows if cond is None else matching(rel.rows, cond)
+    return Relation._adopt(rel.schema, {key: dict(row) for key, row in kept.items()})
+
+
+def matching(rows: dict[str, TupleRecord], cond: Condition) -> dict[str, TupleRecord]:
+    """The entries of ``rows`` that ``select`` keeps for ``cond``, in order and not copied."""
     field, value = cond.field, cond.value
-    rows = {key: dict(row) for key, row in rel.rows.items() if field in row and row[field] == value}
-    return Relation._adopt(rel.schema, rows)
+    return {key: row for key, row in rows.items() if field in row and row[field] == value}
 
 
 def project(rel: Relation, columns: list[str] | tuple[str, ...] | str) -> Relation:

@@ -39,22 +39,25 @@ per byte of log.
 A scan given a condition (a query's leading ``select``) copies out only the
 kept rows that match it.  A condition on the primary key is one lookup of
 the key, which is exact because a row is always stored under its own
-primary-key value.  A condition on another field of the schema reads the
-equality index of that field: value -> the keys of the rows holding it, in
-row order.  The first such condition on a field builds its index in one
-pass over the rows; every later one on the same parse reads only its
-matches.  Null is never indexed, as a condition's value is always text.
-An index costs one list of key references per distinct value of each field
-selected on, and it is discarded with its parse.  A field outside the
-schema matches no row, since every decoded row holds schema fields only.
+primary-key value.  A condition on any other field tests every kept row
+(``ops.matching``) the first time a parse sees that field.  The second
+condition on the same field builds that field's equality index in one
+pass over the rows (value -> the keys of the rows holding it, in row
+order), and it and every later one on that parse read only their matches.
+So a parse selected on once, such as the one scan of each ``sgdb exec``
+process or the first scan after a write, costs no more than a plain
+filter, and only a field selected on again pays for an index, which costs
+a little more than one filter pass.  Null is never indexed, as a
+condition's value is always text.  An index costs one list of key
+references per distinct value of each field selected on twice, and it is
+discarded with its parse.
 
 A record that runs past the end of the file is a torn tail, a crash
 artifact, and is truncated away on open.  Every other malformed log raises
 ``CorruptFileError``: a bad magic, an unknown record tag, a checksum mismatch
 on a complete record, a key that is not UTF-8, a missing or unreadable schema
 record, a PUT payload that is not a JSON object of strings and nulls, and a
-PUT payload with a field outside the schema, and a PUT payload whose
-primary-key field is missing or differs from the record key.
+PUT payload whose primary-key field is missing or differs from the record key.
 A database is simply a directory of ``<table>.sgt`` files.  A new log is
 put in place one way (``_install``), whether a table is created empty,
 loaded whole (``Database.load``) or compacted.  The whole log goes to a
@@ -95,7 +98,7 @@ from sgdb.errors import (
     UseAfterCloseError,
 )
 from sgdb.model import Relation, Schema, TupleRecord, _checked_key, create_relation
-from sgdb.ops import Condition
+from sgdb.ops import Condition, matching
 
 MAGIC = b"SGDB"
 VERSION = 0x01
@@ -229,13 +232,14 @@ class _Parse(NamedTuple):
     """A table's whole log, the schema and live index replayed from it, and, once
     ``Database.scan`` has decoded them, its live rows and their equality index:
     field -> value -> the keys of the rows holding that value, in row order,
-    for each field a condition has named so far."""
+    for each field a condition has named twice, and field -> None for each
+    field named once."""
 
     data: bytes
     schema: Schema
     index: dict[str, int]
     rows: dict[str, TupleRecord] | None = None
-    by_value: dict[str, dict[str, list[str]]] | None = None
+    by_value: dict[str, dict[str, list[str]] | None] | None = None
 
 
 def _record(path: Path, data: bytes, pos: int) -> tuple[int, str, bytes | None, int] | None:
@@ -296,15 +300,12 @@ def _replay(path: Path, data: bytes, kept: _Parse | None = None) -> _Parse:
 def _decoded(path: Path, parse: _Parse) -> dict[str, TupleRecord]:
     """The PUT at every live offset of ``parse``, decoded."""
     pk = parse.schema.primary_key
-    fields = frozenset(parse.schema.fields)
     rows = {}
     for key, offset in parse.index.items():
         record = _record(path, parse.data, offset)
         row = None if record is None else _decode_row(record[2])
         if row is None:
             raise CorruptFileError(f"{path}: payload of record {key!r} is not a field map")
-        if not fields.issuperset(row):
-            raise CorruptFileError(f"{path}: record {key!r} holds fields outside the schema")
         if row.get(pk) != key:
             raise CorruptFileError(f"{path}: record {key!r} holds primary key {row.get(pk)!r}")
         rows[key] = row
@@ -518,9 +519,10 @@ class Database:
 
         With ``where``, the result holds only the rows ``ops.select`` keeps
         for that condition, in the same order: one lookup for the primary
-        key, no row for a field outside the schema, and otherwise the
-        matches the parse's equality index lists, which the first condition
-        on that field builds.  See the module docstring for what is reused.
+        key; otherwise a test of every row the first time the parse sees the
+        field, and the matches the field's equality index lists, which the
+        second condition on it builds, from then on.  See the module
+        docstring for what is reused.
         """
         with TableFile(self._existing(name), kept=self._parses.pop(name, None)) as table:
             parse = table._parse
@@ -532,10 +534,12 @@ class Database:
         elif where.field == parse.schema.primary_key:
             # _decoded keeps each row under its own primary-key value.
             taken = {where.value: rows[where.value]} if where.value in rows else {}
-        elif where.field not in parse.schema.fields:
-            taken = {}
+        elif where.field not in parse.by_value:
+            # One filter pass costs less than building an index a later select may never read.
+            parse.by_value[where.field] = None
+            taken = matching(rows, where)
         else:
-            index = parse.by_value.get(where.field)
+            index = parse.by_value[where.field]
             if index is None:
                 index = parse.by_value[where.field] = _value_index(rows, where.field)
             taken = {key: rows[key] for key in index.get(where.value, ())}

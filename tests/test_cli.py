@@ -457,3 +457,13 @@ def test_repl_reads_on_only_while_a_string_can_still_close(dbdir):
     )
     assert out.startswith("ISBN\n----\n(0 rows)\nerror: unterminated string (line 1, col 24)\n")
     assert out.endswith("books\ncatalog\n")
+
+
+@pytest.mark.parametrize("line_end", [
+    "\\\\\n",  # an escaped backslash, then a raw line feed
+    "\\\r\n",  # an escaped carriage return, then a raw line feed
+])
+def test_repl_reports_a_string_that_can_never_close_at_once(dbdir, line_end):
+    out = repl_session(dbdir, 'books | select title = "x' + line_end + "show tables;\n")
+    assert out.startswith("error: unterminated string (line 1, col 24)\n")
+    assert out.endswith("books\ncatalog\n")
