@@ -1,7 +1,8 @@
 """sgdb: an embedded relational engine over a star-graph data model.
 
 Each tuple is a star graph — the primary-key value at the center, one
-labeled edge per field — and a relation is a keyed set of such tuples.
+labeled edge per field — held as a plain row dict, and a relation is a
+keyed set of such rows.
 The package provides the relational operators over that model, one-file-
 per-table persistence, a pipeline query language with a REPL, CSV
 import/export, and a built-in differential-testing oracle.
@@ -13,7 +14,6 @@ from sgdb.errors import (
     DuplicateKeyError,
     FieldCollisionError,
     KeyCollisionError,
-    KeyNotFoundError,
     LexError,
     MissingColumnError,
     MissingJoinKeyError,
@@ -21,7 +21,6 @@ from sgdb.errors import (
     NotJoinableError,
     ParseError,
     SchemaError,
-    SchemaMismatchError,
     SgdbError,
     StorageError,
     TableExistsError,
@@ -32,12 +31,7 @@ from sgdb.errors import (
 from sgdb.model import (
     Relation,
     Schema,
-    StarGraphView,
-    as_star_graph,
     create_relation,
-    delete_tuple,
-    get_tuple,
-    insert_tuple,
     relation_equal,
     relation_from_mapping,
 )
@@ -55,7 +49,7 @@ from sgdb.ops import (
     right_join,
     select,
 )
-from sgdb.storage import Database, TableFile, open_table
+from sgdb.storage import Database, TableFile
 
 __all__ = [
     "CorruptFileError",
@@ -65,7 +59,6 @@ __all__ = [
     "DuplicateKeyError",
     "FieldCollisionError",
     "KeyCollisionError",
-    "KeyNotFoundError",
     "LexError",
     "MissingColumnError",
     "MissingJoinKeyError",
@@ -76,26 +69,19 @@ __all__ = [
     "STAR",
     "Schema",
     "SchemaError",
-    "SchemaMismatchError",
     "SgdbError",
-    "StarGraphView",
     "StorageError",
     "TableExistsError",
     "TableFile",
     "TableLockedError",
     "UnknownTableError",
     "UseAfterCloseError",
-    "as_star_graph",
     "cartesian",
     "create_relation",
-    "delete_tuple",
     "flatten_record",
-    "get_tuple",
     "inner_join",
-    "insert_tuple",
     "left_join",
     "natural_join",
-    "open_table",
     "outer_join",
     "project",
     "relation_equal",

@@ -6,6 +6,8 @@ mark at the start of the file is not part of the first column's name.  The
 table appears only once every row is written and synced (``Database.load``),
 so a failed import leaves no table behind.  Export writes the schema columns in order
 with rows sorted by key, so identical tables always produce identical files.
+A null, like a field the row lacks, exports as an empty cell, so it reads
+back as the empty string.
 Lines end in ``\n``, and a cell holding ``\r`` is quoted so that it reads
 back whole (see ``write_rows``).
 """

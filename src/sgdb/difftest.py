@@ -44,10 +44,9 @@ ALL_OPS = (
     "pipeline",
 )
 
-# The value pool never contains "=" so the oracle's condition-string form
-# parses back to the same condition the engine sees.  Some row keys contain
-# "_", so cartesian pair keys can collide.
-_VALUE_POOL = ("", "red", "blue", "green", "gold", "x1", "y2")
+# " red" differs from "red" only by its leading space, which a select must
+# not trim away.  Some row keys contain "_", so cartesian pair keys can collide.
+_VALUE_POOL = ("", "red", " red", "blue", "green", "gold", "x1", "y2")
 _RIGHT_KEY_POOL = ("p1", "p2", "p3", "p4", "p5", "p6", "p7", "p1_p2")
 _MISS_POOL = ("zz1", "zz2", "zz3", "")
 _LEFT_EXTRAS = ("shade", "size", "grade")

@@ -9,10 +9,6 @@ class SchemaError(SgdbError):
     """Schema definition or tuple/schema mismatch (bad field set, missing pk, ...)."""
 
 
-class KeyNotFoundError(SgdbError):
-    """A row key was looked up in a relation that does not contain it."""
-
-
 class FieldCollisionError(SgdbError):
     """rename would overwrite a field that already exists in some row."""
 
@@ -39,10 +35,6 @@ class StorageError(SgdbError):
 
 class CorruptFileError(StorageError):
     """Bad magic, bad mid-file checksum, or an unreadable metadata record."""
-
-
-class SchemaMismatchError(StorageError):
-    """A table file's stored schema differs from the schema supplied at open."""
 
 
 class TableLockedError(StorageError):

@@ -1,14 +1,15 @@
 """Core data model: relations as keyed sets of star-graph tuples.
 
-A relation is a map from row key to tuple; each tuple is itself a map from
-field name to value, which is exactly a star graph whose center is the
-primary-key value and whose labeled edges carry the remaining field values.
+A relation is a map from row key to row, and a row is a plain dict from
+field name to value.  That dict is the star graph of one tuple: its center
+is the primary-key value and each of its other entries is a labeled edge to
+that field's value.  There is no separate view type.
 
-Values are plain strings, or ``None`` for the explicit null produced when an
-empty nested record is flattened; the ``Relation`` constructor rejects any
-other value with ``SchemaError``.  The empty string ``""`` is an ordinary
-text value (it marks absent left-side fields in right/outer joins) and is
-never equal to null.
+One value rule serves every relation and every stored record
+(``_check_row``): the row key is non-empty text, and a field holds text or
+``None``, the explicit null produced when an empty nested record is
+flattened.  The empty string ``""`` is an ordinary text value (it marks
+absent left-side fields in right/outer joins) and is never equal to null.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping
 
-from sgdb.errors import KeyNotFoundError, SchemaError
+from sgdb.errors import SchemaError
 
 Value = str | None
 TupleRecord = dict[str, Value]
@@ -47,8 +48,7 @@ class Relation:
 
     Instances are treated as immutable values: every operation returns a new
     relation and never mutates its inputs, so relations are safe to share.
-    The constructor copies every row and raises ``SchemaError`` for a value
-    that is neither a string nor None.
+    The constructor copies every row and checks it with ``_check_row``.
     """
 
     __slots__ = ("schema", "rows")
@@ -57,11 +57,7 @@ class Relation:
         self.schema = schema
         self.rows: dict[str, TupleRecord] = {k: dict(v) for k, v in (rows or {}).items()}
         for key, row in self.rows.items():
-            for f, v in row.items():
-                if not isinstance(v, str) and v is not None:
-                    raise SchemaError(
-                        f"field {f!r} of row {key!r} must hold a string or null, not {type(v).__name__}"
-                    )
+            _check_row(key, row)
 
     @classmethod
     def _adopt(cls, schema: Schema, rows: dict[str, TupleRecord]) -> "Relation":
@@ -89,12 +85,13 @@ class Relation:
         return f"Relation(pk={self.schema.primary_key!r}, rows={len(self.rows)})"
 
 
-@dataclass(frozen=True)
-class StarGraphView:
-    """One tuple rendered as its star graph: center key plus labeled edges."""
-
-    center: str
-    edges: tuple[tuple[str, Value], ...]
+def _check_row(key: object, row: Mapping[str, object]) -> None:
+    """The value rule: ``key`` is non-empty text, and every value of ``row`` is text or null."""
+    if not isinstance(key, str) or not key:
+        raise SchemaError(f"row key {key!r} must be a non-empty string")
+    for f, v in row.items():
+        if not isinstance(v, str) and v is not None:
+            raise SchemaError(f"field {f!r} of row {key!r} must hold a string or null, not {type(v).__name__}")
 
 
 def _check_field_name(name: str) -> None:
@@ -121,56 +118,16 @@ def create_relation(pk_field: str, fields: list[str] | tuple[str, ...]) -> Relat
 
 
 def _checked_key(schema: Schema, record: Mapping[str, Value]) -> str:
-    """The primary-key value of ``record``, once every field has been checked against ``schema``."""
+    """The primary-key value of ``record``, once its fields are checked against ``schema``
+    and its values against the value rule."""
     pk = schema.primary_key
     if pk not in record:
         raise SchemaError(f"record is missing the primary-key field {pk!r}")
-    for f, v in record.items():
+    for f in record:
         if f not in schema.fields:
             raise SchemaError(f"unknown field {f!r} for this relation")
-        if not isinstance(v, str):
-            raise SchemaError(f"field {f!r} must hold a string, got {type(v).__name__}")
-    key = record[pk]
-    if not key:
-        raise SchemaError("primary-key value must be a non-empty string")
-    return key
-
-
-def insert_tuple(rel: Relation, record: Mapping[str, Value]) -> Relation:
-    """Return a new relation with ``record`` stored under its primary-key value.
-
-    Re-inserting an existing key replaces that row (plain assignment
-    semantics).  Fields absent from the record simply stay absent.
-    """
-    rows = dict(rel.rows)
-    rows[_checked_key(rel.schema, record)] = dict(record)
-    return Relation(rel.schema, rows)
-
-
-def delete_tuple(rel: Relation, key: str) -> Relation:
-    """Return a new relation without row ``key``."""
-    if key not in rel.rows:
-        raise KeyNotFoundError(f"no row with key {key!r}")
-    rows = dict(rel.rows)
-    del rows[key]
-    return Relation(rel.schema, rows)
-
-
-def get_tuple(rel: Relation, key: str) -> TupleRecord:
-    """Return a copy of the stored tuple for ``key``."""
-    if key not in rel.rows:
-        raise KeyNotFoundError(f"no row with key {key!r}")
-    return dict(rel.rows[key])
-
-
-def as_star_graph(rel: Relation, key: str) -> StarGraphView:
-    """View row ``key`` as a star graph: one edge per non-pk field, in schema order."""
-    if key not in rel.rows:
-        raise KeyNotFoundError(f"no row with key {key!r}")
-    row = rel.rows[key]
-    pk = rel.schema.primary_key
-    edges = tuple((f, row[f]) for f in rel.schema.fields if f != pk and f in row)
-    return StarGraphView(center=key, edges=edges)
+    _check_row(record[pk], record)
+    return record[pk]
 
 
 def relation_equal(a: Relation, b: Relation) -> bool:
@@ -183,40 +140,16 @@ def relation_equal(a: Relation, b: Relation) -> bool:
 
 
 def relation_from_mapping(
-    mapping: Mapping[str, object],
-    primary_key: str | None = None,
-    fields: list[str] | tuple[str, ...] | None = None,
+    mapping: Mapping[str, Mapping[str, Value]], primary_key: str, fields: list[str] | tuple[str, ...]
 ) -> Relation:
-    """Build a base relation from a nested-dict literal.
+    """Build a base relation from a nested-dict literal: row key -> record.
 
-    Accepts the legacy form that carries a ``'primary key'`` entry alongside
-    the rows and converts it to out-of-band schema metadata.  Field order is
-    taken from ``fields`` or inferred first-seen across the row records.
+    Each record must pass ``_checked_key`` and be keyed by its own primary-key value.
     """
-    entries = dict(mapping)
-    declared = entries.pop("primary key", None)
-    if primary_key is None:
-        primary_key = declared  # type: ignore[assignment]
-    if not isinstance(primary_key, str) or not primary_key:
-        raise SchemaError("no primary-key field name given or declared in the mapping")
-    if fields is None:
-        ordered: list[str] = []
-        for record in entries.values():
-            if not isinstance(record, Mapping):
-                raise SchemaError("every row must be a field/value mapping")
-            for f in record:
-                if f not in ordered:
-                    ordered.append(f)
-        fields = ordered
-    schema = create_relation(primary_key, list(fields)).schema
+    schema = create_relation(primary_key, fields).schema
     rows: dict[str, TupleRecord] = {}
-    for key, record in entries.items():
-        if not isinstance(record, Mapping):
-            raise SchemaError("every row must be a field/value mapping")
-        if record.get(primary_key) != key:
-            raise SchemaError(
-                f"row keyed {key!r} carries primary-key value {record.get(primary_key)!r}"
-            )
-        _checked_key(schema, record)  # type: ignore[arg-type]
-        rows[key] = dict(record)  # type: ignore[arg-type]
+    for key, record in mapping.items():
+        if _checked_key(schema, record) != key:
+            raise SchemaError(f"row keyed {key!r} carries primary-key value {record[primary_key]!r}")
+        rows[key] = dict(record)
     return Relation._adopt(schema, rows)

@@ -45,18 +45,14 @@ SEPARATOR = "."
 
 @dataclass(frozen=True)
 class Condition:
-    """Single equality condition ``field = value``; both sides are trimmed text."""
+    """Single equality condition ``field = value``.
+
+    Both sides are exact text: a value matches only a field value equal to it
+    character for character, surrounding spaces included.
+    """
 
     field: str
     value: str
-
-    @classmethod
-    def parse(cls, text: str) -> "Condition":
-        """Split ``field=value`` at the first ``=``; both parts are stripped."""
-        field, sep, value = text.partition("=")
-        if not sep:
-            raise ValueError(f"condition {text!r} has no '='")
-        return cls(field.strip(), value.strip())
 
 
 NestedValue = Value | dict

@@ -24,6 +24,9 @@ engine and with ``sgdb.difftest``:
   lacks it is unmatched, as in the engine, instead of a ``KeyError``.
 * Right/outer joins build each synthesized row from the declared left
   field list (the schema), not from the fields of the first left row.
+* ``select`` splits its ``field=value`` condition at the first ``=`` and
+  compares the value untrimmed, so a value with spaces round it, or with
+  ``=`` in it, matches what the engine's exact comparison matches.
 * Error cases raise the same exception classes the engine raises (missing
   joining field, rename collisions, flatten/result key collisions) instead
   of silently returning or overwriting.
@@ -89,9 +92,7 @@ def flatten(d, prefix=None, sep="."):
 
 def select(db, where=""):
     if len(where) > 0:
-        where = where.split("=")
-        where[0] = where[0].strip()
-        where[1] = where[1].strip()
+        where = where.split("=", 1)
     ret = {}
     for k in db:
         try:

@@ -8,7 +8,16 @@ Each relation lives in its own append-only log file:
 op is META=0x00, PUT=0x01 or DEL=0x02; the CRC covers op, lengths, key and
 value.  The META record (key = the single byte 0x00) carries the schema as
 JSON and is written first.  Values are canonical JSON: keys sorted by code
-point, UTF-8, no insignificant whitespace, null for the explicit null value.
+point, UTF-8, no insignificant whitespace.  A record is stored under the
+rule every relation follows (``model._check_row``): its primary-key value
+is non-empty text, and each other field holds text or the explicit null,
+which is written as JSON null and read back as ``None``.
+
+``TableFile(path, schema)`` creates a table and ``TableFile(path)`` opens
+one; neither looks first at what the path holds.  A create fails with
+``TableExistsError`` when the path exists, an open with
+``FileNotFoundError`` when it does not, and an open takes its schema from
+the log.
 
 Opening reads the whole log with one sized read and replays it from memory
 (``_replay``) into a key -> offset index (last write wins, DEL removes).
@@ -91,7 +100,6 @@ from typing import Iterable, NamedTuple
 from sgdb.errors import (
     CorruptFileError,
     SchemaError,
-    SchemaMismatchError,
     TableExistsError,
     TableLockedError,
     UnknownTableError,
@@ -324,6 +332,8 @@ def _value_index(rows: dict[str, TupleRecord], field: str) -> dict[str, list[str
 class TableFile:
     """Handle on one table's log file; the single writer for that table.
 
+    Given a ``schema`` it creates the table, which must not exist
+    (``TableExistsError``); without one it opens the table that exists.
     An exclusive lock is taken at open and held until close, so two handles
     on the same file cannot coexist.  ``sync=False`` defers fsync to close,
     which is faster for bulk loads but trades away crash durability for the
@@ -342,9 +352,7 @@ class TableFile:
         self.path = Path(path)
         self.sync = sync
         self._closed = False
-        if not self.path.exists():
-            if schema is None:
-                raise SchemaError(f"{self.path}: creating a table requires a schema")
+        if schema is not None:
             data = _log(schema, ())
             self._fh = _install(self.path, data, replace=False, sync=sync)
             self._parse = _replay(self.path, data)
@@ -360,13 +368,6 @@ class TableFile:
                     # record with a bad checksum, so those stay CorruptFileError.
                     self._fh.truncate(len(self._parse.data))
                     self._flush()
-                if schema is not None and (
-                    schema.primary_key != self._parse.schema.primary_key
-                    or tuple(schema.fields) != self._parse.schema.fields
-                ):
-                    raise SchemaMismatchError(
-                        f"{self.path}: stored schema {self._parse.schema} != given {schema}"
-                    )
             except BaseException:
                 # Release the file and its lock now, not when the failed handle is collected.
                 self._fh.close()
@@ -453,11 +454,6 @@ class TableFile:
         self.close()
 
 
-def open_table(path: str | Path, schema: Schema | None = None, *, sync: bool = True) -> TableFile:
-    """Open (or create, when a schema is given) the table file at ``path``."""
-    return TableFile(path, schema, sync=sync)
-
-
 class Database:
     """A directory of table files; tables are discovered by listing it.
 
@@ -485,10 +481,9 @@ class Database:
         return sorted(p.stem for p in self.root.glob(f"*{TABLE_SUFFIX}"))
 
     def create(self, name: str, schema: Schema, *, sync: bool = True) -> TableFile:
-        path = self._path(name)
-        if path.exists():
-            raise TableExistsError(f"table {name!r} already exists")
-        return TableFile(path, schema, sync=sync)
+        """Create table ``name``; ``TableExistsError`` if the name is taken, even by
+        a table another process creates meanwhile (``_install``'s link refuses it)."""
+        return TableFile(self._path(name), schema, sync=sync)
 
     def load(self, name: str, schema: Schema, records: Iterable[TupleRecord]) -> None:
         """Create table ``name`` holding ``records``, all or nothing.
@@ -544,5 +539,6 @@ class Database:
                 index = parse.by_value[where.field] = _value_index(rows, where.field)
             taken = {key: rows[key] for key in index.get(where.value, ())}
         self._parses[name] = parse
-        # The parse is kept for later scans, so the caller gets a copy of the rows it takes.
-        return Relation(parse.schema, taken)
+        # The parse is kept for later scans, so the caller gets a copy of the rows it takes;
+        # _decoded has already checked them.
+        return Relation._adopt(parse.schema, {key: dict(row) for key, row in taken.items()})

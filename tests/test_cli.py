@@ -50,7 +50,6 @@ def test_render_csv_quotes_awkward_cells():
 
 
 def test_render_heterogeneous_rows_pads_missing_columns(books, catalog):
-    from sgdb.model import insert_tuple
     from sgdb.ops import left_join
 
     extra = {
@@ -60,7 +59,8 @@ def test_render_heterogeneous_rows_pads_missing_columns(books, catalog):
         "first author": "Valeriy",
         "catalog": "009",
     }
-    result = left_join(insert_tuple(books, extra), catalog, "catalog")
+    bigger = relation_from_mapping({**books.rows, extra["ISBN"]: extra}, "ISBN", books.schema.fields)
+    result = left_join(bigger, catalog, "catalog")
     # the scalar catalog field only exists on the unmatched row, so it sorts
     # in after the schema columns
     assert columns_of(result)[-1] == "catalog"

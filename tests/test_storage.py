@@ -20,7 +20,6 @@ from sgdb.dsl import ProjectStep, Query, SelectStep, parse, render_statement
 from sgdb.errors import (
     CorruptFileError,
     SchemaError,
-    SchemaMismatchError,
     SgdbError,
     TableExistsError,
     TableLockedError,
@@ -28,15 +27,10 @@ from sgdb.errors import (
     UseAfterCloseError,
 )
 from sgdb.evaluator import evaluate
-from sgdb.model import Relation, Schema, create_relation, insert_tuple, relation_equal
+from sgdb.model import Relation, Schema, relation_equal
 from sgdb.ops import Condition
 from sgdb.render import RenderSpec, render
-from sgdb.storage import (
-    Database,
-    TableFile,
-    canonical_record_bytes,
-    open_table,
-)
+from sgdb.storage import Database, TableFile, canonical_record_bytes
 
 BOOKS_SCHEMA = Schema("ISBN", gd.BOOKS_FIELDS)
 B818 = gd.BOOKS["9780596159818"]
@@ -53,33 +47,40 @@ def fill(table, records):
 
 
 def test_create_then_reopen_roundtrip(path, books):
-    table = open_table(path, BOOKS_SCHEMA)
+    table = TableFile(path, BOOKS_SCHEMA)
     fill(table, gd.BOOKS.values())
     table.close()
-    reopened = open_table(path)
+    reopened = TableFile(path)
     assert reopened.schema == BOOKS_SCHEMA
     assert relation_equal(reopened.scan_all(), books)
     reopened.close()
 
 
 def test_fresh_table_is_empty(path):
-    with open_table(path, BOOKS_SCHEMA) as table:
+    with TableFile(path, BOOKS_SCHEMA) as table:
         assert len(table.scan_all()) == 0
 
 
 def test_create_requires_schema(path):
-    with pytest.raises(SchemaError):
-        open_table(path)
+    # Without a schema a handle only opens, and there is nothing to open.
+    with pytest.raises(FileNotFoundError):
+        TableFile(path)
+    assert not path.exists()
 
 
-def test_schema_mismatch_on_open(path):
-    open_table(path, BOOKS_SCHEMA).close()
-    with pytest.raises(SchemaMismatchError):
-        open_table(path, Schema("ISBN", ("ISBN", "title")))
+@pytest.mark.parametrize("schema", [BOOKS_SCHEMA, Schema("ISBN", ("ISBN", "title"))], ids=["same", "other"])
+def test_creating_a_table_file_that_exists_is_table_exists(path, schema):
+    with TableFile(path, BOOKS_SCHEMA) as table:
+        table.put_record(B818)
+    log = path.read_bytes()
+    with pytest.raises(TableExistsError, match="'books' already exists"):
+        TableFile(path, schema)
+    assert path.read_bytes() == log
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
 def test_put_replaces_prior_version(path):
-    with open_table(path, BOOKS_SCHEMA) as table:
+    with TableFile(path, BOOKS_SCHEMA) as table:
         table.put_record(B818)
         table.put_record({**B818, "title": "Retitled"})
         rel = table.scan_all()
@@ -88,26 +89,28 @@ def test_put_replaces_prior_version(path):
 
 
 def test_put_validates_schema(path):
-    with open_table(path, BOOKS_SCHEMA) as table:
+    with TableFile(path, BOOKS_SCHEMA) as table:
         with pytest.raises(SchemaError):
             table.put_record({"title": "missing pk"})
         with pytest.raises(SchemaError):
             table.put_record({"ISBN": "1", "bogus": "x"})
+        with pytest.raises(SchemaError, match="row key None must be a non-empty string"):
+            table.put_record({"ISBN": None, "title": "null key"})
 
 
 def test_delete_and_replay(path):
-    table = open_table(path, BOOKS_SCHEMA)
+    table = TableFile(path, BOOKS_SCHEMA)
     table.put_record(B818)
     table.delete_record("9780596159818")
     assert len(table.scan_all()) == 0
     table.delete_record("never-there")  # tolerated, still logged
     table.close()
-    with open_table(path) as reopened:
+    with TableFile(path) as reopened:
         assert len(reopened.scan_all()) == 0
 
 
 def test_close_is_idempotent_and_guards_use(path):
-    table = open_table(path, BOOKS_SCHEMA)
+    table = TableFile(path, BOOKS_SCHEMA)
     table.close()
     table.close()
     with pytest.raises(UseAfterCloseError):
@@ -117,15 +120,15 @@ def test_close_is_idempotent_and_guards_use(path):
 
 
 def test_single_writer_lock(path):
-    table = open_table(path, BOOKS_SCHEMA)
+    table = TableFile(path, BOOKS_SCHEMA)
     with pytest.raises(TableLockedError):
-        open_table(path)
+        TableFile(path)
     table.close()
-    open_table(path).close()
+    TableFile(path).close()
 
 
 def test_compact_single_live_key(path):
-    with open_table(path, BOOKS_SCHEMA, sync=False) as table:
+    with TableFile(path, BOOKS_SCHEMA, sync=False) as table:
         for i in range(100):
             table.put_record({**B818, "title": f"v{i}"})
         table.compact()
@@ -135,7 +138,7 @@ def test_compact_single_live_key(path):
 
 
 def test_compact_fresh_table_is_meta_only(path):
-    with open_table(path, BOOKS_SCHEMA) as table:
+    with TableFile(path, BOOKS_SCHEMA) as table:
         table.compact()
         size_after = path.stat().st_size
         assert len(table.scan_all()) == 0
@@ -146,7 +149,7 @@ def test_compact_fresh_table_is_meta_only(path):
 
 def test_compact_preserves_contents_and_shrinks(path):
     rng = random.Random(5)
-    with open_table(path, BOOKS_SCHEMA, sync=False) as table:
+    with TableFile(path, BOOKS_SCHEMA, sync=False) as table:
         keys = [f"97805{i:08d}" for i in range(10)]
         for _ in range(200):
             key = rng.choice(keys)
@@ -169,10 +172,10 @@ def test_no_other_handle_can_lock_the_table_while_compact_renames_it(path, monke
     def replace_then_intrude(src, dst):
         replace(src, dst)
         with pytest.raises(TableLockedError):
-            open_table(path).close()
+            TableFile(path).close()
         refused.append(dst)
 
-    with open_table(path, BOOKS_SCHEMA) as table:
+    with TableFile(path, BOOKS_SCHEMA) as table:
         fill(table, gd.BOOKS.values())
         monkeypatch.setattr(storage.os, "replace", replace_then_intrude)
         table.compact()
@@ -180,7 +183,7 @@ def test_no_other_handle_can_lock_the_table_while_compact_renames_it(path, monke
         assert refused == [path]
         table.put_record({**B818, "title": "After"})
     assert [p.name for p in path.parent.iterdir()] == [path.name]
-    with open_table(path) as reopened:
+    with TableFile(path) as reopened:
         assert reopened.scan_all().rows["9780596159818"]["title"] == "After"
 
 
@@ -188,7 +191,7 @@ def test_a_failed_compact_removes_its_temporary_file_and_keeps_the_table(path, m
     def failing_replace(src, dst):
         raise OSError("rename refused")
 
-    with open_table(path, BOOKS_SCHEMA) as table:
+    with TableFile(path, BOOKS_SCHEMA) as table:
         fill(table, gd.BOOKS.values())
         monkeypatch.setattr(storage.os, "replace", failing_replace)
         with pytest.raises(OSError, match="rename refused"):
@@ -199,7 +202,7 @@ def test_a_failed_compact_removes_its_temporary_file_and_keeps_the_table(path, m
 
 
 def test_opening_and_scanning_a_table_reads_its_log_once(path, monkeypatch, books):
-    with open_table(path, BOOKS_SCHEMA) as table:
+    with TableFile(path, BOOKS_SCHEMA) as table:
         fill(table, gd.BOOKS.values())
     reads = []
 
@@ -213,7 +216,7 @@ def test_opening_and_scanning_a_table_reads_its_log_once(path, monkeypatch, book
         return io.BufferedRandom(CountingFile(file, mode.replace("b", "")))
 
     monkeypatch.setattr(storage, "open", counting_open, raising=False)
-    with open_table(path) as table:
+    with TableFile(path) as table:
         assert relation_equal(table.scan_all(), books)
         assert relation_equal(table.scan_all(), books)
     assert sum(reads) == path.stat().st_size
@@ -236,7 +239,7 @@ def _encode(op: int, key: bytes, value: bytes | None) -> bytes:
 
 
 def test_file_format_is_bit_exact(path):
-    with open_table(path, BOOKS_SCHEMA) as table:
+    with TableFile(path, BOOKS_SCHEMA) as table:
         table.put_record(B818)
         table.delete_record("zz")
     expected = b"SGDB\x01"
@@ -257,11 +260,15 @@ def _dumps(obj):
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-@pytest.mark.parametrize("record", [
+# Records of text and nulls; each one's first field is its primary key.
+RECORDS = [
     {"ISBN": "9780596159818", "title": "Beautiful testing", "publisher": None},
     {"z": "日本語 é \u2028", "a": "tab\tquote\"back\\slash", "m": "\x00\x1f"},
     {'quote"d': "1", "back\\slash": None, "line\nfeed": "", "é": "x", "\u2028": "y"},
-])
+]
+
+
+@pytest.mark.parametrize("record", RECORDS)
 def test_one_shared_encoder_writes_what_json_dumps_wrote(record):
     schema = Schema(next(iter(record)), tuple(record))
     for ordered in (record, dict(reversed(record.items()))):
@@ -271,8 +278,27 @@ def test_one_shared_encoder_writes_what_json_dumps_wrote(record):
     assert storage._schema_bytes(schema) == _dumps(payload).encode("utf-8")
 
 
+@pytest.mark.parametrize("record", RECORDS)
+def test_a_null_in_a_non_key_field_survives_put_load_compact_and_scan(tmp_path, record):
+    schema = Schema(next(iter(record)), tuple(record))
+    key = record[schema.primary_key]
+    db = Database(tmp_path / "db")
+    db.load("loaded", schema, [record])
+    with db.create("put", schema) as table:
+        table.put_record(record)
+        assert table.scan_all().rows == {key: record}
+    for name in ("loaded", "put"):
+        assert _dumps(record).encode("utf-8") in (db.root / f"{name}.sgt").read_bytes()
+        assert db.scan(name).rows == {key: record}
+        with db.open(name) as table:
+            table.compact()
+            assert table.scan_all().rows == {key: record}
+        assert db.scan(name).rows == {key: record}
+        assert db.scan(name, Condition(schema.primary_key, key)).rows == {key: record}
+
+
 def test_truncated_tail_is_dropped_cleanly(path):
-    table = open_table(path, BOOKS_SCHEMA)
+    table = TableFile(path, BOOKS_SCHEMA)
     boundaries = []
     for record in gd.BOOKS.values():
         table.put_record(record)
@@ -281,7 +307,7 @@ def test_truncated_tail_is_dropped_cleanly(path):
     # chop one byte off the final record: replay keeps the first four rows
     data = path.read_bytes()
     path.write_bytes(data[: boundaries[-1] - 1])
-    with open_table(path) as reopened:
+    with TableFile(path) as reopened:
         rel = reopened.scan_all()
     assert len(rel) == 4
     assert "9780751404624" not in rel.rows
@@ -289,7 +315,7 @@ def test_truncated_tail_is_dropped_cleanly(path):
 
 def test_truncation_at_any_offset_recovers_record_prefix(tmp_path):
     source = tmp_path / "full.sgt"
-    table = open_table(source, BOOKS_SCHEMA)
+    table = TableFile(source, BOOKS_SCHEMA)
     boundaries = [source.stat().st_size]  # after magic+META
     keys = []
     for record in gd.BOOKS.values():
@@ -303,14 +329,14 @@ def test_truncation_at_any_offset_recovers_record_prefix(tmp_path):
         target = tmp_path / "cut.sgt"
         target.write_bytes(data[:cut])
         complete = sum(1 for b in boundaries[1:] if b <= cut)
-        with open_table(target) as reopened:
+        with TableFile(target) as reopened:
             rel = reopened.scan_all()
         assert sorted(rel.rows) == sorted(keys[:complete])
         target.unlink()
 
 
 def test_mid_file_corruption_is_reported(path):
-    table = open_table(path, BOOKS_SCHEMA)
+    table = TableFile(path, BOOKS_SCHEMA)
     fill(table, gd.BOOKS.values())
     table.close()
     data = bytearray(path.read_bytes())
@@ -318,17 +344,17 @@ def test_mid_file_corruption_is_reported(path):
     data[len(data) // 2] ^= 0xFF
     path.write_bytes(bytes(data))
     with pytest.raises(CorruptFileError):
-        open_table(path)
+        TableFile(path)
 
 
 def test_bad_magic_is_reported(path):
     path.write_bytes(b"NOPE\x01")
     with pytest.raises(CorruptFileError):
-        open_table(path)
+        TableFile(path)
 
 
 def test_scan_matches_inserted_fixture(path, books):
-    with open_table(path, BOOKS_SCHEMA, sync=False) as table:
+    with TableFile(path, BOOKS_SCHEMA, sync=False) as table:
         fill(table, gd.BOOKS.values())
         assert relation_equal(table.scan_all(), books)
 
@@ -338,26 +364,23 @@ def test_randomized_roundtrip_and_compaction(tmp_path):
     for case in range(25):
         path = tmp_path / f"case{case}.sgt"
         schema = Schema("k", ("k", "v"))
-        table = open_table(path, schema, sync=False)
-        shadow = create_relation("k", ["k", "v"])
+        table = TableFile(path, schema, sync=False)
+        model: dict[str, dict] = {}
         for _ in range(rng.randint(0, 40)):
             key = rng.choice("abcdefgh")
-            if rng.random() < 0.3 and key in shadow.rows:
+            if rng.random() < 0.3 and key in model:
                 table.delete_record(key)
-                from sgdb.model import delete_tuple
-
-                shadow = delete_tuple(shadow, key)
+                del model[key]
             else:
-                record = {"k": key, "v": rng.choice("xyz")}
-                table.put_record(record)
-                shadow = insert_tuple(shadow, record)
+                model[key] = {"k": key, "v": rng.choice(["x", "y", "z", None])}
+                table.put_record(model[key])
         before = table.scan_all()
         table.close()
-        reopened = open_table(path)
+        reopened = TableFile(path)
         assert relation_equal(reopened.scan_all(), before)
-        assert relation_equal(reopened.scan_all(), shadow)
+        assert reopened.scan_all().rows == model
         reopened.compact()
-        assert relation_equal(reopened.scan_all(), shadow)
+        assert reopened.scan_all().rows == model
         reopened.close()
 
 
@@ -367,10 +390,10 @@ def append_record(path, op, key, value):
 
 
 def test_non_utf8_key_is_reported_as_corruption(path):
-    open_table(path, BOOKS_SCHEMA).close()
+    TableFile(path, BOOKS_SCHEMA).close()
     append_record(path, storage.OP_PUT, b"\xff\xfe", canonical_record_bytes({"ISBN": "x"}))
     with pytest.raises(CorruptFileError):
-        open_table(path)
+        TableFile(path)
 
 
 @pytest.mark.parametrize(
@@ -384,9 +407,9 @@ def test_non_utf8_key_is_reported_as_corruption(path):
     ],
 )
 def test_malformed_payload_is_reported_as_corruption(path, payload):
-    open_table(path, BOOKS_SCHEMA).close()
+    TableFile(path, BOOKS_SCHEMA).close()
     append_record(path, storage.OP_PUT, b"k", payload)
-    with open_table(path) as table:
+    with TableFile(path) as table:
         with pytest.raises(CorruptFileError):
             table.scan_all()
 
@@ -407,7 +430,7 @@ def test_a_row_whose_primary_key_differs_from_its_record_key_is_corruption(db, p
         db.scan("books")
     with pytest.raises(CorruptFileError):
         db.scan("books", Condition("ISBN", "b"))
-    with open_table(path) as table:
+    with TableFile(path) as table:
         with pytest.raises(CorruptFileError):
             table.scan_all()
 
@@ -434,7 +457,7 @@ def test_log_matches_a_dict_model_and_any_cut_reopens_to_its_record_prefix(histo
         db.create("full", schema).close()
         prefixes = [(source.stat().st_size, {})]  # (file size, live rows) after META and after each record
         for key, value in history:
-            with open_table(source, sync=False) as table:
+            with TableFile(source, sync=False) as table:
                 if value is None:
                     table.delete_record(key)
                     model.pop(key, None)
@@ -446,7 +469,7 @@ def test_log_matches_a_dict_model_and_any_cut_reopens_to_its_record_prefix(histo
             for _ in range(draw.draw(st.integers(1, 2), label="scans")):
                 assert db.scan("full").rows == model
         log = source.read_bytes()
-        with open_table(source) as reopened:
+        with TableFile(source) as reopened:
             assert reopened.scan_all().rows == model
             reopened.compact()
             assert reopened.scan_all().rows == model
@@ -457,7 +480,7 @@ def test_log_matches_a_dict_model_and_any_cut_reopens_to_its_record_prefix(histo
         # The same cut twice: reopened by a plain handle, and scanned twice through the Database.
         plain = Path(tmp) / "plain_cut.sgt"
         plain.write_bytes(log[:cut])
-        with open_table(plain) as reopened:
+        with TableFile(plain) as reopened:
             assert reopened.scan_all().rows == rows
         assert plain.read_bytes() == log[:size]
         target.write_bytes(log[:cut])
@@ -578,6 +601,24 @@ def test_a_create_that_loses_a_race_to_another_create_is_table_exists(tmp_path, 
     assert other.scan("books").schema == other_schema
 
 
+def test_a_create_that_finds_a_table_made_after_it_was_called_is_table_exists(tmp_path, monkeypatch):
+    db, other = Database(tmp_path / "db"), Database(tmp_path / "db")
+
+    class LoadedFirst(TableFile):
+        """A handle whose table is made by another Database just before the handle creates it."""
+
+        def __init__(self, *args, **kwargs):
+            other.load("books", BOOKS_SCHEMA, [B818])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(storage, "TableFile", LoadedFirst)
+    with pytest.raises(TableExistsError, match="'books' already exists"):
+        db.create("books", BOOKS_SCHEMA)
+    monkeypatch.undo()
+    assert [p.name for p in db.root.iterdir()] == ["books.sgt"]
+    assert other.scan("books").rows == {B818["ISBN"]: B818}
+
+
 @pytest.mark.parametrize("make", [
     lambda db: db.create("books", BOOKS_SCHEMA).close(),
     lambda db: db.load("books", BOOKS_SCHEMA, gd.BOOKS.values()),
@@ -590,7 +631,7 @@ def test_no_other_handle_can_lock_a_new_table_once_it_is_linked(tmp_path, monkey
     def link_then_intrude(src, dst):
         link(src, dst)
         with pytest.raises(TableLockedError):
-            open_table(dst).close()
+            TableFile(dst).close()
         refused.append(dst)
 
     monkeypatch.setattr(storage.os, "link", link_then_intrude)
@@ -736,15 +777,29 @@ def test_drop_and_recreate_between_scans_returns_the_new_rows(db, books):
 # --- a select run inside a scan --------------------------------------------
 
 
+def _scans(monkeypatch):
+    """The relations ``Database.scan`` returns from now on, in order."""
+    returned = []
+    scan = Database.scan
+    monkeypatch.setattr(Database, "scan", lambda *args: returned.append(scan(*args)) or returned[-1])
+    return returned
+
+
+def _copies_of_kept_rows(db, name, rel):
+    """True when every row of ``rel`` equals the row ``db`` keeps under its key but is not that row."""
+    kept = db._parses[name].rows
+    return all(row == kept[key] and row is not kept[key] for key, row in rel.rows.items())
+
+
 def test_a_primary_key_select_is_one_lookup(db, books, monkeypatch):
     db.scan("books")
-    copied = []
     monkeypatch.setattr(storage, "matching", lambda *args: pytest.fail("filtered a key select"))
     monkeypatch.setattr(storage, "_value_index", lambda *args: pytest.fail("indexed a key select"))
-    monkeypatch.setattr(storage, "Relation", lambda schema, rows: copied.extend(rows) or Relation(schema, rows))
+    scanned = _scans(monkeypatch)
     rel = evaluate(parse("books | select ISBN = 9780596159818"), db)
     assert rel.rows == {"9780596159818": B818}
-    assert copied == ["9780596159818"]
+    assert [list(r.rows) for r in scanned] == [["9780596159818"]]
+    assert _copies_of_kept_rows(db, "books", scanned[0])
     assert evaluate(parse("books | select ISBN = absent"), db).rows == {}
 
 
@@ -777,11 +832,11 @@ def test_the_second_non_key_select_on_an_unchanged_log_builds_the_index_and_late
 
 def test_a_non_key_select_copies_only_its_matches(db, books, monkeypatch):
     db.scan("books")
-    copied = []
-    monkeypatch.setattr(storage, "Relation", lambda schema, rows: copied.extend(rows) or Relation(schema, rows))
+    scanned = _scans(monkeypatch)
     rel = evaluate(parse('books | select publisher = "O\'Reilly" | project title'), db)
     assert rel.rows == {k: {"title": r["title"]} for k, r in gd.SELECT_OREILLY.items()}
-    assert sorted(copied) == sorted(gd.SELECT_OREILLY)
+    assert [list(r.rows) for r in scanned] == [list(gd.SELECT_OREILLY)]
+    assert _copies_of_kept_rows(db, "books", scanned[0])
 
 
 @pytest.mark.parametrize("query, pushed", [
@@ -803,7 +858,7 @@ def test_a_select_on_the_joined_table_runs_inside_its_scan(db, monkeypatch, quer
 
 def _write(db, step, model):
     key, value = step
-    with open_table(db.root / "t.sgt", sync=False) as table:
+    with TableFile(db.root / "t.sgt", sync=False) as table:
         if value is None:
             table.delete_record(key)
             model.pop(key, None)
@@ -910,7 +965,7 @@ def test_a_select_through_a_kept_parse_equals_a_select_over_a_fresh_scan(steps):
             if kind == "write":
                 _write(db, arg, model)
             elif kind == "compact":
-                with open_table(db.root / "t.sgt", sync=False) as table:
+                with TableFile(db.root / "t.sgt", sync=False) as table:
                     table.compact()
             elif kind == "recreate":
                 db.drop("t")
