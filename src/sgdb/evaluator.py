@@ -100,8 +100,7 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
             return Status(f"inserted 1 row into {table}", affected=1)
         case Delete(table, key):
             with db.open(table) as handle:
-                existed = key in handle.live_index
-                handle.delete_record(key)
+                existed = handle.delete_record(key)
             return Status(f"deleted {int(existed)} row from {table}", affected=int(existed))
         case ShowTables():
             names = db.list_tables()

@@ -20,14 +20,18 @@ one; neither looks first at what the path holds.  A create fails with
 the log.
 
 Opening reads the whole log with one sized read and replays it from memory
-(``_replay``) into a key -> offset index (last write wins, DEL removes).
-The handle keeps the bytes it read, and ``scan_all`` and ``compact`` decode
-the record at each live offset from them, so a handle reads its log once
-until it writes; after a write they read the log again.  A handle thus
-holds a buffer as large as the file.
+(``_replay``), which parses and checks each record once, into the live
+index: each live key -> the payload of its last PUT (last write wins, DEL
+removes).  The live index is the handle's one image of the table.
+``put_record`` and ``delete_record`` update it with what they append, and
+``scan_all`` and ``compact`` decode its payloads, so a handle reads its log
+only at open and parses no record twice.  Until it first writes, a handle
+also keeps the bytes it read, for ``Database.scan``; it thus holds a buffer
+as large as the file plus a copy of each live payload, and after a write
+only the payloads.
 
 ``Database.scan`` keeps, per table, the parse of its last scan: the log
-bytes, the schema and live index replayed from them, the decoded live rows,
+bytes, the schema and live payloads replayed from them, the decoded live rows,
 and an equality index over those rows (``_Parse.by_value``).  It hands that
 parse to the handle it opens (``TableFile``'s ``kept``), which still opens,
 locks, reads and closes the file; when the bytes read are identical to the
@@ -41,9 +45,10 @@ table, or the first scan in a new ``Database`` (each ``sgdb exec``
 process), parses in full.  The handle takes the kept parse over, and the
 ``Database`` keeps a parse again only once a scan has succeeded.  Kept
 parses stay resident until the table is dropped or the ``Database`` is
-freed: about one decoded copy, plus the log bytes, of every table it has
-scanned, which for rows of a few short text fields is 7 to 10 bytes held
-per byte of log.
+freed: about one decoded copy, plus the log bytes and the live payloads, of
+every table it has scanned.  For 5,000 rows of 3 to 5 text fields of 3 to 8
+characters, ``tracemalloc`` counts 10 to 12 bytes held per byte of log, of
+which the payloads are under one.
 
 A scan given a condition (a query's leading ``select``) copies out only the
 kept rows that match it.  A condition on the primary key is one lookup of
@@ -151,11 +156,6 @@ def _encode(op: int, key: bytes, value: bytes | None) -> bytes:
     return buf + _U32.pack(zlib.crc32(buf) & 0xFFFFFFFF)
 
 
-def _put(key: str, record: TupleRecord) -> bytes:
-    """The PUT record that stores ``record`` under ``key``."""
-    return _encode(OP_PUT, key.encode("utf-8"), canonical_record_bytes(record))
-
-
 def _log(schema: Schema, records: Iterable[TupleRecord]) -> bytes:
     """A whole log: the header, the META record of ``schema`` and one PUT per record.
 
@@ -164,7 +164,9 @@ def _log(schema: Schema, records: Iterable[TupleRecord]) -> bytes:
     """
     schema = create_relation(schema.primary_key, schema.fields).schema
     log = [_HEADER, _encode(OP_META, META_KEY, _schema_bytes(schema))]
-    log.extend(_put(_checked_key(schema, record), record) for record in records)
+    for record in records:
+        key = _checked_key(schema, record)
+        log.append(_encode(OP_PUT, key.encode("utf-8"), canonical_record_bytes(record)))
     return b"".join(log)
 
 
@@ -237,15 +239,15 @@ def _install(path: Path, data: bytes, *, replace: bool, sync: bool = True):
 
 
 class _Parse(NamedTuple):
-    """A table's whole log, the schema and live index replayed from it, and, once
-    ``Database.scan`` has decoded them, its live rows and their equality index:
-    field -> value -> the keys of the rows holding that value, in row order,
-    for each field a condition has named twice, and field -> None for each
-    field named once."""
+    """A table's whole log, the schema and live index replayed from it (each live
+    key -> the payload of its last PUT), and, once ``Database.scan`` has
+    decoded them, its live rows and their equality index: field -> value ->
+    the keys of the rows holding that value, in row order, for each field a
+    condition has named twice, and field -> None for each field named once."""
 
     data: bytes
     schema: Schema
-    index: dict[str, int]
+    index: dict[str, bytes]
     rows: dict[str, TupleRecord] | None = None
     by_value: dict[str, dict[str, list[str]] | None] | None = None
 
@@ -285,7 +287,7 @@ def _replay(path: Path, data: bytes, kept: _Parse | None = None) -> _Parse:
     if data[:len(_HEADER)] != _HEADER:
         raise CorruptFileError(f"{path}: bad magic")
     schema: Schema | None = None
-    index: dict[str, int] = {}
+    index: dict[str, bytes] = {}
     pos = len(_HEADER)
     while pos < len(data):
         record = _record(path, data, pos)
@@ -293,7 +295,7 @@ def _replay(path: Path, data: bytes, kept: _Parse | None = None) -> _Parse:
             break
         op, key, value, end = record
         if op == OP_PUT:
-            index[key] = pos
+            index[key] = value
         elif op == OP_DEL:
             index.pop(key, None)
         else:
@@ -305,13 +307,12 @@ def _replay(path: Path, data: bytes, kept: _Parse | None = None) -> _Parse:
     return _Parse(data[:pos], schema, index)
 
 
-def _decoded(path: Path, parse: _Parse) -> dict[str, TupleRecord]:
-    """The PUT at every live offset of ``parse``, decoded."""
-    pk = parse.schema.primary_key
+def _decoded(path: Path, schema: Schema, index: dict[str, bytes]) -> dict[str, TupleRecord]:
+    """Every live payload of ``index``, decoded."""
+    pk = schema.primary_key
     rows = {}
-    for key, offset in parse.index.items():
-        record = _record(path, parse.data, offset)
-        row = None if record is None else _decode_row(record[2])
+    for key, payload in index.items():
+        row = _decode_row(payload)
         if row is None:
             raise CorruptFileError(f"{path}: payload of record {key!r} is not a field map")
         if row.get(pk) != key:
@@ -360,7 +361,7 @@ class TableFile:
             self._fh = open(self.path, "r+b")
             _flock(self._fh, self.path)
             try:
-                data = self._read_log()
+                data = self._fh.read(os.fstat(self._fh.fileno()).st_size)
                 self._parse = _replay(self.path, data, kept)
                 if len(self._parse.data) < len(data):
                     # Crash artifact: cut off the incomplete tail, keep the good
@@ -380,47 +381,36 @@ class TableFile:
         if self.sync:
             os.fsync(self._fh.fileno())
 
-    def _read_log(self) -> bytes:
-        """The whole log file, read with one sized read."""
-        self._fh.seek(0)
-        return self._fh.read(os.fstat(self._fh.fileno()).st_size)
-
-    def _current(self) -> _Parse:
-        """The log as the file holds it, with the live index."""
-        if self._parse is None:
-            # The handle wrote since it last read the log; the lock kept other writers out.
-            self._parse = _Parse(self._read_log(), self.schema, self.live_index)
-        return self._parse
-
     def _check_open(self) -> None:
         if self._closed:
             raise UseAfterCloseError(f"{self.path} is closed")
 
-    def _append(self, record: bytes) -> int:
-        """Append ``record``, flush it and return its offset; the parse read at open is now stale."""
+    def _append(self, record: bytes) -> None:
+        """Append ``record`` and flush it; the parse read at open no longer matches the file."""
         self._parse = None
         self._fh.seek(0, os.SEEK_END)
-        offset = self._fh.tell()
         self._fh.write(record)
         self._flush()
-        return offset
 
     def put_record(self, record: TupleRecord) -> None:
         """Append a PUT and update the index; replaces any prior version of the key."""
         self._check_open()
         key = _checked_key(self.schema, record)
-        self.live_index[key] = self._append(_put(key, record))
+        payload = canonical_record_bytes(record)
+        self._append(_encode(OP_PUT, key.encode("utf-8"), payload))
+        self.live_index[key] = payload
 
-    def delete_record(self, key: str) -> None:
-        """Append a DEL; deleting an absent key still logs the DEL (tolerant)."""
+    def delete_record(self, key: str) -> bool:
+        """Append a DEL and return whether ``key`` was live; deleting an absent key
+        still logs the DEL (tolerant)."""
         self._check_open()
         self._append(_encode(OP_DEL, key.encode("utf-8"), None))
-        self.live_index.pop(key, None)
+        return self.live_index.pop(key, None) is not None
 
     def scan_all(self) -> Relation:
         """Materialize the live rows as an in-memory relation."""
         self._check_open()
-        return Relation._adopt(self.schema, _decoded(self.path, self._current()))
+        return Relation._adopt(self.schema, _decoded(self.path, self.schema, self.live_index))
 
     def compact(self) -> None:
         """Rewrite the file as META plus one PUT per live key, in key order.
@@ -430,7 +420,7 @@ class TableFile:
         other handle can take the lock of the new file.
         """
         self._check_open()
-        rows = _decoded(self.path, self._current())
+        rows = _decoded(self.path, self.schema, self.live_index)
         data = _log(self.schema, (rows[key] for key in sorted(rows)))
         fh = _install(self.path, data, replace=True)
         self._fh.close()
@@ -454,6 +444,18 @@ class TableFile:
         self.close()
 
 
+def _opened(opener, path: Path, *args, **kwargs):
+    """``opener(path, ...)``; ``UnknownTableError`` when no table file is there to open.
+
+    The open itself is the existence check, so a table dropped just before
+    it is reported like one that never was.
+    """
+    try:
+        return opener(path, *args, **kwargs)
+    except FileNotFoundError:
+        raise UnknownTableError(f"no table named {path.stem!r}") from None
+
+
 class Database:
     """A directory of table files; tables are discovered by listing it.
 
@@ -470,12 +472,6 @@ class Database:
         if not _TABLE_NAME_RE.match(name):
             raise SchemaError(f"invalid table name {name!r} (letters, digits and _ only)")
         return self.root / f"{name}{TABLE_SUFFIX}"
-
-    def _existing(self, name: str) -> Path:
-        path = self._path(name)
-        if not path.exists():
-            raise UnknownTableError(f"no table named {name!r}")
-        return path
 
     def list_tables(self) -> list[str]:
         return sorted(p.stem for p in self.root.glob(f"*{TABLE_SUFFIX}"))
@@ -498,12 +494,12 @@ class Database:
         _install(self._path(name), _log(schema, records), replace=False).close()
 
     def open(self, name: str) -> TableFile:
-        return TableFile(self._existing(name))
+        return _opened(TableFile, self._path(name))
 
     def drop(self, name: str) -> None:
         """Delete table ``name``; ``TableLockedError`` while any handle has it open."""
-        path = self._existing(name)
-        with open(path, "rb") as fh:
+        path = self._path(name)
+        with _opened(open, path, "rb") as fh:
             _flock(fh, path)
             self._parses.pop(name, None)
             path.unlink()
@@ -519,7 +515,7 @@ class Database:
         second condition on it builds, from then on.  See the module
         docstring for what is reused.
         """
-        with TableFile(self._existing(name), kept=self._parses.pop(name, None)) as table:
+        with _opened(TableFile, self._path(name), kept=self._parses.pop(name, None)) as table:
             parse = table._parse
             if parse.rows is None:
                 parse = parse._replace(rows=table.scan_all().rows, by_value={})

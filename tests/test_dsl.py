@@ -1,3 +1,5 @@
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,7 +108,7 @@ def _lexeme(draw):
     """One token as (source text, kind, token text)."""
     choice = draw(st.integers(0, 3))
     if choice == 0:
-        word = draw(st.from_regex(r"[A-Za-z0-9_.]{1,6}", fullmatch=True))
+        word = draw(st.text(alphabet=string.ascii_letters + string.digits + "_.", min_size=1, max_size=6))
         return word, "KEYWORD" if word in KEYWORDS else "IDENT", word
     if choice == 1:
         word = draw(st.sampled_from(sorted(KEYWORDS)))

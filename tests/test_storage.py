@@ -99,12 +99,11 @@ def test_put_validates_schema(path):
 
 
 def test_delete_and_replay(path):
-    table = TableFile(path, BOOKS_SCHEMA)
-    table.put_record(B818)
-    table.delete_record("9780596159818")
-    assert len(table.scan_all()) == 0
-    table.delete_record("never-there")  # tolerated, still logged
-    table.close()
+    with TableFile(path, BOOKS_SCHEMA) as table:
+        table.put_record(B818)
+        assert table.delete_record("9780596159818") is True
+        assert len(table.scan_all()) == 0
+        assert table.delete_record("never-there") is False  # tolerated, still logged
     with TableFile(path) as reopened:
         assert len(reopened.scan_all()) == 0
 
@@ -216,10 +215,44 @@ def test_opening_and_scanning_a_table_reads_its_log_once(path, monkeypatch, book
         return io.BufferedRandom(CountingFile(file, mode.replace("b", "")))
 
     monkeypatch.setattr(storage, "open", counting_open, raising=False)
+    size = path.stat().st_size
     with TableFile(path) as table:
         assert relation_equal(table.scan_all(), books)
         assert relation_equal(table.scan_all(), books)
-    assert sum(reads) == path.stat().st_size
+        table.put_record({**B818, "title": "Retitled"})
+        table.delete_record("9780751404624")
+        assert table.scan_all().rows["9780596159818"]["title"] == "Retitled"
+        table.compact()
+        assert len(table.scan_all()) == len(books) - 1
+    assert sum(reads) == size
+
+
+@pytest.mark.parametrize("change", ["put", "delete"])
+def test_each_log_record_is_parsed_once(db, books, monkeypatch, change):
+    parsed = []
+    record = storage._record
+
+    def counting_record(path, data, pos):
+        parsed.append(pos)
+        return record(path, data, pos)
+
+    monkeypatch.setattr(storage, "_record", counting_record)
+    assert relation_equal(db.scan("books"), books)
+    assert len(parsed) == 1 + len(books)  # the META record and one PUT per book
+    with db.open("books") as table:
+        if change == "put":
+            table.put_record({**B818, "title": "Retitled"})
+        else:
+            table.delete_record("9780596159818")
+        parsed.clear()
+        live = len(table.scan_all())
+        assert parsed == []
+        table.compact()
+        # Only the new log is parsed: its META record and one PUT per live row.
+        assert len(parsed) == 1 + live
+        parsed.clear()
+        assert len(table.scan_all()) == live
+        assert parsed == []
 
 
 def _schema_payload() -> bytes:
@@ -667,6 +700,21 @@ def test_create_drop_and_compact_fsync_the_directory(tmp_path, monkeypatch):
         assert not syncs_the_directory(lambda: table.put_record(B818))
     assert syncs_the_directory(lambda: db.drop("books"))
     assert syncs_the_directory(lambda: db.load("books", BOOKS_SCHEMA, gd.BOOKS.values()))
+
+
+@pytest.mark.parametrize("call", ["open", "scan", "drop"])
+def test_a_table_dropped_just_before_it_is_opened_is_unknown(db, monkeypatch, call):
+    other = Database(db.root)
+
+    def open_after_another_drop(file, mode):
+        monkeypatch.undo()
+        other.drop("books")
+        return open(file, mode)
+
+    monkeypatch.setattr(storage, "open", open_after_another_drop, raising=False)
+    with pytest.raises(UnknownTableError, match="no table named 'books'"):
+        getattr(db, call)("books")
+    assert db.list_tables() == ["catalog"]
 
 
 def test_drop_is_refused_while_a_handle_is_open(db, books):
