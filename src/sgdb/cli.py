@@ -1,7 +1,8 @@
 """Command-line front end: REPL, one-shot exec, script runner, CSV in/out.
 
 Exit codes: 0 success, 2 lex/parse error, 3 evaluation or storage error.
-``difftest`` exits 1 when any divergence is found.
+``difftest`` exits 1 when any divergence is found, and 2 when it would
+check no seed or no operator.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--db",
         default=os.environ.get("SGDB_DB"),
-        help="database directory (or set SGDB_DB)",
+        help="database directory (or set SGDB_DB); difftest needs none",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -134,11 +135,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if not args.db:
-        print("error: no database directory (use --db or SGDB_DB)", file=sys.stderr)
-        return 2
-    db = Database(args.db)
     try:
+        if args.command == "difftest":
+            # difftest builds its own temporary databases, so it needs no --db.
+            operators = tuple(op.strip() for op in args.ops.split(",") if op.strip())
+            unknown = [op for op in operators if op not in ALL_OPS]
+            if unknown:
+                print(f"error: unknown operators {unknown}", file=sys.stderr)
+                return 2
+            # A run that compares nothing must not read as a pass.
+            if args.seeds < 1 or not operators:
+                print("error: difftest needs at least one seed and one operator", file=sys.stderr)
+                return 2
+            reports = differential_check(range(args.seeds), operators)
+            print(
+                f"difftest: {args.seeds} seeds x {len(operators)} operators, "
+                f"{len(reports)} divergences"
+            )
+            for report in reports:
+                print(str(report))
+            return 1 if reports else 0
+        if not args.db:
+            print("error: no database directory (use --db or SGDB_DB)", file=sys.stderr)
+            return 2
+        db = Database(args.db)
         if args.command == "repl":
             return run_repl(db)
         if args.command == "exec":
@@ -155,20 +175,6 @@ def main(argv: list[str] | None = None) -> int:
             count = csvio.export_csv(db, args.table, args.csv)
             print(f"exported {count} rows from {args.table}")
             return 0
-        if args.command == "difftest":
-            operators = tuple(op.strip() for op in args.ops.split(",") if op.strip())
-            unknown = [op for op in operators if op not in ALL_OPS]
-            if unknown:
-                print(f"error: unknown operators {unknown}", file=sys.stderr)
-                return 2
-            reports = differential_check(range(args.seeds), operators)
-            print(
-                f"difftest: {args.seeds} seeds x {len(operators)} operators, "
-                f"{len(reports)} divergences"
-            )
-            for report in reports:
-                print(str(report))
-            return 1 if reports else 0
     except (SgdbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -2,18 +2,23 @@
 
 ``generate_database`` builds a reproducible pair of relations whose joining
 field hits the right-hand row keys about half the time, so matched,
-unmatched-left and unmatched-right paths all get exercised.  For each seed,
-``differential_check`` runs every operator through both implementations and
-reports any case where the two disagree — on the result rows or on the class
-of error raised.  The two relations are also loaded into tables ``left``
-and ``right`` of a temporary database.  Each ``select`` case runs a second
-time end to end there, as the parsed query ``left | select f = v``, so the
-select that runs inside the table scan is held to the oracle too.  The
-``pipeline`` case parses and evaluates a random query of one to four steps
-over those tables, which the evaluator may rewrite (see ``sgdb.evaluator``).
-Its result must equal, exactly, a plain left fold of ``ops`` over full
-scans: rows, row order, field order and schema, or error class and message.
-Its rows or error class must also match the oracle's fold of the same steps.
+unmatched-left and unmatched-right paths all get exercised.  For each seed
+the two relations are loaded into tables ``left`` and ``right`` of a
+temporary database, and every operator but ``flatten`` is checked as a
+query over those tables: the one-step query ``left | <step>`` for each of
+the nine relational operators (a ``select`` also runs a second time, on
+the same field, so the equality index that storage builds is read), and a
+random query of one to four steps for ``pipeline``, which the evaluator may
+rewrite (see ``sgdb.evaluator``).  Each query is printed, parsed back and
+evaluated against the database, so the printer, the parser, the evaluator's
+scans and rewrites and the storage round trip are all on the path.  Its
+result must equal, exactly, a plain left fold of the same steps through
+``evaluator._apply`` over the tables scanned once: rows, row order, field
+order and schema, or error class and message.  Its rows, or its error
+class, must also match the oracle's fold of the same steps over the
+generated relations themselves, so a storage round trip that loses or
+alters a row shows as a divergence.  ``flatten`` has no query form and
+compares ``ops.flatten_record`` with the oracle's on a random nested record.
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ _LEFT_EXTRAS = ("shade", "size", "grade")
 _RIGHT_EXTRAS = ("label", "note", "rank")
 JOIN_FIELD = "link"
 _NEST_NAMES = ("n", JOIN_FIELD)
-PIPELINE = "pipeline through storage"
 _MAX_ROWS = 8
 
 
@@ -117,9 +121,9 @@ def generate_database(seed: int) -> tuple[Relation, Relation, str]:
     return left, relation_from_mapping(right_rows, JOIN_FIELD, right_fields), JOIN_FIELD
 
 
-def _pick_params(op: str, seed: int, left: Relation, right: Relation, join_field: str) -> dict:
+def _pick_step(op: str, seed: int, left: Relation, join_field: str) -> dsl.Step:
+    """The step of ``op``'s one-step query over table ``left``, drawn from ``seed``."""
     rng = random.Random(f"{seed}/{op}")
-    params: dict = {}
     fields = list(left.schema.fields)
     if op == "select":
         f = rng.choice(fields)
@@ -128,30 +132,35 @@ def _pick_params(op: str, seed: int, left: Relation, right: Relation, join_field
             value = row.get(f, "")
         else:
             value = rng.choice(_VALUE_POOL + ("nova",))
-        params["condition"] = Condition(f, value)
-    elif op == "project":
+        return dsl.SelectStep(Condition(f, value))
+    if op == "project":
         if rng.random() < 0.25:
-            params["columns"] = STAR
-        else:
-            cols = rng.sample(fields, rng.randint(1, len(fields)))
-            if rng.random() < 0.3:
-                cols.append("ghost")
-            params["columns"] = tuple(cols)
-    elif op == "rename":
-        params["old"] = rng.choice(fields + ["ghost"])
-        params["new"] = "relabeled"
-    elif op in ("inner_join", "left_join", "right_join", "outer_join", "cartesian"):
-        params["key"] = join_field if rng.random() < 0.75 else rng.choice(fields)
-    elif op == "flatten":
-        base: dict = {"f1": rng.choice(_VALUE_POOL), "f2": rng.choice(_VALUE_POOL)}
-        if left.rows:
-            base = dict(left.rows[sorted(left.rows)[0]])
-        if right.rows and rng.random() < 0.7:
-            base[join_field] = dict(right.rows[sorted(right.rows)[0]])
-        if rng.random() < 0.4:
-            base["sub"] = {}
-        params["record"] = base
-    return params
+            return dsl.ProjectStep(STAR)
+        cols = rng.sample(fields, rng.randint(1, len(fields)))
+        if rng.random() < 0.3:
+            cols.append("ghost")
+        return dsl.ProjectStep(tuple(cols))
+    if op == "rename":
+        return dsl.RenameStep(rng.choice(fields + ["ghost"]), "relabeled")
+    if op == "natural_join":
+        return dsl.NaturalJoinStep("right")
+    key = join_field if rng.random() < 0.75 else rng.choice(fields)
+    if op == "cartesian":
+        return dsl.CrossStep("right", key)
+    return dsl.JoinStep(op.removesuffix("_join"), "right", key)
+
+
+def _pick_record(seed: int, left: Relation, right: Relation, join_field: str) -> dict:
+    """A nested record for ``flatten``: a left row, often with a right row nested at ``join_field``."""
+    rng = random.Random(f"{seed}/flatten")
+    record: dict = {"f1": rng.choice(_VALUE_POOL), "f2": rng.choice(_VALUE_POOL)}
+    if left.rows:
+        record = dict(left.rows[sorted(left.rows)[0]])
+    if right.rows and rng.random() < 0.7:
+        record[join_field] = dict(right.rows[sorted(right.rows)[0]])
+    if rng.random() < 0.4:
+        record["sub"] = {}
+    return record
 
 
 def _another_condition(seed: int, left: Relation, cond: Condition) -> Condition:
@@ -160,22 +169,6 @@ def _another_condition(seed: int, left: Relation, cond: Condition) -> Condition:
     rng = random.Random(f"{seed}/select again")
     values = {row[cond.field] for row in left.rows.values() if row.get(cond.field) is not None}
     return Condition(cond.field, rng.choice(sorted(values - {cond.value}) or _VALUE_POOL))
-
-
-def _run_engine(op: str, left: Relation, right: Relation, params: dict):
-    if op == "select":
-        return ops.select(left, params["condition"])
-    if op == "project":
-        return ops.project(left, params["columns"])
-    if op == "rename":
-        return ops.rename(left, params["old"], params["new"])
-    if op in ("inner_join", "left_join", "right_join", "outer_join", "cartesian"):
-        return getattr(ops, op)(left, right, params["key"])
-    if op == "natural_join":
-        return ops.natural_join(left, right)
-    if op == "flatten":
-        return ops.flatten_record(params["record"])
-    raise ValueError(f"unknown operator {op!r}")
 
 
 def _stored(root: Path, left: Relation, right: Relation) -> Database:
@@ -232,20 +225,6 @@ def _pick_pipeline(seed: int, left: Relation, right: Relation) -> dsl.Query:
     return dsl.Query("left", tuple(steps))
 
 
-def _as_operator(step: dsl.Step) -> tuple[str, str | None, dict]:
-    """The operator a pipeline step runs, the table it scans (if any) and its parameters."""
-    match step:
-        case dsl.SelectStep(condition):
-            return "select", None, {"condition": condition}
-        case dsl.ProjectStep(columns):
-            return "project", None, {"columns": columns}
-        case dsl.JoinStep(kind, table, key):
-            return f"{kind}_join", table, {"key": key}
-        case dsl.CrossStep(table, nest_field):
-            return "cartesian", table, {"key": nest_field}
-    raise ValueError(f"not a pipeline step: {step!r}")
-
-
 def _exact(fn, *args) -> tuple:
     """The outcome of ``fn(*args)`` with everything a caller can observe of it:
     schema, rows in order with their fields in order, or error class and message."""
@@ -256,73 +235,78 @@ def _exact(fn, *args) -> tuple:
     return ("ok", rel.schema, [(key, list(row.items())) for key, row in rel.rows.items()])
 
 
-def _fold_plainly(db: Database, query: dsl.Query, schemas: list[Schema]) -> Relation:
-    """``query`` as a left fold of ``ops`` over full scans, with no rewrite.
+def _fold_plainly(tables: dict[str, Relation], query: dsl.Query, schemas: list[Schema]) -> Relation:
+    """``query`` as a left fold of ``evaluator._apply`` over ``tables`` (name ->
+    relation), with no rewrite.
 
     Appends the schema of each step's input to ``schemas``, up to and
     including the step that raises, if one does.
     """
-    rel = db.scan(query.source)
+    rel = tables[query.source]
     for step in query.steps:
         schemas.append(rel.schema)
-        op, table, params = _as_operator(step)
-        rel = _run_engine(op, rel, db.scan(table) if table else None, params)
+        rel = evaluator._apply(step, rel, tables.get(getattr(step, "table", None)))
     return rel
 
 
-def _oracle_fold(db: Database, query: dsl.Query, schemas: list[Schema]):
-    """The oracle's fold of ``query`` as an ``_outcome``.
+def _oracle_fold(tables: dict[str, Relation], query: dsl.Query, schemas: list[Schema]) -> tuple:
+    """The oracle's fold of ``query`` over ``tables`` as an ``_outcome``.
 
     The oracle builds no schemas, so each step's input carries the engine's.
     It runs only the steps the engine's fold reached.
     """
-    rel = db.scan(query.source)
+    rel = tables[query.source]
     try:
         for step, schema in zip(query.steps, schemas):
-            op, table, params = _as_operator(step)
             left = Relation._adopt(schema, rel.rows)
-            rel = _run_oracle(op, left, db.scan(table) if table else None, params)
+            rel = oracle.oracle_eval(step, left, tables.get(getattr(step, "table", None)))
     except SgdbError as exc:
         return ("error", type(exc).__name__)
-    return ("ok", rel)
+    return ("ok", rel.rows)
 
 
-def _pipeline_reports(seed: int, db: Database, left: Relation, right: Relation) -> list[DivergenceReport]:
-    """Divergences of a random pipeline query: evaluated vs a plain fold, exactly, and vs the oracle."""
-    query = _pick_pipeline(seed, left, right)
-    inputs = f"left={left.rows!r} right={right.rows!r} query={dsl.render_statement(query)!r}"
+def _query_reports(seed: int, op: str, db: Database, scanned: dict, generated: dict, query: dsl.Query):
+    """Divergences of ``query`` evaluated against ``db``: from the plain fold over
+    the ``scanned`` tables, exactly, and from the oracle's over the ``generated`` ones."""
+    left, right = generated["left"].rows, generated["right"].rows
+    inputs = f"left={left!r} right={right!r} query={dsl.render_statement(query)!r}"
+    operator = f"{op} through storage"
     evaluated = _exact(_evaluated, db, query)
     schemas: list[Schema] = []
-    folded = _exact(_fold_plainly, db, query, schemas)
+    folded = _exact(_fold_plainly, scanned, query, schemas)
     reports = []
     if evaluated != folded:
         difference = "the evaluated query differs from the plain fold"
-        reports.append(DivergenceReport(seed, PIPELINE, inputs, repr(evaluated), repr(folded), difference))
-    orcl = _oracle_fold(db, query, schemas)
+        reports.append(DivergenceReport(seed, operator, inputs, repr(evaluated), repr(folded), difference))
     engine = evaluated[:2] if evaluated[0] == "error" else ("ok", {k: dict(items) for k, items in evaluated[2]})
+    orcl = _oracle_fold(generated, query, schemas)
     difference = _difference(engine, orcl)
     if difference is not None:
-        reports.append(
-            DivergenceReport(seed, PIPELINE, inputs, repr(engine[1]), repr(_rows_of(orcl[1])), difference)
-        )
+        reports.append(DivergenceReport(seed, operator, inputs, repr(engine[1]), repr(orcl[1]), difference))
     return reports
 
 
-def _run_oracle(op: str, left: Relation, right: Relation, params: dict):
-    if op == "flatten":
-        return oracle.flatten(copy.deepcopy(params["record"]))
-    return oracle.oracle_eval(op, left, right, **params)
+def _flatten_reports(seed: int, left: Relation, right: Relation, join_field: str) -> list[DivergenceReport]:
+    """Divergences of ``ops.flatten_record`` from the oracle's ``flatten`` on a random record.
+
+    Each flattened record is held as the one row of a relation keyed
+    ``record``, so the two outcomes compare as relations' rows do.
+    """
+    record = _pick_record(seed, left, right, join_field)
+    engine = _outcome(lambda: {"record": ops.flatten_record(record)})
+    orcl = _outcome(lambda: {"record": oracle.flatten(copy.deepcopy(record))})
+    difference = _difference(engine, orcl)
+    if difference is None:
+        return []
+    return [DivergenceReport(seed, "flatten", f"record={record!r}", repr(engine[1]), repr(orcl[1]), difference)]
 
 
-def _outcome(fn, *args):
+def _outcome(fn) -> tuple:
+    """``fn()``, or the class of the engine error it raises."""
     try:
-        return ("ok", fn(*args))
+        return ("ok", fn())
     except SgdbError as exc:
         return ("error", type(exc).__name__)
-
-
-def _rows_of(result) -> dict:
-    return result.rows if isinstance(result, Relation) else result
 
 
 def _first_difference(engine_rows: dict, oracle_rows: dict) -> str:
@@ -352,46 +336,31 @@ def differential_check(seeds, operators=ALL_OPS) -> list[DivergenceReport]:
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
             left, right, join_field = generate_database(seed)
-            db = _stored(Path(tmp) / str(seed), left, right) if {"select", "pipeline"} & set(operators) else None
+            generated = {"left": left, "right": right}
+            db = _stored(Path(tmp) / str(seed), left, right)
+            scanned = {name: db.scan(name) for name in generated}
             for op in operators:
-                if op == "pipeline":
-                    reports.extend(_pipeline_reports(seed, db, left, right))
+                if op == "flatten":
+                    reports.extend(_flatten_reports(seed, left, right, join_field))
                     continue
-                params = _pick_params(op, seed, left, right, join_field)
-                orcl = _outcome(_run_oracle, op, left, right, params)
-                runs = [(op, params, _outcome(_run_engine, op, left, right, params), orcl)]
-                if op == "select":
-                    # On a non-key field the first select filters and the second reads the index it builds.
-                    for cond in (params["condition"], _another_condition(seed, left, params["condition"])):
-                        query = dsl.Query("left", (dsl.SelectStep(cond),))
-                        runs.append((
-                            "select through storage",
-                            {"condition": cond},
-                            _outcome(_evaluated, db, query),
-                            _outcome(_run_oracle, op, left, right, {"condition": cond}),
-                        ))
-                for name, run_params, engine, orcl in runs:
-                    difference = _difference(engine, orcl)
-                    if difference is None:
-                        continue
-                    reports.append(
-                        DivergenceReport(
-                            seed=seed,
-                            operator=name,
-                            inputs=f"left={left.rows!r} right={right.rows!r} params={run_params!r}",
-                            engine=repr(_rows_of(engine[1])),
-                            oracle=repr(_rows_of(orcl[1])),
-                            first_difference=difference,
-                        )
-                    )
+                if op == "pipeline":
+                    queries = [_pick_pipeline(seed, left, right)]
+                else:
+                    step = _pick_step(op, seed, left, join_field)
+                    queries = [dsl.Query("left", (step,))]
+                    if op == "select":
+                        # On a non-key field the first select filters and the second reads the index it builds.
+                        again = dsl.SelectStep(_another_condition(seed, left, step.condition))
+                        queries.append(dsl.Query("left", (again,)))
+                for query in queries:
+                    reports.extend(_query_reports(seed, op, db, scanned, generated, query))
     return reports
 
 
 def _difference(engine: tuple, orcl: tuple) -> str | None:
     """How two ``_outcome`` results disagree, or None when they agree."""
     if engine[0] == "ok" and orcl[0] == "ok":
-        erows, orows = _rows_of(engine[1]), _rows_of(orcl[1])
-        return None if erows == orows else _first_difference(erows, orows)
+        return None if engine[1] == orcl[1] else _first_difference(engine[1], orcl[1])
     if engine[0] == "error" and orcl[0] == "error":
         return None if engine[1] == orcl[1] else f"error classes differ: {engine[1]} vs {orcl[1]}"
     return f"one side errored: engine={engine[1]!r} oracle={orcl[1]!r}"

@@ -86,7 +86,8 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
                 where = _pushed_condition(step, pending[0] if pending else None, rel)
                 if where is not None:
                     pending.pop(0)
-                rel = _apply(step, rel, db, where)
+                table = getattr(step, "table", None)
+                rel = _apply(step, rel, db.scan(table, where) if table else None)
             return rel
         case CreateTable(name, pk, fields):
             db.create(name, Schema(pk, tuple(fields))).close()
@@ -129,8 +130,9 @@ def _pushed_condition(step: Step, after: Step | None, left: Relation) -> Conditi
     return Condition(field[len(prefix):], value)
 
 
-def _apply(step: Step, rel: Relation, db: Database, where: Condition | None) -> Relation:
-    """``step`` applied to ``rel``; a join or cross scans its table with ``where``."""
+def _apply(step: Step, rel: Relation, right: Relation | None) -> Relation:
+    """``step`` applied to ``rel``; ``right`` is the relation a join, cross or
+    natural join reads from its table (``evaluate`` scans it), else None."""
     match step:
         case SelectStep(cond):
             return ops.select(rel, cond)
@@ -138,10 +140,10 @@ def _apply(step: Step, rel: Relation, db: Database, where: Condition | None) -> 
             return ops.project(rel, columns)
         case RenameStep(old, new):
             return ops.rename(rel, old, new)
-        case JoinStep(kind, table, key):
-            return _JOINS[kind](rel, db.scan(table, where), key)
-        case CrossStep(table, nest_field):
-            return ops.cartesian(rel, db.scan(table, where), nest_field)
-        case NaturalJoinStep(table):
-            return ops.natural_join(rel, db.scan(table))
+        case JoinStep(kind, _, key):
+            return _JOINS[kind](rel, right, key)
+        case CrossStep(_, nest_field):
+            return ops.cartesian(rel, right, nest_field)
+        case NaturalJoinStep():
+            return ops.natural_join(rel, right)
     raise TypeError(f"not a step: {step!r}")

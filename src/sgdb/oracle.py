@@ -37,6 +37,7 @@ from __future__ import annotations
 import copy
 from typing import Iterator, Mapping
 
+from sgdb.dsl import CrossStep, JoinStep, NaturalJoinStep, ProjectStep, RenameStep, SelectStep, Step
 from sgdb.errors import (
     FieldCollisionError,
     KeyCollisionError,
@@ -45,7 +46,7 @@ from sgdb.errors import (
     NotJoinableError,
 )
 from sgdb.model import Relation
-from sgdb.ops import Condition, STAR
+from sgdb.ops import STAR
 
 
 class _ShelfView(Mapping):
@@ -229,50 +230,40 @@ def natural_join(left, right, left_fields, right_fields, right_pk):
     return ret
 
 
-def oracle_eval(
-    op: str,
-    left: Relation,
-    right: Relation | None = None,
-    *,
-    condition: Condition | None = None,
-    columns=None,
-    old: str | None = None,
-    new: str | None = None,
-    key: str | None = None,
-) -> Relation:
-    """Run one operator through the naive implementation, on engine inputs.
+def oracle_eval(step: Step, left: Relation, right: Relation | None = None) -> Relation:
+    """Run one pipeline step through the naive implementation, on engine inputs.
 
-    Returns a relation with ``left``'s schema holding the raw rows, so results compare
-    directly against engine output with ``relation_equal``.
+    ``right`` is the relation a join, cross or natural join reads from its
+    table.  Returns a relation with ``left``'s schema holding the raw rows, so
+    results compare directly against engine output with ``relation_equal``.
     """
     lview = _ShelfView(left.rows)
     rview = _ShelfView(right.rows) if right is not None else None
-    if op == "select":
-        where = f"{condition.field}={condition.value}" if condition is not None else ""
-        rows = select(lview, where)
-    elif op == "project":
-        spec = STAR if columns == STAR else ", ".join(columns)
-        rows = project(spec, lview)
-    elif op == "rename":
-        rows = rename(copy.deepcopy(left.rows), old, new)
-    elif op == "inner_join":
-        rows = inner_join(lview, rview, key)
-    elif op == "left_join":
-        rows = left_join(lview, rview, key)
-    elif op == "right_join":
-        rows = right_join(lview, rview, key, left_fields=left.schema.fields)
-    elif op == "outer_join":
-        rows = outer_join(lview, rview, key, left_fields=left.schema.fields)
-    elif op == "cartesian":
-        rows = cartesian(lview, rview, key)
-    elif op == "natural_join":
-        rows = natural_join(
-            lview,
-            rview,
-            left.schema.fields,
-            right.schema.fields,
-            right.schema.primary_key,
-        )
-    else:
-        raise ValueError(f"unknown operator {op!r}")
+    match step:
+        case SelectStep(condition):
+            rows = select(lview, f"{condition.field}={condition.value}")
+        case ProjectStep(columns):
+            rows = project(STAR if columns == STAR else ", ".join(columns), lview)
+        case RenameStep(old, new):
+            rows = rename(copy.deepcopy(left.rows), old, new)
+        case JoinStep("inner", _, key):
+            rows = inner_join(lview, rview, key)
+        case JoinStep("left", _, key):
+            rows = left_join(lview, rview, key)
+        case JoinStep("right", _, key):
+            rows = right_join(lview, rview, key, left_fields=left.schema.fields)
+        case JoinStep("outer", _, key):
+            rows = outer_join(lview, rview, key, left_fields=left.schema.fields)
+        case CrossStep(_, nest_field):
+            rows = cartesian(lview, rview, nest_field)
+        case NaturalJoinStep():
+            rows = natural_join(
+                lview,
+                rview,
+                left.schema.fields,
+                right.schema.fields,
+                right.schema.primary_key,
+            )
+        case _:
+            raise ValueError(f"unknown step {step!r}")
     return Relation(left.schema, rows)

@@ -86,7 +86,11 @@ table's name.  A crash can leave a temporary file behind; and a crash
 between the link and the unlink of the temporary name leaves a second
 name for the table's file.  ``Database.drop`` takes the table's lock before
 it unlinks the file, so it never deletes a table a handle has open, and
-then fsyncs the directory.
+then fsyncs the directory.  An open and a drop lock the file they opened
+and then check that the table's name still links to it (``_open_locked``);
+if a drop and recreate or a compact came in between, they open the name
+again, so no handle ever writes to, and no drop ever unlinks under, a lock
+on a file that is no longer the table.
 """
 
 from __future__ import annotations
@@ -193,6 +197,27 @@ def _flock(fh, path: Path) -> None:
     except OSError:
         fh.close()
         raise TableLockedError(f"{path} is locked by another writer") from None
+
+
+def _open_locked(path: Path, mode: str):
+    """``path`` opened with ``mode`` and locked (``_flock``), checked to still be the
+    file ``path`` names once the lock is held.
+
+    A file unlinked or replaced between the open and the lock (a drop and
+    recreate, or a compact, by another handle) is closed and ``path`` opened
+    again, so a handle never locks, and writes to, a file that is no longer
+    the table.  A missing ``path`` is ``FileNotFoundError``.
+    """
+    while True:
+        fh = open(path, mode)
+        _flock(fh, path)
+        try:
+            if os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):
+                return fh
+        except BaseException:
+            fh.close()
+            raise
+        fh.close()
 
 
 def _fsync_dir(path: Path) -> None:
@@ -358,8 +383,7 @@ class TableFile:
             self._fh = _install(self.path, data, replace=False, sync=sync)
             self._parse = _replay(self.path, data)
         else:
-            self._fh = open(self.path, "r+b")
-            _flock(self._fh, self.path)
+            self._fh = _open_locked(self.path, "r+b")
             try:
                 data = self._fh.read(os.fstat(self._fh.fileno()).st_size)
                 self._parse = _replay(self.path, data, kept)
@@ -499,8 +523,7 @@ class Database:
     def drop(self, name: str) -> None:
         """Delete table ``name``; ``TableLockedError`` while any handle has it open."""
         path = self._path(name)
-        with _opened(open, path, "rb") as fh:
-            _flock(fh, path)
+        with _opened(_open_locked, path, "rb"):
             self._parses.pop(name, None)
             path.unlink()
         _fsync_dir(path)

@@ -6,11 +6,11 @@ import pytest
 import golden_data as gd
 from conftest import load_fixture_db
 
-from sgdb import evaluator, storage
+from sgdb import dsl, evaluator, storage
 from sgdb.cli import main, run_repl
 from sgdb.csvio import export_csv, import_csv
 from sgdb.difftest import differential_check
-from sgdb.dsl import CrossStep, SelectStep
+from sgdb.dsl import CrossStep, NaturalJoinStep, RenameStep, SelectStep
 from sgdb.errors import DuplicateKeyError, MissingColumnError, UnknownTableError
 from sgdb.model import Relation, Schema, relation_equal, relation_from_mapping
 from sgdb.ops import Condition
@@ -392,6 +392,34 @@ def test_difftest_pipeline_finds_a_cross_rewrite_that_skips_its_checks(monkeypat
     reports = differential_check(range(200), ("pipeline",))
     assert reports
     assert {report.operator for report in reports} == {"pipeline through storage"}
+
+
+@pytest.mark.parametrize("args", [["--seeds", "-3"], ["--seeds", "0"], ["--seeds", "5", "--ops", ","]],
+                         ids=["negative seeds", "no seeds", "no operators"])
+def test_difftest_that_would_check_nothing_is_an_error(dbdir, args, capsys):
+    assert main(["--db", dbdir, "difftest", *args]) == 2
+    assert "0 divergences" not in capsys.readouterr().out
+
+
+def test_difftest_needs_no_database(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SGDB_DB", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["difftest", "--seeds", "3", "--ops", "select,flatten"]) == 0
+    assert main(["--db", str(tmp_path / "db"), "difftest", "--seeds", "3", "--ops", "select"]) == 0
+    assert capsys.readouterr().out.count("0 divergences") == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("op, printed_wrong", [
+    ("rename", lambda step: RenameStep(step.new, step.old) if isinstance(step, RenameStep) else step),
+    ("natural_join", lambda step: NaturalJoinStep("left") if isinstance(step, NaturalJoinStep) else step),
+], ids=["rename", "natural_join"])
+def test_difftest_checks_each_operator_as_the_dsl_prints_it(monkeypatch, op, printed_wrong):
+    render_step = dsl._render_step
+    monkeypatch.setattr(dsl, "_render_step", lambda step: render_step(printed_wrong(step)))
+    reports = differential_check(range(100), (op,))
+    assert reports
+    assert {report.operator for report in reports} == {f"{op} through storage"}
 
 
 # --- REPL ---------------------------------------------------------------------

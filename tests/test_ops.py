@@ -28,6 +28,7 @@ from sgdb.ops import (
     right_join,
     select,
 )
+from sgdb.dsl import SelectStep
 from sgdb.oracle import oracle_eval
 
 
@@ -70,7 +71,7 @@ def test_select_empty_string_value_matches():
 def test_select_and_the_oracle_compare_the_exact_value(value, kept):
     rel = relation_from_mapping({"a": {"k": "a", "v": " x"}, "b": {"k": "b", "v": "x"}}, "k", ["k", "v"])
     assert list(rows(select(rel, Condition("v", value)))) == kept
-    assert list(rows(oracle_eval("select", rel, condition=Condition("v", value)))) == kept
+    assert list(rows(oracle_eval(SelectStep(Condition("v", value)), rel))) == kept
 
 
 # --- project -----------------------------------------------------------

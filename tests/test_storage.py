@@ -717,6 +717,60 @@ def test_a_table_dropped_just_before_it_is_opened_is_unknown(db, monkeypatch, ca
     assert db.list_tables() == ["catalog"]
 
 
+def _before_the_next_lock(monkeypatch, action) -> None:
+    """Patch ``_flock`` so that ``action`` runs between the next open of a table file and its lock."""
+    flock = storage._flock
+
+    def flock_after_the_action(fh, path):
+        monkeypatch.setattr(storage, "_flock", flock)
+        action()
+        flock(fh, path)
+
+    monkeypatch.setattr(storage, "_flock", flock_after_the_action)
+
+
+def _compact(db):
+    with db.open("books") as table:
+        table.compact()
+
+
+@pytest.mark.parametrize("replace", [
+    lambda other: (other.drop("books"), other.create("books", BOOKS_SCHEMA).close()),
+    _compact,
+], ids=["drop and recreate", "compact"])
+def test_an_open_that_races_a_replacement_of_the_file_writes_to_the_new_one(db, monkeypatch, replace):
+    changed = dict(B818, title="changed")
+    _before_the_next_lock(monkeypatch, lambda: replace(Database(db.root)))
+    with db.open("books") as table:
+        table.put_record(changed)
+    assert db.scan("books").rows.get(B818["ISBN"]) == changed
+
+
+@pytest.mark.parametrize("call", ["open", "scan", "drop"])
+def test_a_table_dropped_between_its_open_and_its_lock_is_unknown(db, monkeypatch, call):
+    _before_the_next_lock(monkeypatch, lambda: Database(db.root).drop("books"))
+    with pytest.raises(UnknownTableError, match="no table named 'books'"):
+        getattr(db, call)("books")
+    assert db.list_tables() == ["catalog"]
+
+
+def test_a_drop_that_races_a_drop_and_recreate_leaves_the_new_table_alone(db, monkeypatch):
+    other, held = Database(db.root), []
+
+    def drop_and_recreate_keeping_it_open():
+        other.drop("books")
+        held.append(other.create("books", BOOKS_SCHEMA))
+
+    _before_the_next_lock(monkeypatch, drop_and_recreate_keeping_it_open)
+    try:
+        with pytest.raises(TableLockedError):
+            db.drop("books")
+        held[0].put_record(B818)
+    finally:
+        held[0].close()
+    assert db.scan("books").rows == {B818["ISBN"]: B818}
+
+
 def test_drop_is_refused_while_a_handle_is_open(db, books):
     db.scan("books")
     with db.open("books"):
@@ -901,7 +955,8 @@ def test_a_select_on_the_joined_table_runs_inside_its_scan(db, monkeypatch, quer
     assert wheres == [None, pushed]
     assert evaluated[0] == "ok" and evaluated[2]
     # Schema, rows in order and fields in order, as applying each step over full scans gives them.
-    assert evaluated == _exact(_fold_plainly, db, parse(query), [])
+    tables = {name: db.scan(name) for name in db.list_tables()}
+    assert evaluated == _exact(_fold_plainly, tables, parse(query), [])
 
 
 def _write(db, step, model):
