@@ -164,7 +164,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "exec":
             return _exec_text(db, args.statement, RenderSpec(format=args.format), sys.stdout, sys.stderr)
         if args.command == "run":
-            with open(args.script, encoding="utf-8") as fh:
+            # A byte-order mark, as some editors write, is not part of the script.
+            with open(args.script, encoding="utf-8-sig") as fh:
                 text = fh.read()
             return _exec_text(db, text, RenderSpec(format=args.format), sys.stdout, sys.stderr)
         if args.command == "import":

@@ -34,11 +34,15 @@ class StorageError(SgdbError):
 
 
 class CorruptFileError(StorageError):
-    """Bad magic, bad mid-file checksum, or an unreadable metadata record."""
+    """A table file that does not read back: bad magic, an unknown record tag,
+    a checksum mismatch, a record key that is not UTF-8, an unreadable or
+    missing schema record, or a payload that is not a field map holding its
+    own primary key."""
 
 
 class TableLockedError(StorageError):
-    """Another process holds the exclusive writer lock on the table file."""
+    """Another handle holds the exclusive lock on the table file, whether in
+    another process or in this one: the lock belongs to each open file."""
 
 
 class UseAfterCloseError(StorageError):

@@ -30,7 +30,8 @@ that the second such select builds and the parse keeps:
 
 Rows, row order, field order, schema and errors are those of applying each
 step in turn over full scans.  Table management and row statements go
-straight to storage and report how many rows they touched.
+straight to storage and report how many rows they touched.  An insert that
+names a field twice is a ``SchemaError`` before its table is opened.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from sgdb.dsl import (
     Statement,
     Step,
 )
+from sgdb.errors import SchemaError
 from sgdb.model import Relation, Schema
 from sgdb.ops import Condition
 from sgdb.storage import Database
@@ -96,6 +98,10 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
             db.drop(name)
             return Status(f"dropped table {name}")
         case Insert(table, record):
+            fields = [f for f, _ in record]
+            for f in fields:
+                if fields.count(f) > 1:
+                    raise SchemaError(f"field {f!r} is given twice in an insert into {table}")
             with db.open(table) as handle:
                 handle.put_record(dict(record))
             return Status(f"inserted 1 row into {table}", affected=1)

@@ -3,21 +3,37 @@
 All nine operators are pure functions: they build a fresh relation and leave
 their inputs untouched.  Each copies a row once, as it builds the result,
 and hands the result rows to ``Relation._adopt`` rather than having the
-constructor copy them a second time.  Join results embed the matching right tuple under
-the joining field and are then flattened, so a match turns the scalar field
-``catalog`` into the compound fields ``catalog.catalog``, ``catalog.description``,
-and so on.  Rows of a result may be heterogeneous: a left join keeps the
-scalar joining field on unmatched rows while matched rows carry the dotted
-form.
+constructor copy them a second time.  Join results embed the matching right
+tuple under the joining field and are then flattened, so a match turns the
+scalar field ``catalog`` into the compound fields ``catalog.catalog``,
+``catalog.description``, and so on.  Rows of a result may be heterogeneous: a
+left join keeps the scalar joining field on unmatched rows while matched rows
+carry the dotted form.
+
+The four keyed joins are one loop, ``_join``, and differ only in the sides
+they preserve (Galindo-Legaria and Rosenthal, "Outerjoin Simplification and
+Reordering for Query Optimization", ACM TODS 1997).  The inner join preserves
+neither, the left join ``keep_left``, the right join ``keep_right`` and the
+outer join both:
+
+* every left row whose joining field names a non-empty right tuple gets that
+  tuple nested at the field;
+* ``keep_left`` keeps every other left row too.  One whose right tuple is
+  *empty* still nests it, which flattens to an explicit null at the joining
+  field; an unmatched one passes through unchanged.  Without the flag both
+  are dropped, so an inner join drops a row that matches an empty tuple;
+* ``keep_right`` adds a row, under its right row key, for every right tuple
+  that no left row references: "" in every left schema field, with the right
+  tuple nested at the joining field when that is one of them.  A right key
+  that is already a result row key is a ``KeyCollisionError``.
 
 The joins and ``cartesian`` build each such row in one step rather than
 nesting and re-flattening every pair.  Each right tuple is flattened once per
 call into its dotted part (``{key.f: v}``, or ``{key: None}`` when empty),
-each left row is split once around the joining field, and a row is
-``{**before, **part, **after}``.  A merged row shorter than its three pieces
-means a left field is named like a part field; that row goes through
-``_nest_and_flatten``, the nest-then-flatten definition, which raises
-``KeyCollisionError``; so the rows, their field order and the errors are
+each left row is split around the joining field, and a row is
+``{**before, **part, **after}``.  A left field named like a part field makes
+``_stitch`` raise the ``KeyCollisionError`` flattening would, naming the field
+flattening meets first; so the rows, their field order and the errors are
 those of nesting and flattening.
 
 Matching is by string equality only.  A row that lacks the relevant field is
@@ -103,12 +119,13 @@ def matching(rows: dict[str, TupleRecord], cond: Condition) -> dict[str, TupleRe
 def project(rel: Relation, columns: list[str] | tuple[str, ...] | str) -> Relation:
     """Keep only the requested fields of every row; ``STAR`` keeps everything.
 
-    A requested field missing from a row is silently omitted from that row.
-    Row keys are preserved, so projection never merges duplicate rows.
+    A requested field missing from a row is silently omitted from that row,
+    and a field requested twice is kept once, where it is first named.  Row
+    keys are preserved, so projection never merges duplicate rows.
     """
     if columns == STAR:
         return Relation._adopt(rel.schema, {k: dict(r) for k, r in rel.rows.items()})
-    wanted = list(columns)
+    wanted = list(dict.fromkeys(columns))
     rows = {
         key: {f: row[f] for f in wanted if f in row}
         for key, row in rel.rows.items()
@@ -153,12 +170,6 @@ def _joined_schema(left: Schema, right: Schema, key: str) -> Schema:
     return left.derive(fields=tuple(fields))
 
 
-def _nest_and_flatten(lrow: TupleRecord, key: str, rrow: TupleRecord) -> TupleRecord:
-    nested: NestedRecord = dict(lrow)
-    nested[key] = dict(rrow)
-    return flatten_record(nested)
-
-
 def _right_part(key: str, rrow: TupleRecord) -> TupleRecord:
     """The fields ``rrow`` flattens to when nested at ``key``: ``{key.f: v}``,
     or ``{key: None}`` for an empty tuple.
@@ -169,19 +180,6 @@ def _right_part(key: str, rrow: TupleRecord) -> TupleRecord:
         return {key: None}
     prefix = key + SEPARATOR
     return {prefix + f: v for f, v in rrow.items()}
-
-
-class _Parts(dict):
-    """Right row key -> ``_right_part`` of that row, built when first asked for."""
-
-    def __init__(self, right: Relation, key: str):
-        super().__init__()
-        self._rows = right.rows
-        self._key = key
-
-    def __missing__(self, rk: str) -> TupleRecord:
-        part = self[rk] = _right_part(self._key, self._rows[rk])
-        return part
 
 
 def _split(lrow: TupleRecord, key: str) -> tuple[TupleRecord, TupleRecord]:
@@ -198,26 +196,51 @@ def _split(lrow: TupleRecord, key: str) -> tuple[TupleRecord, TupleRecord]:
     return before, after
 
 
-def _stitch(
-    lrow: TupleRecord,
-    halves: tuple[TupleRecord, TupleRecord],
-    key: str,
-    rrow: TupleRecord,
-    part: TupleRecord,
-) -> TupleRecord:
-    """``_nest_and_flatten(lrow, key, rrow)``, built from ``halves = _split(lrow, key)``
-    and ``part = _right_part(key, rrow)``.
+def _stitch(before: TupleRecord, part: TupleRecord, after: TupleRecord) -> TupleRecord:
+    """The row that nesting a right tuple between ``before`` and ``after`` and
+    flattening gives, where ``part = _right_part(key, rrow)``.
 
-    Row keys are distinct and so are the part's, so the one collision
-    flattening can find is a left field named like a part field, which
-    shows as a short merged row.  That row goes through
-    ``_nest_and_flatten``, which raises the collision.
+    The fields of each piece are distinct, and ``before`` and ``after`` are
+    one left row's, so the one collision flattening can meet is a left field
+    named like a part field.  Flattening meets it at the first part field
+    that ``before`` holds or, failing that, at the first ``after`` field that
+    the part holds, and this raises the same ``KeyCollisionError``.
     """
-    before, after = halves
     row = {**before, **part, **after}
-    if len(row) == len(before) + len(part) + len(after):
-        return row
-    return _nest_and_flatten(lrow, key, rrow)
+    if len(row) < len(before) + len(part) + len(after):
+        field = next((f for f in part if f in before), None) or next(f for f in after if f in part)
+        raise KeyCollisionError(f"flattening produced key {field!r} twice")
+    return row
+
+
+def _join(left: Relation, right: Relation, key: str, keep_left: bool, keep_right: bool) -> Relation:
+    """The keyed join that preserves the sides the flags name (see the module docstring)."""
+    key = _require_key(key)
+    parts: dict[str, TupleRecord] = {}
+    rows: dict[str, TupleRecord] = {}
+    for k, lrow in left.rows.items():
+        v = lrow.get(key)
+        rrow = right.rows.get(v)
+        if rrow is not None and (rrow or keep_left):
+            if v not in parts:
+                parts[v] = _right_part(key, rrow)
+            before, after = _split(lrow, key)
+            rows[k] = _stitch(before, parts[v], after)
+        elif keep_left:
+            rows[k] = dict(lrow)
+    if keep_right:
+        referenced = {lrow.get(key) for lrow in left.rows.values()}
+        blank = {f: "" for f in left.schema.fields}
+        before, after = _split(blank, key)
+        for rk, rrow in right.rows.items():
+            if rk in referenced:
+                continue
+            if rk in rows:
+                raise KeyCollisionError(
+                    f"synthesized right row key {rk!r} collides with an existing result row"
+                )
+            rows[rk] = _stitch(before, _right_part(key, rrow), after) if key in blank else dict(blank)
+    return Relation._adopt(_joined_schema(left.schema, right.schema, key), rows)
 
 
 def inner_join(left: Relation, right: Relation, key: str) -> Relation:
@@ -226,14 +249,7 @@ def inner_join(left: Relation, right: Relation, key: str) -> Relation:
     The right tuple is nested under ``key`` and flattened; unmatched left
     rows are dropped.  Result rows keep the left row keys.
     """
-    key = _require_key(key)
-    parts = _Parts(right, key)
-    rows: dict[str, TupleRecord] = {}
-    for k, lrow in left.rows.items():
-        v = lrow.get(key)
-        if v in right.rows and len(right.rows[v]) > 0:
-            rows[k] = _stitch(lrow, _split(lrow, key), key, right.rows[v], parts[v])
-    return Relation._adopt(_joined_schema(left.schema, right.schema, key), rows)
+    return _join(left, right, key, keep_left=False, keep_right=False)
 
 
 def left_join(left: Relation, right: Relation, key: str) -> Relation:
@@ -242,51 +258,17 @@ def left_join(left: Relation, right: Relation, key: str) -> Relation:
     A match against an *empty* right tuple still nests it, which flattens to
     an explicit null at ``key`` (unlike inner_join, which drops such rows).
     """
-    key = _require_key(key)
-    parts = _Parts(right, key)
-    rows: dict[str, TupleRecord] = {}
-    for k, lrow in left.rows.items():
-        v = lrow.get(key)
-        if v in right.rows:
-            rows[k] = _stitch(lrow, _split(lrow, key), key, right.rows[v], parts[v])
-        else:
-            rows[k] = dict(lrow)
-    return Relation._adopt(_joined_schema(left.schema, right.schema, key), rows)
-
-
-def _synthesized_rows(left: Relation, right: Relation, key: str, into: dict[str, TupleRecord]) -> None:
-    """Add one row per right key no left row references: "" in every left field,
-    with the right tuple nested at ``key`` when ``key`` is a left field."""
-    referenced = {lrow.get(key) for lrow in left.rows.values()}
-    blank = {f: "" for f in left.schema.fields}
-    halves = _split(blank, key)
-    for rk, rrow in right.rows.items():
-        if rk in referenced:
-            continue
-        if rk in into:
-            raise KeyCollisionError(
-                f"synthesized right row key {rk!r} collides with an existing result row"
-            )
-        if key in blank:
-            into[rk] = _stitch(blank, halves, key, rrow, _right_part(key, rrow))
-        else:
-            into[rk] = dict(blank)
+    return _join(left, right, key, keep_left=True, keep_right=False)
 
 
 def right_join(left: Relation, right: Relation, key: str) -> Relation:
     """inner_join plus a synthesized row for every right tuple nothing references."""
-    key = _require_key(key)
-    result = inner_join(left, right, key)
-    _synthesized_rows(left, right, key, result.rows)
-    return result
+    return _join(left, right, key, keep_left=False, keep_right=True)
 
 
 def outer_join(left: Relation, right: Relation, key: str) -> Relation:
     """left_join plus the same synthesized unmatched-right rows as right_join."""
-    key = _require_key(key)
-    result = left_join(left, right, key)
-    _synthesized_rows(left, right, key, result.rows)
-    return result
+    return _join(left, right, key, keep_left=True, keep_right=True)
 
 
 def cartesian(left: Relation, right: Relation, nest_field: str) -> Relation:
@@ -297,15 +279,15 @@ def cartesian(left: Relation, right: Relation, nest_field: str) -> Relation:
     ``len(left) * len(right)`` rows.
     """
     nest_field = _require_key(nest_field)
-    parts = [(rk, rrow, _right_part(nest_field, rrow)) for rk, rrow in right.rows.items()]
+    parts = [(rk, _right_part(nest_field, rrow)) for rk, rrow in right.rows.items()]
     rows: dict[str, TupleRecord] = {}
     for lk, lrow in left.rows.items():
-        halves = _split(lrow, nest_field)
-        for rk, rrow, part in parts:
+        before, after = _split(lrow, nest_field)
+        for rk, part in parts:
             pair_key = f"{lk}_{rk}"
             if pair_key in rows:
                 raise KeyCollisionError(f"pair key {pair_key!r} produced twice")
-            rows[pair_key] = _stitch(lrow, halves, nest_field, rrow, part)
+            rows[pair_key] = _stitch(before, part, after)
     return Relation._adopt(_joined_schema(left.schema, right.schema, nest_field), rows)
 
 

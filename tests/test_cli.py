@@ -321,6 +321,30 @@ def test_exec_select_on_the_joined_key_after_ijoin(guard_db, capsys, key, rows):
     assert exec_csv(guard_db, capsys, f"s | ijoin u on n | project * | select n.k = {key}") == expected
 
 
+def test_exec_insert_naming_a_field_twice_is_an_error_and_changes_nothing(dbdir, capsys):
+    assert main(["--db", dbdir, "exec", "-e", "books", "--format", "csv"]) == 0
+    before = capsys.readouterr().out
+    assert main(["--db", dbdir, "exec", "-e", "insert books { ISBN: 1, title: x, title: y }"]) == 3
+    assert "'title'" in capsys.readouterr().err
+    assert main(["--db", dbdir, "exec", "-e", "books", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == before
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("table", (
+        "title              ISBN\n"
+        "-----------------  -------------\n"
+        "Beautiful testing  9780596159818\n"
+        "(1 row)\n"
+    )),
+    ("csv", "title,ISBN\nBeautiful testing,9780596159818\n"),
+], ids=["table", "csv"])
+def test_exec_project_naming_a_column_twice_renders_it_once(dbdir, capsys, fmt, expected):
+    query = "books | select ISBN = 9780596159818 | project title, title, ISBN"
+    assert main(["--db", dbdir, "exec", "-e", query, "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_exec_is_byte_deterministic(dbdir, capsys):
     args = ["--db", dbdir, "exec", "-e", "books | njoin catalog", "--format", "table"]
     main(args)
@@ -354,6 +378,13 @@ def test_run_script(dbdir, tmp_path, capsys):
     assert code == 0
     assert out.startswith("books\ncatalog\n")
     assert len(out.splitlines()) == 2 + 4  # listing + header + three rows
+
+
+def test_run_script_saved_with_a_byte_order_mark(dbdir, tmp_path, capsys):
+    script = tmp_path / "bom.sgq"
+    script.write_text("show tables;\n", encoding="utf-8-sig")
+    assert main(["--db", dbdir, "run", str(script)]) == 0
+    assert capsys.readouterr().out == "books\ncatalog\n"
 
 
 def test_run_script_stops_on_eval_error(dbdir, tmp_path, capsys):

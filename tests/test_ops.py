@@ -471,6 +471,26 @@ def _outcome(fn, *args):
     Relation(Schema("id", ("a",)), {"1": {"a": "v"}}),
     "k",
 ))
+# The left field "k.a" comes before "k", so flattening meets it again in the
+# right tuple's part.
+@example(inputs=(
+    Relation(Schema("id", ("k.a", "k")), {"1": {"k.a": "v", "k": "1"}}),
+    Relation(Schema("id", ("a",)), {"1": {"a": "w"}}),
+    "k",
+))
+# The left field "k.a" comes after "k", so flattening meets it again after the part.
+@example(inputs=(
+    Relation(Schema("id", ("k", "k.a")), {"1": {"k": "1", "k.a": "v"}}),
+    Relation(Schema("id", ("a",)), {"1": {"a": "w"}}),
+    "k",
+))
+# right_join: no left row references the right row "1", and its synthesized
+# row nests "k.a" at "k" next to the blank left field "k.a".
+@example(inputs=(
+    Relation(Schema("id", ("k", "k.a")), {"2": {"k": "x"}}),
+    Relation(Schema("id", ("a",)), {"1": {"a": "w"}}),
+    "k",
+))
 def test_joined_rows_equal_nest_then_flatten(inputs):
     left, right, key = inputs
     before = copy.deepcopy((left.rows, right.rows))
