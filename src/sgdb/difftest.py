@@ -349,7 +349,7 @@ def differential_check(seeds, operators=ALL_OPS) -> list[DivergenceReport]:
                     step = _pick_step(op, seed, left, join_field)
                     queries = [dsl.Query("left", (step,))]
                     if op == "select":
-                        # On a non-key field the first select filters and the second reads the index it builds.
+                        # On a non-key field the first select builds the equality index and the second reads it.
                         again = dsl.SelectStep(_another_condition(seed, left, step.condition))
                         queries.append(dsl.Query("left", (again,)))
                 for query in queries:

@@ -36,8 +36,9 @@ class StorageError(SgdbError):
 class CorruptFileError(StorageError):
     """A table file that does not read back: bad magic, an unknown record tag,
     a checksum mismatch, a record key that is not UTF-8, an unreadable or
-    missing schema record, or a payload that is not a field map holding its
-    own primary key."""
+    missing schema record, a payload that is not a field map holding its own
+    primary key, a payload holding a field outside the schema, or a record
+    under the empty key."""
 
 
 class TableLockedError(StorageError):
@@ -50,7 +51,8 @@ class UseAfterCloseError(StorageError):
 
 
 class UnknownTableError(SgdbError):
-    """A statement referenced a table that does not exist in the database directory."""
+    """A statement referenced a table that does not exist in the database
+    directory; raised by any open of a missing table file."""
 
 
 class TableExistsError(SgdbError):
@@ -58,7 +60,7 @@ class TableExistsError(SgdbError):
 
 
 class DuplicateKeyError(SgdbError):
-    """CSV import found two rows with the same primary-key value."""
+    """CSV import, or ``Database.load``, was given two rows with the same primary-key value."""
 
 
 class MissingColumnError(SgdbError):

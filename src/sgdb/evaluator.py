@@ -4,10 +4,7 @@ Queries fold their pipeline steps left to right over an in-memory scan of
 the source table; joins scan their right-hand table the same way.  The fold
 looks one step ahead and moves a ``select`` into the scan it follows
 (``Database.scan(name, where)``), so only the matching rows are copied out
-of storage: a select on the primary key reads one row by key, and a select
-on another field tests every row the first time a parse of the table's log
-sees that field, then reads its matches from an equality index of the field
-that the second such select builds and the parse keeps:
+of storage, which picks how to find them (see ``sgdb.storage``):
 
 * a query's leading ``select f = v`` runs inside the scan of its source;
 * ``cross T as n`` or ``ijoin T on n`` followed at once by ``select n.g = v``

@@ -11,13 +11,15 @@ JSON and is written first.  Values are canonical JSON: keys sorted by code
 point, UTF-8, no insignificant whitespace.  A record is stored under the
 rule every relation follows (``model._check_row``): its primary-key value
 is non-empty text, and each other field holds text or the explicit null,
-which is written as JSON null and read back as ``None``.
+which is written as JSON null and read back as ``None``.  A reader holds
+every live record to that same rule (``_decoded``), so a table that scans
+also compacts.
 
 ``TableFile(path, schema)`` creates a table and ``TableFile(path)`` opens
 one; neither looks first at what the path holds.  A create fails with
 ``TableExistsError`` when the path exists, an open with
-``FileNotFoundError`` when it does not, and an open takes its schema from
-the log.
+``UnknownTableError`` when it does not (``_open_locked``), and an open takes
+its schema from the log.
 
 Opening reads the whole log with one sized read and replays it from memory
 (``_replay``), which parses and checks each record once, into the live
@@ -53,25 +55,24 @@ which the payloads are under one.
 A scan given a condition (a query's leading ``select``) copies out only the
 kept rows that match it.  A condition on the primary key is one lookup of
 the key, which is exact because a row is always stored under its own
-primary-key value.  A condition on any other field tests every kept row
-(``ops.matching``) the first time a parse sees that field.  The second
-condition on the same field builds that field's equality index in one
-pass over the rows (value -> the keys of the rows holding it, in row
-order), and it and every later one on that parse read only their matches.
-So a parse selected on once, such as the one scan of each ``sgdb exec``
-process or the first scan after a write, costs no more than a plain
-filter, and only a field selected on again pays for an index, which costs
-a little more than one filter pass.  Null is never indexed, as a
+primary-key value.  A condition on any other field reads that field's
+equality index (value -> the keys of the rows holding it, in row order),
+which the first condition on the field builds in one pass over the rows of
+the parse, and which every later one reads again.  A build costs a little
+more than the filter pass it replaces, and far less than the parse that
+precedes it on a fresh ``Database``.  Null is never indexed, as a
 condition's value is always text.  An index costs one list of key
-references per distinct value of each field selected on twice, and it is
+references per distinct value of each field selected on, and it is
 discarded with its parse.
 
 A record that runs past the end of the file is a torn tail, a crash
 artifact, and is truncated away on open.  Every other malformed log raises
 ``CorruptFileError``: a bad magic, an unknown record tag, a checksum mismatch
 on a complete record, a key that is not UTF-8, a missing or unreadable schema
-record, a PUT payload that is not a JSON object of strings and nulls, and a
-PUT payload whose primary-key field is missing or differs from the record key.
+record, a PUT payload that is not a JSON object of strings and nulls, one
+that holds a field outside the schema, one whose primary-key field is
+missing or differs from the record key, and a PUT under the empty key.
+
 A database is simply a directory of ``<table>.sgt`` files.  A new log is
 put in place one way (``_install``), whether a table is created empty,
 loaded whole (``Database.load``) or compacted.  The whole log goes to a
@@ -108,6 +109,7 @@ from typing import Iterable, NamedTuple
 
 from sgdb.errors import (
     CorruptFileError,
+    DuplicateKeyError,
     SchemaError,
     TableExistsError,
     TableLockedError,
@@ -115,7 +117,7 @@ from sgdb.errors import (
     UseAfterCloseError,
 )
 from sgdb.model import Relation, Schema, TupleRecord, _checked_key, create_relation
-from sgdb.ops import Condition, matching
+from sgdb.ops import Condition
 
 MAGIC = b"SGDB"
 VERSION = 0x01
@@ -164,29 +166,17 @@ def _log(schema: Schema, records: Iterable[TupleRecord]) -> bytes:
     """A whole log: the header, the META record of ``schema`` and one PUT per record.
 
     Raises ``SchemaError`` for a schema an in-memory relation would refuse,
-    or for a record ``put_record`` would refuse.
+    or for a record ``put_record`` would refuse, and ``DuplicateKeyError`` for
+    a second record under one key.
     """
     schema = create_relation(schema.primary_key, schema.fields).schema
-    log = [_HEADER, _encode(OP_META, META_KEY, _schema_bytes(schema))]
+    puts = {}
     for record in records:
         key = _checked_key(schema, record)
-        log.append(_encode(OP_PUT, key.encode("utf-8"), canonical_record_bytes(record)))
-    return b"".join(log)
-
-
-def _decode_row(payload: bytes) -> TupleRecord | None:
-    """The row a PUT payload holds, or None unless it is one JSON object of strings and nulls."""
-    try:
-        text = payload.decode("utf-8")
-        row, end = _DECODER.raw_decode(text)
-    except ValueError:
-        return None
-    if end != len(text) or type(row) is not dict:
-        return None
-    for value in row.values():
-        if value is not None and type(value) is not str:
-            return None
-    return row
+        if key in puts:
+            raise DuplicateKeyError(f"duplicate primary key {key!r}")
+        puts[key] = _encode(OP_PUT, key.encode("utf-8"), canonical_record_bytes(record))
+    return b"".join([_HEADER, _encode(OP_META, META_KEY, _schema_bytes(schema)), *puts.values()])
 
 
 def _flock(fh, path: Path) -> None:
@@ -206,14 +196,20 @@ def _open_locked(path: Path, mode: str):
     A file unlinked or replaced between the open and the lock (a drop and
     recreate, or a compact, by another handle) is closed and ``path`` opened
     again, so a handle never locks, and writes to, a file that is no longer
-    the table.  A missing ``path`` is ``FileNotFoundError``.
+    the table.  A missing ``path`` is ``UnknownTableError``; so is one unlinked
+    after the open and not put back, which the open again finds missing.
     """
     while True:
-        fh = open(path, mode)
+        try:
+            fh = open(path, mode)
+        except FileNotFoundError:
+            raise UnknownTableError(f"no table named {path.stem!r}") from None
         _flock(fh, path)
         try:
             if os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):
                 return fh
+        except FileNotFoundError:
+            pass  # unlinked since the open: not the same file, and the next open says so
         except BaseException:
             fh.close()
             raise
@@ -268,13 +264,13 @@ class _Parse(NamedTuple):
     key -> the payload of its last PUT), and, once ``Database.scan`` has
     decoded them, its live rows and their equality index: field -> value ->
     the keys of the rows holding that value, in row order, for each field a
-    condition has named twice, and field -> None for each field named once."""
+    condition has named."""
 
     data: bytes
     schema: Schema
     index: dict[str, bytes]
     rows: dict[str, TupleRecord] | None = None
-    by_value: dict[str, dict[str, list[str]] | None] | None = None
+    by_value: dict[str, dict[str, list[str]]] | None = None
 
 
 def _record(path: Path, data: bytes, pos: int) -> tuple[int, str, bytes | None, int] | None:
@@ -333,14 +329,27 @@ def _replay(path: Path, data: bytes, kept: _Parse | None = None) -> _Parse:
 
 
 def _decoded(path: Path, schema: Schema, index: dict[str, bytes]) -> dict[str, TupleRecord]:
-    """Every live payload of ``index``, decoded."""
-    pk = schema.primary_key
+    """Every live payload of ``index``, decoded and held to the rule ``put_record``
+    writes by (``model._checked_key``): one JSON object of text and nulls, of
+    ``schema``'s fields only, holding its record's key, which is not empty,
+    under the primary key."""
+    pk, fields = schema.primary_key, frozenset(schema.fields)
     rows = {}
     for key, payload in index.items():
-        row = _decode_row(payload)
-        if row is None:
+        try:
+            text = payload.decode("utf-8")
+            row, end = _DECODER.raw_decode(text)
+        except ValueError:
+            row = None
+        # A failed decode leaves row None, so ``text`` and ``end`` are only read once set.
+        if type(row) is not dict or end != len(text):
             raise CorruptFileError(f"{path}: payload of record {key!r} is not a field map")
-        if row.get(pk) != key:
+        for value in row.values():
+            if value is not None and type(value) is not str:
+                raise CorruptFileError(f"{path}: payload of record {key!r} is not a field map")
+        if not row.keys() <= fields:
+            raise CorruptFileError(f"{path}: record {key!r} holds a field outside the schema")
+        if not key or row.get(pk) != key:
             raise CorruptFileError(f"{path}: record {key!r} holds primary key {row.get(pk)!r}")
         rows[key] = row
     return rows
@@ -359,14 +368,15 @@ class TableFile:
     """Handle on one table's log file; the single writer for that table.
 
     Given a ``schema`` it creates the table, which must not exist
-    (``TableExistsError``); without one it opens the table that exists.
-    An exclusive lock is taken at open and held until close, so two handles
-    on the same file cannot coexist.  ``sync=False`` defers fsync to close,
-    which is faster for bulk loads but trades away crash durability for the
-    unsynced suffix (replay still never yields a half-written record).  A
-    ``sync=False`` create links the new file into place before its bytes
-    are fsynced, so a crash can leave that table's file empty or cut short,
-    which opens as ``CorruptFileError``.
+    (``TableExistsError``); without one it opens the table that exists
+    (``UnknownTableError`` when there is none).  An exclusive lock is taken
+    at open and held until close, so two handles on the same file cannot
+    coexist.  ``sync=False`` defers fsync to close, which is faster for bulk
+    loads but trades away crash durability for the unsynced suffix (replay
+    still never yields a half-written record).  A ``sync=False`` create links
+    the new file into place before its bytes are fsynced, so a crash can
+    leave that table's file empty or cut short, which opens as
+    ``CorruptFileError``.
 
     ``kept`` is an earlier parse of the same table, which the handle takes
     over; see the module docstring.
@@ -468,18 +478,6 @@ class TableFile:
         self.close()
 
 
-def _opened(opener, path: Path, *args, **kwargs):
-    """``opener(path, ...)``; ``UnknownTableError`` when no table file is there to open.
-
-    The open itself is the existence check, so a table dropped just before
-    it is reported like one that never was.
-    """
-    try:
-        return opener(path, *args, **kwargs)
-    except FileNotFoundError:
-        raise UnknownTableError(f"no table named {path.stem!r}") from None
-
-
 class Database:
     """A directory of table files; tables are discovered by listing it.
 
@@ -498,7 +496,8 @@ class Database:
         return self.root / f"{name}{TABLE_SUFFIX}"
 
     def list_tables(self) -> list[str]:
-        return sorted(p.stem for p in self.root.glob(f"*{TABLE_SUFFIX}"))
+        """The tables a statement can name: every ``<name>.sgt`` whose name ``_path`` accepts."""
+        return sorted(p.stem for p in self.root.glob(f"*{TABLE_SUFFIX}") if _TABLE_NAME_RE.match(p.stem))
 
     def create(self, name: str, schema: Schema, *, sync: bool = True) -> TableFile:
         """Create table ``name``; ``TableExistsError`` if the name is taken, even by
@@ -509,7 +508,8 @@ class Database:
         """Create table ``name`` holding ``records``, all or nothing.
 
         Every record is checked, as ``put_record`` checks it, before anything
-        is written; then the whole log is put in place by the one path that
+        is written, and a key held by two records is ``DuplicateKeyError``;
+        then the whole log is put in place by the one path that
         creates and compacts (``_install``), so a load that fails or is cut
         short leaves no table ``name`` behind.  The link fails if the name
         exists, so a table created meanwhile, by this or another process, is
@@ -518,12 +518,12 @@ class Database:
         _install(self._path(name), _log(schema, records), replace=False).close()
 
     def open(self, name: str) -> TableFile:
-        return _opened(TableFile, self._path(name))
+        return TableFile(self._path(name))
 
     def drop(self, name: str) -> None:
         """Delete table ``name``; ``TableLockedError`` while any handle has it open."""
         path = self._path(name)
-        with _opened(_open_locked, path, "rb"):
+        with _open_locked(path, "rb"):
             self._parses.pop(name, None)
             path.unlink()
         _fsync_dir(path)
@@ -533,12 +533,11 @@ class Database:
 
         With ``where``, the result holds only the rows ``ops.select`` keeps
         for that condition, in the same order: one lookup for the primary
-        key; otherwise a test of every row the first time the parse sees the
-        field, and the matches the field's equality index lists, which the
-        second condition on it builds, from then on.  See the module
-        docstring for what is reused.
+        key, and otherwise the matches the field's equality index lists,
+        which the first condition on the field builds.  A missing table is
+        ``UnknownTableError``.  See the module docstring for what is reused.
         """
-        with _opened(TableFile, self._path(name), kept=self._parses.pop(name, None)) as table:
+        with TableFile(self._path(name), kept=self._parses.pop(name, None)) as table:
             parse = table._parse
             if parse.rows is None:
                 parse = parse._replace(rows=table.scan_all().rows, by_value={})
@@ -548,12 +547,8 @@ class Database:
         elif where.field == parse.schema.primary_key:
             # _decoded keeps each row under its own primary-key value.
             taken = {where.value: rows[where.value]} if where.value in rows else {}
-        elif where.field not in parse.by_value:
-            # One filter pass costs less than building an index a later select may never read.
-            parse.by_value[where.field] = None
-            taken = matching(rows, where)
         else:
-            index = parse.by_value[where.field]
+            index = parse.by_value.get(where.field)
             if index is None:
                 index = parse.by_value[where.field] = _value_index(rows, where.field)
             taken = {key: rows[key] for key in index.get(where.value, ())}
