@@ -176,7 +176,8 @@ def main(argv: list[str] | None = None) -> int:
             count = csvio.export_csv(db, args.table, args.csv)
             print(f"exported {count} rows from {args.table}")
             return 0
-    except (SgdbError, OSError) as exc:
+    except (SgdbError, OSError, UnicodeDecodeError) as exc:
+        # UnicodeDecodeError: a script or CSV file that is not UTF-8 text.
         print(f"error: {exc}", file=sys.stderr)
         return 3
     raise AssertionError("unreachable")

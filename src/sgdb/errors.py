@@ -35,10 +35,11 @@ class StorageError(SgdbError):
 
 class CorruptFileError(StorageError):
     """A table file that does not read back: bad magic, an unknown record tag,
-    a checksum mismatch, a record key that is not UTF-8, an unreadable or
-    missing schema record, a payload that is not a field map holding its own
-    primary key, a payload holding a field outside the schema, or a record
-    under the empty key."""
+    a checksum mismatch, a record key that is not UTF-8, a log that does not
+    start with a schema record, a second schema record, a schema record that
+    ``create_relation`` refuses, a payload that is not one JSON object, or a
+    live record that ``model._check_row`` refuses for the schema.  The reader
+    runs ``model``'s checks, the ones the writer runs, and has none of its own."""
 
 
 class TableLockedError(StorageError):

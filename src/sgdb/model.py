@@ -5,16 +5,19 @@ field name to value.  That dict is the star graph of one tuple: its center
 is the primary-key value and each of its other entries is a labeled edge to
 that field's value.  There is no separate view type.
 
-One value rule serves every relation and every stored record
-(``_check_row``): the row key is non-empty text, and a field holds text or
-``None``, the explicit null produced when an empty nested record is
+One function states the rules rows follow (``_check_row``).  The value rule
+serves every relation: the row key is non-empty text, and a field holds text
+or ``None``, the explicit null produced when an empty nested record is
 flattened.  The empty string ``""`` is an ordinary text value (it marks
 absent left-side fields in right/outer joins) and is never equal to null.
+Given a schema, it also states the stored-record rule, which every base
+relation and every record in a table log follows: only the schema's fields,
+and the row stored under its own primary-key value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from sgdb.errors import SchemaError
@@ -34,13 +37,11 @@ class Schema:
     primary_key: str
     fields: tuple[str, ...]
 
-    def derive(self, fields: tuple[str, ...] | None = None, primary_key: str | None = None) -> "Schema":
-        """This schema with the given parts replaced."""
-        return replace(
-            self,
-            fields=self.fields if fields is None else tuple(fields),
-            primary_key=self.primary_key if primary_key is None else primary_key,
-        )
+    # The fields as a set, for the subset test of ``_check_row``.
+    field_set: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "field_set", frozenset(self.fields))
 
 
 class Relation:
@@ -85,13 +86,34 @@ class Relation:
         return f"Relation(pk={self.schema.primary_key!r}, rows={len(self.rows)})"
 
 
-def _check_row(key: object, row: Mapping[str, object]) -> None:
-    """The value rule: ``key`` is non-empty text, and every value of ``row`` is text or null."""
-    if not isinstance(key, str) or not key:
-        raise SchemaError(f"row key {key!r} must be a non-empty string")
-    for f, v in row.items():
-        if not isinstance(v, str) and v is not None:
-            raise SchemaError(f"field {f!r} of row {key!r} must hold a string or null, not {type(v).__name__}")
+def _check_row(key: object, row: Mapping[str, object], schema: Schema | None = None) -> None:
+    """The value rule: ``key`` is non-empty text, and every value of ``row`` is text or null.
+
+    Given ``schema``, also the stored-record rule: ``row`` holds the
+    primary-key field and only ``schema``'s fields, and its primary-key value
+    is ``key``, so the row sits under its own primary-key value.
+    """
+    own_key = key
+    if schema is not None:
+        pk = schema.primary_key
+        if pk not in row:
+            raise SchemaError(f"record is missing the primary-key field {pk!r}")
+        if not schema.field_set.issuperset(row):
+            # Plain loops name the offending field: a comprehension here would turn
+            # this function's locals into closure cells and slow every call.
+            for f in row:
+                if f not in schema.field_set:
+                    raise SchemaError(f"unknown field {f!r} for this relation")
+        own_key = row[pk]
+    if type(own_key) is not str or not own_key:
+        raise SchemaError(f"row key {own_key!r} must be a non-empty string")
+    for v in row.values():
+        if type(v) is not str and v is not None:
+            for f in row:
+                if row[f] is v:
+                    raise SchemaError(f"field {f!r} of row {own_key!r} must hold a string or null, not {type(v).__name__}")
+    if own_key != key:
+        raise SchemaError(f"row keyed {key!r} carries primary-key value {own_key!r}")
 
 
 def _check_field_name(name: str) -> None:
@@ -103,9 +125,12 @@ def _check_field_name(name: str) -> None:
 
 
 def create_relation(pk_field: str, fields: list[str] | tuple[str, ...]) -> Relation:
-    """Create an empty relation with the given primary key and field order."""
-    if not fields:
-        raise SchemaError("a relation needs at least one field")
+    """Create an empty relation with the given primary key and field order.
+
+    ``fields`` is a list or tuple of names: a string would give one field per character.
+    """
+    if type(fields) not in (list, tuple) or not fields:
+        raise SchemaError(f"a relation needs a list of at least one field, not {fields!r}")
     seen = set()
     for f in fields:
         _check_field_name(f)
@@ -118,16 +143,11 @@ def create_relation(pk_field: str, fields: list[str] | tuple[str, ...]) -> Relat
 
 
 def _checked_key(schema: Schema, record: Mapping[str, Value]) -> str:
-    """The primary-key value of ``record``, once its fields are checked against ``schema``
-    and its values against the value rule."""
-    pk = schema.primary_key
-    if pk not in record:
-        raise SchemaError(f"record is missing the primary-key field {pk!r}")
-    for f in record:
-        if f not in schema.fields:
-            raise SchemaError(f"unknown field {f!r} for this relation")
-    _check_row(record[pk], record)
-    return record[pk]
+    """The primary-key value of ``record``, once ``_check_row`` holds ``record`` to
+    ``schema`` under it."""
+    key = record.get(schema.primary_key)
+    _check_row(key, record, schema)
+    return key
 
 
 def relation_equal(a: Relation, b: Relation) -> bool:
@@ -144,12 +164,11 @@ def relation_from_mapping(
 ) -> Relation:
     """Build a base relation from a nested-dict literal: row key -> record.
 
-    Each record must pass ``_checked_key`` and be keyed by its own primary-key value.
+    Each record is held to the stored-record rule under its row key (``_check_row``).
     """
     schema = create_relation(primary_key, fields).schema
     rows: dict[str, TupleRecord] = {}
     for key, record in mapping.items():
-        if _checked_key(schema, record) != key:
-            raise SchemaError(f"row keyed {key!r} carries primary-key value {record[primary_key]!r}")
+        _check_row(key, record, schema)
         rows[key] = dict(record)
     return Relation._adopt(schema, rows)

@@ -42,7 +42,7 @@ simply skipped by ``select`` and ``project`` and counts as unmatched in joins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from sgdb.errors import (
     FieldCollisionError,
@@ -100,14 +100,12 @@ def _flatten_into(record: NestedRecord, prefix: str, result: TupleRecord) -> Non
         result[key] = v
 
 
-def select(rel: Relation, cond: Condition | None = None) -> Relation:
+def select(rel: Relation, cond: Condition) -> Relation:
     """Keep the rows whose value at ``cond.field`` equals ``cond.value``.
 
-    Without a condition the whole relation is copied.  Rows that do not have
-    the field at all are excluded, and null never equals any text value.
+    Rows that do not have the field at all are excluded, and null never
+    equals any text value.
     """
-    if cond is None:
-        return Relation._adopt(rel.schema, {key: dict(row) for key, row in rel.rows.items()})
     field, value = cond.field, cond.value
     rows = {key: dict(row) for key, row in rel.rows.items() if field in row and row[field] == value}
     return Relation._adopt(rel.schema, rows)
@@ -127,7 +125,7 @@ def project(rel: Relation, columns: list[str] | tuple[str, ...] | str) -> Relati
         key: {f: row[f] for f in wanted if f in row}
         for key, row in rel.rows.items()
     }
-    return Relation._adopt(rel.schema.derive(fields=tuple(wanted)), rows)
+    return Relation._adopt(replace(rel.schema, fields=tuple(wanted)), rows)
 
 
 def rename(rel: Relation, old: str, new: str) -> Relation:
@@ -145,7 +143,7 @@ def rename(rel: Relation, old: str, new: str) -> Relation:
     }
     fields = tuple(new if f == old else f for f in rel.schema.fields)
     pk = new if rel.schema.primary_key == old else rel.schema.primary_key
-    return Relation._adopt(rel.schema.derive(fields=fields, primary_key=pk), rows)
+    return Relation._adopt(replace(rel.schema, fields=fields, primary_key=pk), rows)
 
 
 def _require_key(key: str | None) -> str:
@@ -164,7 +162,7 @@ def _joined_schema(left: Schema, right: Schema, key: str) -> Schema:
             fields.append(f)
     if key not in left.fields:
         fields.extend(dotted)
-    return left.derive(fields=tuple(fields))
+    return replace(left, fields=tuple(fields))
 
 
 def _right_part(key: str, rrow: TupleRecord) -> TupleRecord:

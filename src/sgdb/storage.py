@@ -7,13 +7,19 @@ Each relation lives in its own append-only log file:
 
 op is META=0x00, PUT=0x01 or DEL=0x02; the CRC covers op, lengths, key and
 value.  The META record (key = the single byte 0x00) carries the schema as
-JSON and is written first.  Values are canonical JSON: keys sorted by code
-point, UTF-8, no insignificant whitespace.  A record is stored under the
-rule every relation follows (``model._check_row``): its primary-key value
-is non-empty text, and each other field holds text or the explicit null,
-which is written as JSON null and read back as ``None``.  A reader holds
-every live record to that same rule (``_decoded``), so a table that scans
-also compacts.
+JSON and is written once, first.  Values are canonical JSON: keys sorted by
+code point, UTF-8, no insignificant whitespace.  A record is stored under
+the rule every base relation follows (``model._check_row`` given the
+schema): it holds only the schema's fields, its primary-key value is
+non-empty text and is its record key, and each other field holds text or
+the explicit null, which is written as JSON null and read back as ``None``.
+
+The reader states no rule of its own: it holds what it reads to the checks
+the writer runs, in ``model``.  A schema record is built by
+``create_relation`` (``_schema_from_bytes``), as ``_log`` builds the one it
+writes, and every live record is held to ``_check_row`` (``_decoded``), as
+``put_record`` holds the one it writes.  So a log opens only if the writer
+could have written it, and a table that scans also compacts.
 
 ``TableFile(path, schema)`` creates a table and ``TableFile(path)`` opens
 one; neither looks first at what the path holds.  A create fails with
@@ -68,10 +74,13 @@ discarded with its parse.
 A record that runs past the end of the file is a torn tail, a crash
 artifact, and is truncated away on open.  Every other malformed log raises
 ``CorruptFileError``: a bad magic, an unknown record tag, a checksum mismatch
-on a complete record, a key that is not UTF-8, a missing or unreadable schema
-record, a PUT payload that is not a JSON object of strings and nulls, one
-that holds a field outside the schema, one whose primary-key field is
-missing or differs from the record key, and a PUT under the empty key.
+on a complete record, a key that is not UTF-8, a log whose first record is
+not a schema record, a second schema record, a schema record that is not a
+JSON object whose ``primary_key`` and ``fields`` list ``create_relation``
+accepts, a live PUT payload that is not one JSON object, and one that
+``_check_row`` refuses for the schema (a field outside the schema, a
+missing, empty or null primary-key value or one that differs from the
+record key, or a value that is neither text nor null).
 
 A database is simply a directory of ``<table>.sgt`` files.  A new log is
 put in place one way (``_install``), whether a table is created empty,
@@ -116,7 +125,7 @@ from sgdb.errors import (
     UnknownTableError,
     UseAfterCloseError,
 )
-from sgdb.model import Relation, Schema, TupleRecord, _checked_key, create_relation
+from sgdb.model import Relation, Schema, TupleRecord, _check_row, _checked_key, create_relation
 from sgdb.ops import Condition
 
 MAGIC = b"SGDB"
@@ -147,12 +156,13 @@ def _schema_bytes(schema: Schema) -> bytes:
     return CANONICAL_JSON.encode(payload).encode("utf-8")
 
 
-def _schema_from_bytes(raw: bytes) -> Schema:
+def _schema_from_bytes(path: Path, raw: bytes) -> Schema:
+    """The schema a META payload holds, built by ``create_relation`` as ``_log`` builds it."""
     try:
         payload = json.loads(raw.decode("utf-8"))
-        return Schema(primary_key=payload["primary_key"], fields=tuple(payload["fields"]))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CorruptFileError(f"unreadable schema record: {exc}") from exc
+        return create_relation(payload["primary_key"], payload["fields"]).schema
+    except (ValueError, KeyError, TypeError, SchemaError) as exc:
+        raise CorruptFileError(f"{path}: unreadable schema record: {exc}") from exc
 
 
 def _encode(op: int, key: bytes, value: bytes | None) -> bytes:
@@ -307,9 +317,13 @@ def _replay(path: Path, data: bytes, kept: _Parse | None = None) -> _Parse:
         return kept
     if data[:len(_HEADER)] != _HEADER:
         raise CorruptFileError(f"{path}: bad magic")
-    schema: Schema | None = None
+    # _log writes one META record, first.
+    meta = _record(path, data, len(_HEADER)) if len(data) > len(_HEADER) else None
+    if meta is None or meta[0] != OP_META:
+        raise CorruptFileError(f"{path}: the log does not start with a schema record")
+    schema = _schema_from_bytes(path, meta[2])
     index: dict[str, bytes] = {}
-    pos = len(_HEADER)
+    pos = meta[3]
     while pos < len(data):
         record = _record(path, data, pos)
         if record is None:
@@ -320,20 +334,15 @@ def _replay(path: Path, data: bytes, kept: _Parse | None = None) -> _Parse:
         elif op == OP_DEL:
             index.pop(key, None)
         else:
-            schema = _schema_from_bytes(value)
+            raise CorruptFileError(f"{path}: a second schema record at offset {pos}")
         pos = end
-    if schema is None:
-        raise CorruptFileError(f"{path}: no schema record")
     # Slicing all of a bytes object copies nothing.
     return _Parse(data[:pos], schema, index)
 
 
 def _decoded(path: Path, schema: Schema, index: dict[str, bytes]) -> dict[str, TupleRecord]:
-    """Every live payload of ``index``, decoded and held to the rule ``put_record``
-    writes by (``model._checked_key``): one JSON object of text and nulls, of
-    ``schema``'s fields only, holding its record's key, which is not empty,
-    under the primary key."""
-    pk, fields = schema.primary_key, frozenset(schema.fields)
+    """Every live payload of ``index``, decoded as one JSON object and held to the
+    rule ``put_record`` writes by (``model._check_row`` given the schema)."""
     rows = {}
     for key, payload in index.items():
         try:
@@ -344,13 +353,10 @@ def _decoded(path: Path, schema: Schema, index: dict[str, bytes]) -> dict[str, T
         # A failed decode leaves row None, so ``text`` and ``end`` are only read once set.
         if type(row) is not dict or end != len(text):
             raise CorruptFileError(f"{path}: payload of record {key!r} is not a field map")
-        for value in row.values():
-            if value is not None and type(value) is not str:
-                raise CorruptFileError(f"{path}: payload of record {key!r} is not a field map")
-        if not row.keys() <= fields:
-            raise CorruptFileError(f"{path}: record {key!r} holds a field outside the schema")
-        if not key or row.get(pk) != key:
-            raise CorruptFileError(f"{path}: record {key!r} holds primary key {row.get(pk)!r}")
+        try:
+            _check_row(key, row, schema)
+        except SchemaError as exc:
+            raise CorruptFileError(f"{path}: record {key!r}: {exc}") from None
         rows[key] = row
     return rows
 

@@ -255,6 +255,28 @@ def test_exec_eval_error_exit_3(dbdir, capsys):
     assert "nosuch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"primary_key": "id", "fields": ["id", 7]},
+        {"primary_key": "i", "fields": "id"},
+        {"primary_key": "k", "fields": ["id", "a"]},
+        {"primary_key": "id", "fields": ["id", "id"]},
+        {"primary_key": "id", "fields": ["id", "a.b"]},
+        {"primary_key": "id", "fields": []},
+    ],
+    ids=["int field", "string fields", "key not a field", "duplicate field", "dotted field", "no fields"],
+)
+def test_exec_on_a_table_whose_schema_record_create_relation_refuses_exit_3(tmp_path, capsys, schema):
+    payload = storage.CANONICAL_JSON.encode(schema).encode("utf-8")
+    (tmp_path / "t.sgt").write_bytes(storage._HEADER + storage._encode(storage.OP_META, storage.META_KEY, payload))
+    assert main(["--db", str(tmp_path), "exec", "-e", "t"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "unreadable schema record" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_exec_chained_join_collision_exit_3(dbdir, capsys):
     # The join turns books' catalog field into catalog.catalog and
     # catalog.description, so nesting catalog at catalog again collides.
@@ -387,6 +409,15 @@ def test_run_script_saved_with_a_byte_order_mark(dbdir, tmp_path, capsys):
     assert capsys.readouterr().out == "books\ncatalog\n"
 
 
+def test_run_script_that_is_not_utf8_is_an_error(dbdir, tmp_path, capsys):
+    script = tmp_path / "latin1.sgq"
+    script.write_bytes("show tables; # café\n".encode("latin-1"))
+    assert main(["--db", dbdir, "run", str(script)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 'utf-8' codec can't decode byte 0xe9 in position 18: invalid continuation byte\n"
+
+
 def test_run_script_stops_on_eval_error(dbdir, tmp_path, capsys):
     script = tmp_path / "bad.sgq"
     script.write_text("show tables;\nnosuch | project *;\nshow tables;\n")
@@ -403,6 +434,14 @@ def test_cli_import_export(dbdir, tmp_path, capsys):
     assert "exported 5 rows" in text and "imported 5 rows" in text
     db = Database(dbdir)
     assert relation_equal(db.scan("copy"), db.scan("books"))
+
+
+def test_cli_import_of_a_csv_that_is_not_utf8_is_an_error(dbdir, tmp_path, capsys):
+    source = tmp_path / "latin1.csv"
+    source.write_bytes("id,name\n1,café\n".encode("latin-1"))
+    assert main(["--db", dbdir, "import", "people", str(source), "--pk", "id"]) == 3
+    assert capsys.readouterr().err == "error: 'utf-8' codec can't decode byte 0xe9 in position 13: invalid continuation byte\n"
+    assert "people" not in Database(dbdir).list_tables()
 
 
 def test_cli_difftest_small(dbdir, capsys):

@@ -19,12 +19,6 @@ def test_create_relation_schemas():
     assert catalog.schema.fields == ("catalog", "description")
 
 
-def test_derive_replaces_only_the_parts_it_is_given():
-    schema = create_relation("ISBN", list(gd.BOOKS_FIELDS)).schema
-    assert schema.derive(fields=("ISBN", "title")) == Schema("ISBN", ("ISBN", "title"))
-    assert schema.derive(primary_key="title") == Schema("title", gd.BOOKS_FIELDS)
-
-
 @pytest.mark.parametrize("value", [{"a": "x"}, 1, ["x"]])
 def test_relation_rows_hold_only_text_and_null(value):
     schema = Schema("k", ("k", "v"))
@@ -48,6 +42,7 @@ def test_relation_row_keys_are_non_empty_text(key):
         ("a", ["a", "b.c"]),  # '.' reserved in base relations
         ("a", ["a", "x,y"]),  # ',' reserved
         ("a", ["a", ""]),  # empty name
+        ("a", "ab"),  # a string, not a list of names
     ],
 )
 def test_create_relation_rejects_bad_schemas(pk, fields):

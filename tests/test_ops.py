@@ -54,10 +54,6 @@ def test_select_chained(books):
     assert rows(sel) == gd.SELECT_OREILLY_BIRD
 
 
-def test_select_without_condition_copies(books):
-    assert relation_equal(select(books), books)
-
-
 def test_select_unknown_field_skips_every_row(books):
     assert rows(select(books, Condition("nosuchfield", "x"))) == {}
 
@@ -199,7 +195,7 @@ def test_left_join_empty_left(catalog):
 
 def test_left_join_match_on_empty_right_tuple_flattens_to_null(books):
     hollow = Relation(
-        create_relation("catalog", ["catalog", "description"]).schema.derive(),
+        create_relation("catalog", ["catalog", "description"]).schema,
         {"001": {}},
     )
     result = left_join(books, hollow, "catalog")

@@ -28,7 +28,7 @@ from sgdb.errors import (
     UseAfterCloseError,
 )
 from sgdb.evaluator import evaluate
-from sgdb.model import Relation, Schema, relation_equal
+from sgdb.model import Relation, Schema, create_relation, relation_equal
 from sgdb.ops import Condition
 from sgdb.render import RenderSpec, render
 from sgdb.storage import Database, TableFile, canonical_record_bytes
@@ -505,6 +505,82 @@ def test_a_stored_record_reads_back_exactly_when_put_record_would_write_it(recor
             with db.open("raw") as table:
                 table.compact()
             assert db.scan("raw").rows == rows
+
+
+def write_log(path, *records):
+    """A log file holding the header and then ``records``, each (op, key, value)."""
+    path.write_bytes(storage._HEADER + b"".join(storage._encode(*record) for record in records))
+
+
+def meta(payload):
+    return storage.OP_META, storage.META_KEY, storage.CANONICAL_JSON.encode(payload).encode("utf-8")
+
+
+# A META payload that now and then breaks the schema rule: a field that is not text, is empty
+# or holds a reserved character, a field named twice, no fields, a primary key not among them,
+# fields given as a string, a missing part, or no JSON object at all.
+FIELD_LISTS = st.builds(
+    lambda names, odd: names + odd,
+    st.lists(st.sampled_from(["id", "a", "b"]), max_size=3, unique=True),
+    st.lists(st.sampled_from(["", "a.b", "x,y", "id"]) | st.integers() | st.none(), max_size=1),
+)
+META_PAYLOADS = (
+    st.fixed_dictionaries({
+        "primary_key": st.sampled_from(["id", "a"]) | st.integers() | st.lists(st.just("id"), max_size=1),
+        "fields": FIELD_LISTS | st.sampled_from(["id", "ida"]),
+    })
+    | st.fixed_dictionaries({}, optional={"primary_key": st.just("id"), "fields": FIELD_LISTS})
+    | st.sampled_from([["id"], "id", None])
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(payload=META_PAYLOADS)
+@example(payload={"primary_key": "id", "fields": ["id", 7]})
+@example(payload={"primary_key": "i", "fields": "id"})
+@example(payload={"primary_key": "k", "fields": ["id", "a"]})
+@example(payload={"primary_key": "id", "fields": ["id", "id"]})
+@example(payload={"primary_key": "id", "fields": ["id", "a.b"]})
+@example(payload={"primary_key": "id", "fields": []})
+def test_a_schema_record_opens_exactly_when_create_relation_accepts_it(payload):
+    try:
+        accepted = create_relation(payload["primary_key"], payload["fields"]).schema
+    except (SchemaError, KeyError, TypeError):
+        accepted = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.sgt"
+        write_log(path, meta(payload))
+        if accepted is None:
+            with pytest.raises(CorruptFileError, match="unreadable schema record"):
+                TableFile(path)
+        else:
+            with TableFile(path) as table:
+                assert table.schema == accepted
+                assert table.scan_all().rows == {}
+
+
+SCHEMA_ID_A = {"primary_key": "id", "fields": ["id", "a"]}
+PUT_1 = (storage.OP_PUT, b"1", canonical_record_bytes({"id": "1", "a": "x"}))
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([PUT_1, meta(SCHEMA_ID_A)], "does not start with a schema record"),
+        ([(storage.OP_DEL, b"1", None), meta(SCHEMA_ID_A)], "does not start with a schema record"),
+        ([meta(SCHEMA_ID_A), PUT_1, meta({"primary_key": "a", "fields": ["a"]})], "a second schema record"),
+        ([meta(SCHEMA_ID_A), meta(SCHEMA_ID_A)], "a second schema record"),
+        ([], "does not start with a schema record"),
+    ],
+    ids=["put before the schema", "del before the schema", "second schema", "same schema twice", "header only"],
+)
+def test_a_log_opens_only_with_one_schema_record_first(tmp_path, records, message):
+    path = tmp_path / "t.sgt"
+    write_log(path, *records)
+    with pytest.raises(CorruptFileError, match=message):
+        TableFile(path)
+    with pytest.raises(CorruptFileError, match=message):
+        Database(tmp_path).scan("t")
 
 
 # A history of puts (key, value) and deletes (key, None) over a few colliding keys.
