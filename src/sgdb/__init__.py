@@ -2,7 +2,8 @@
 
 Each tuple is a star graph — the primary-key value at the center, one
 labeled edge per field — held as a plain row dict, and a relation is a
-keyed set of such rows.
+keyed set of such rows.  ``relation_from_mapping`` builds a relation from a
+literal and checks its rows; ``Relation(schema, rows)`` wraps rows as given.
 The package provides the relational operators over that model, one-file-
 per-table persistence, a pipeline query language with a REPL, CSV
 import/export, and a built-in differential-testing oracle.
@@ -39,7 +40,6 @@ from sgdb.ops import (
     STAR,
     Condition,
     cartesian,
-    flatten_record,
     inner_join,
     left_join,
     natural_join,
@@ -78,7 +78,6 @@ __all__ = [
     "UseAfterCloseError",
     "cartesian",
     "create_relation",
-    "flatten_record",
     "inner_join",
     "left_join",
     "natural_join",

@@ -8,11 +8,11 @@ check no seed or no operator.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
 from sgdb import csvio, dsl
-from sgdb.difftest import ALL_OPS, differential_check
 from sgdb.errors import LexError, ParseError, SgdbError
 from sgdb.evaluator import Status, evaluate
 from sgdb.model import Relation
@@ -77,7 +77,12 @@ def _lexes(text: str) -> bool:
 
 
 def run_repl(db: Database, stdin=None, out=None) -> int:
-    """Read statements (terminated by a ';' token), evaluate, render; errors keep the session alive."""
+    """Read statements (terminated by a ';' token), evaluate, render; errors keep the session alive.
+
+    A line holding a byte that is not UTF-8, which a ``surrogateescape`` stdin
+    passes on as an escape, is reported as ``sgdb run`` reports such a script,
+    and the statement it belongs to is dropped.
+    """
     stdin = stdin if stdin is not None else sys.stdin
     out = out if out is not None else sys.stdout
     interactive = stdin.isatty()
@@ -86,7 +91,13 @@ def run_repl(db: Database, stdin=None, out=None) -> int:
         out.write(PROMPT)
         out.flush()
     for line in stdin:
-        buffer += line
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeError as exc:
+            out.write(f"error: {exc}\n")
+            buffer = ""
+        else:
+            buffer += line
         if _ends_statement(buffer):
             _exec_text(db, buffer.strip(), RenderSpec(), out, out)
             buffer = ""
@@ -128,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_diff = sub.add_parser("difftest", help="engine vs naive-oracle differential run")
     p_diff.add_argument("--seeds", type=int, default=1000)
-    p_diff.add_argument("--ops", default=",".join(ALL_OPS), help="comma-separated operator names")
+    p_diff.add_argument("--ops", help="comma-separated operator names (default: all)")
 
     return parser
 
@@ -137,8 +148,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "difftest":
+            # Imported here: no other command needs the oracle and its dependencies.
+            from sgdb.difftest import ALL_OPS, differential_check
+
             # difftest builds its own temporary databases, so it needs no --db.
-            operators = tuple(op.strip() for op in args.ops.split(",") if op.strip())
+            names = ALL_OPS if args.ops is None else args.ops.split(",")
+            operators = tuple(op.strip() for op in names if op.strip())
             unknown = [op for op in operators if op not in ALL_OPS]
             if unknown:
                 print(f"error: unknown operators {unknown}", file=sys.stderr)
@@ -160,7 +175,9 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         db = Database(args.db)
         if args.command == "repl":
-            return run_repl(db)
+            # Undecodable bytes reach run_repl as escapes whatever PYTHONIOENCODING says, so it can report them.
+            stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape", newline="\n")
+            return run_repl(db, stdin)
         if args.command == "exec":
             return _exec_text(db, args.statement, RenderSpec(format=args.format), sys.stdout, sys.stderr)
         if args.command == "run":

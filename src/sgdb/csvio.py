@@ -4,23 +4,22 @@ Import reads the header as the schema (in column order), requires the named
 primary-key column, and rejects duplicated key values.  A UTF-8 byte-order
 mark at the start of the file is not part of the first column's name.  The
 table appears only once every row is written and synced (``Database.load``),
-so a failed import leaves no table behind.  Export writes the schema columns in order
-with rows sorted by key, so identical tables always produce identical files.
-A null, like a field the row lacks, exports as an empty cell, so it reads
-back as the empty string.
-Lines end in ``\n``, and a cell holding ``\r`` is quoted so that it reads
-back whole (see ``write_rows``).
+so a failed import leaves no table behind.  Export writes the table's CSV
+rendering (``render`` with ``RenderSpec("csv")``): the schema columns in
+order with rows sorted by key, so identical tables always produce identical
+files.  A null, like a field the row lacks, exports as an empty cell, so it
+reads back as the empty string.  Lines end in ``\n``, and a cell holding
+``\r`` is quoted so that it reads back whole (see ``render.write_rows``).
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from pathlib import Path
-from typing import Iterable, TextIO
 
 from sgdb.errors import CsvFormatError, DuplicateKeyError, MissingColumnError
 from sgdb.model import Schema
+from sgdb.render import RenderSpec, render
 from sgdb.storage import Database
 
 
@@ -56,26 +55,6 @@ def import_csv(db: Database, table: str, csv_path: str | Path, pk: str) -> int:
 def export_csv(db: Database, table: str, csv_path: str | Path) -> int:
     """Write ``table`` to a CSV file; returns the number of rows written."""
     rel = db.scan(table)
-    cols = list(rel.schema.fields)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        write_rows(fh, [cols])
-        write_rows(fh, ([rel.rows[key].get(c) or "" for c in cols] for key in sorted(rel.rows)))
-    return len(rel.rows)
-
-
-def write_rows(fh: TextIO, rows: Iterable[list[str]]) -> None:
-    """Write ``rows`` to ``fh`` as CSV lines ending in ``\n``.
-
-    A cell is quoted where the csv module quotes it, and also when it holds
-    a carriage return: unquoted, a ``\r`` before the line end reads back as
-    part of the line end, and the value loses it.
-    """
-    plain = csv.writer(fh, lineterminator="\n")
-    for cells in rows:
-        if any("\r" in cell for cell in cells):
-            # The csv module quotes a cell holding any character of the line terminator.
-            line = io.StringIO()
-            csv.writer(line, lineterminator="\r\n").writerow(cells)
-            fh.write(line.getvalue()[:-2] + "\n")
-        else:
-            plain.writerow(cells)
+        fh.write(render(rel, RenderSpec("csv")))
+    return len(rel)

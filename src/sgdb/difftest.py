@@ -1,12 +1,12 @@
 """Randomized differential testing of the engine against the naive oracle.
 
 ``generate_database`` builds a reproducible pair of relations whose joining
-field hits the right-hand row keys about half the time, so matched,
+field ``link`` hits the right-hand row keys about half the time, so matched,
 unmatched-left and unmatched-right paths all get exercised.  For each seed
 the two relations are loaded into tables ``left`` and ``right`` of a
-temporary database, and every operator but ``flatten`` is checked as a
-query over those tables: the one-step query ``left | <step>`` for each of
-the nine relational operators (a ``select`` also runs a second time, on
+temporary database, and every operator is checked as a query over those
+tables: the one-step query ``left | <step>`` for each of the nine
+relational operators (a ``select`` also runs a second time, on
 the same field, so the equality index that storage builds is read), and a
 random query of one to four steps for ``pipeline``, which the evaluator may
 rewrite (see ``sgdb.evaluator``).  Each query is printed, parsed back and
@@ -17,19 +17,17 @@ result must equal, exactly, a plain left fold of the same steps through
 order and schema, or error class and message.  Its rows, or its error
 class, must also match the oracle's fold of the same steps over the
 generated relations themselves, so a storage round trip that loses or
-alters a row shows as a divergence.  ``flatten`` has no query form and
-compares ``ops.flatten_record`` with the oracle's on a random nested record.
+alters a row shows as a divergence.
 """
 
 from __future__ import annotations
 
-import copy
 import random
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from sgdb import dsl, evaluator, ops, oracle
+from sgdb import dsl, evaluator, oracle
 from sgdb.errors import SgdbError
 from sgdb.model import Relation, Schema, relation_from_mapping
 from sgdb.ops import Condition, STAR
@@ -45,7 +43,6 @@ ALL_OPS = (
     "outer_join",
     "cartesian",
     "natural_join",
-    "flatten",
     "pipeline",
 )
 
@@ -79,8 +76,8 @@ class DivergenceReport:
         )
 
 
-def generate_database(seed: int) -> tuple[Relation, Relation, str]:
-    """Two relations plus the left field whose values reference right row keys.
+def generate_database(seed: int) -> tuple[Relation, Relation]:
+    """Two relations, whose left ``link`` values reference right row keys.
 
     Generation is a pure function of ``seed``.  Each relation has up to
     ``_MAX_ROWS`` rows.  The right relation is keyed by its ``link`` primary
@@ -118,10 +115,10 @@ def generate_database(seed: int) -> tuple[Relation, Relation, str]:
         left_rows[key] = record
 
     left = relation_from_mapping(left_rows, "lid", left_fields)
-    return left, relation_from_mapping(right_rows, JOIN_FIELD, right_fields), JOIN_FIELD
+    return left, relation_from_mapping(right_rows, JOIN_FIELD, right_fields)
 
 
-def _pick_step(op: str, seed: int, left: Relation, join_field: str) -> dsl.Step:
+def _pick_step(op: str, seed: int, left: Relation) -> dsl.Step:
     """The step of ``op``'s one-step query over table ``left``, drawn from ``seed``."""
     rng = random.Random(f"{seed}/{op}")
     fields = list(left.schema.fields)
@@ -144,23 +141,10 @@ def _pick_step(op: str, seed: int, left: Relation, join_field: str) -> dsl.Step:
         return dsl.RenameStep(rng.choice(fields + ["ghost"]), "relabeled")
     if op == "natural_join":
         return dsl.NaturalJoinStep("right")
-    key = join_field if rng.random() < 0.75 else rng.choice(fields)
+    key = JOIN_FIELD if rng.random() < 0.75 else rng.choice(fields)
     if op == "cartesian":
         return dsl.CrossStep("right", key)
     return dsl.JoinStep(op.removesuffix("_join"), "right", key)
-
-
-def _pick_record(seed: int, left: Relation, right: Relation, join_field: str) -> dict:
-    """A nested record for ``flatten``: a left row, often with a right row nested at ``join_field``."""
-    rng = random.Random(f"{seed}/flatten")
-    record: dict = {"f1": rng.choice(_VALUE_POOL), "f2": rng.choice(_VALUE_POOL)}
-    if left.rows:
-        record = dict(left.rows[sorted(left.rows)[0]])
-    if right.rows and rng.random() < 0.7:
-        record[join_field] = dict(right.rows[sorted(right.rows)[0]])
-    if rng.random() < 0.4:
-        record["sub"] = {}
-    return record
 
 
 def _another_condition(seed: int, left: Relation, cond: Condition) -> Condition:
@@ -250,7 +234,8 @@ def _fold_plainly(tables: dict[str, Relation], query: dsl.Query, schemas: list[S
 
 
 def _oracle_fold(tables: dict[str, Relation], query: dsl.Query, schemas: list[Schema]) -> tuple:
-    """The oracle's fold of ``query`` over ``tables`` as an ``_outcome``.
+    """The oracle's fold of ``query`` over ``tables``: ``("ok", rows)``, or
+    ``("error", class name)`` for the engine error a step raises.
 
     The oracle builds no schemas, so each step's input carries the engine's.
     It runs only the steps the engine's fold reached.
@@ -258,7 +243,7 @@ def _oracle_fold(tables: dict[str, Relation], query: dsl.Query, schemas: list[Sc
     rel = tables[query.source]
     try:
         for step, schema in zip(query.steps, schemas):
-            left = Relation._adopt(schema, rel.rows)
+            left = Relation(schema, rel.rows)
             rel = oracle.oracle_eval(step, left, tables.get(getattr(step, "table", None)))
     except SgdbError as exc:
         return ("error", type(exc).__name__)
@@ -284,29 +269,6 @@ def _query_reports(seed: int, op: str, db: Database, scanned: dict, generated: d
     if difference is not None:
         reports.append(DivergenceReport(seed, operator, inputs, repr(engine[1]), repr(orcl[1]), difference))
     return reports
-
-
-def _flatten_reports(seed: int, left: Relation, right: Relation, join_field: str) -> list[DivergenceReport]:
-    """Divergences of ``ops.flatten_record`` from the oracle's ``flatten`` on a random record.
-
-    Each flattened record is held as the one row of a relation keyed
-    ``record``, so the two outcomes compare as relations' rows do.
-    """
-    record = _pick_record(seed, left, right, join_field)
-    engine = _outcome(lambda: {"record": ops.flatten_record(record)})
-    orcl = _outcome(lambda: {"record": oracle.flatten(copy.deepcopy(record))})
-    difference = _difference(engine, orcl)
-    if difference is None:
-        return []
-    return [DivergenceReport(seed, "flatten", f"record={record!r}", repr(engine[1]), repr(orcl[1]), difference)]
-
-
-def _outcome(fn) -> tuple:
-    """``fn()``, or the class of the engine error it raises."""
-    try:
-        return ("ok", fn())
-    except SgdbError as exc:
-        return ("error", type(exc).__name__)
 
 
 def _first_difference(engine_rows: dict, oracle_rows: dict) -> str:
@@ -335,18 +297,15 @@ def differential_check(seeds, operators=ALL_OPS) -> list[DivergenceReport]:
     reports: list[DivergenceReport] = []
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
-            left, right, join_field = generate_database(seed)
+            left, right = generate_database(seed)
             generated = {"left": left, "right": right}
             db = _stored(Path(tmp) / str(seed), left, right)
             scanned = {name: db.scan(name) for name in generated}
             for op in operators:
-                if op == "flatten":
-                    reports.extend(_flatten_reports(seed, left, right, join_field))
-                    continue
                 if op == "pipeline":
                     queries = [_pick_pipeline(seed, left, right)]
                 else:
-                    step = _pick_step(op, seed, left, join_field)
+                    step = _pick_step(op, seed, left)
                     queries = [dsl.Query("left", (step,))]
                     if op == "select":
                         # On a non-key field the first select builds the equality index and the second reads it.
@@ -358,7 +317,8 @@ def differential_check(seeds, operators=ALL_OPS) -> list[DivergenceReport]:
 
 
 def _difference(engine: tuple, orcl: tuple) -> str | None:
-    """How two ``_outcome`` results disagree, or None when they agree."""
+    """How two outcomes, each ``("ok", rows)`` or ``("error", class name)``, disagree;
+    None when they agree."""
     if engine[0] == "ok" and orcl[0] == "ok":
         return None if engine[1] == orcl[1] else _first_difference(engine[1], orcl[1])
     if engine[0] == "error" and orcl[0] == "error":

@@ -63,7 +63,6 @@ class Status:
     """Outcome of a non-query statement."""
 
     message: str
-    affected: int = 0
 
 
 _JOINS = {
@@ -101,14 +100,14 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
                     raise SchemaError(f"field {f!r} is given twice in an insert into {table}")
             with db.open(table) as handle:
                 handle.put_record(dict(record))
-            return Status(f"inserted 1 row into {table}", affected=1)
+            return Status(f"inserted 1 row into {table}")
         case Delete(table, key):
             with db.open(table) as handle:
                 existed = handle.delete_record(key)
-            return Status(f"deleted {int(existed)} row from {table}", affected=int(existed))
+            return Status(f"deleted {int(existed)} row from {table}")
         case ShowTables():
             names = db.list_tables()
-            return Status("\n".join(names) if names else "(no tables)", affected=len(names))
+            return Status("\n".join(names) if names else "(no tables)")
     raise TypeError(f"not a statement: {stmt!r}")
 
 

@@ -5,10 +5,17 @@ field name to value.  That dict is the star graph of one tuple: its center
 is the primary-key value and each of its other entries is a labeled edge to
 that field's value.  There is no separate view type.
 
+A relation has one constructor, ``Relation(schema, rows)``, which keeps the
+rows it is given as they are, with no copy and no check: the operators and
+scans that call it hand it rows they have just built and never change
+afterwards.  Rows from outside the program are checked where they enter:
+``relation_from_mapping`` is the checked builder for literals, and
+``sgdb.storage`` checks what it reads from a file.
+
 One function states the rules rows follow (``_check_row``).  The value rule
 serves every relation: the row key is non-empty text, and a field holds text
-or ``None``, the explicit null produced when an empty nested record is
-flattened.  The empty string ``""`` is an ordinary text value (it marks
+or ``None``, the explicit null a join produces when it nests an empty right
+tuple.  The empty string ``""`` is an ordinary text value (it marks
 absent left-side fields in right/outer joins) and is never equal to null.
 Given a schema, it also states the stored-record rule, which every base
 relation and every record in a table log follows: only the schema's fields,
@@ -18,7 +25,7 @@ and the row stored under its own primary-key value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from sgdb.errors import SchemaError
 
@@ -49,38 +56,17 @@ class Relation:
 
     Instances are treated as immutable values: every operation returns a new
     relation and never mutates its inputs, so relations are safe to share.
-    The constructor copies every row and checks it with ``_check_row``.
+    The constructor keeps ``rows`` as given, with no copy and no check.
     """
 
     __slots__ = ("schema", "rows")
 
-    def __init__(self, schema: Schema, rows: Mapping[str, TupleRecord] | None = None):
+    def __init__(self, schema: Schema, rows: dict[str, TupleRecord] | None = None):
         self.schema = schema
-        self.rows: dict[str, TupleRecord] = {k: dict(v) for k, v in (rows or {}).items()}
-        for key, row in self.rows.items():
-            _check_row(key, row)
-
-    @classmethod
-    def _adopt(cls, schema: Schema, rows: dict[str, TupleRecord]) -> "Relation":
-        """Wrap ``rows`` without copying them.
-
-        Only for rows the caller has just built and holds no other reference
-        to, such as an operator's result; everyone else goes through the
-        copying constructor.
-        """
-        rel = cls.__new__(cls)
-        rel.schema = schema
-        rel.rows = rows
-        return rel
+        self.rows: dict[str, TupleRecord] = {} if rows is None else rows
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.rows
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.rows)
 
     def __repr__(self) -> str:
         return f"Relation(pk={self.schema.primary_key!r}, rows={len(self.rows)})"
@@ -171,4 +157,4 @@ def relation_from_mapping(
     for key, record in mapping.items():
         _check_row(key, record, schema)
         rows[key] = dict(record)
-    return Relation._adopt(schema, rows)
+    return Relation(schema, rows)

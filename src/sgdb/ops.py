@@ -2,11 +2,11 @@
 
 All nine operators are pure functions: they build a fresh relation and leave
 their inputs untouched.  Each copies a row once, as it builds the result,
-and hands the result rows to ``Relation._adopt`` rather than having the
-constructor copy them a second time.  Join results embed the matching right
-tuple under the joining field and are then flattened, so a match turns the
-scalar field ``catalog`` into the compound fields ``catalog.catalog``,
-``catalog.description``, and so on.  Rows of a result may be heterogeneous: a
+and hands the result rows to the ``Relation`` constructor, which keeps them
+as they are.  Join results embed the matching right tuple under the joining
+field and are then flattened, so a match turns the scalar field ``catalog``
+into the compound fields ``catalog.catalog``, ``catalog.description``, and so
+on.  Rows of a result may be heterogeneous: a
 left join keeps the scalar joining field on unmatched rows while matched rows
 carry the dotted form.
 
@@ -51,7 +51,7 @@ from sgdb.errors import (
     NoCommonFieldError,
     NotJoinableError,
 )
-from sgdb.model import Relation, Schema, TupleRecord, Value
+from sgdb.model import Relation, Schema, TupleRecord
 
 # Sentinel column list meaning "keep every field".
 STAR = "*"
@@ -71,35 +71,6 @@ class Condition:
     value: str
 
 
-NestedValue = Value | dict
-NestedRecord = dict[str, NestedValue]
-
-
-def flatten_record(record: NestedRecord) -> TupleRecord:
-    """Collapse nested records into dotted compound keys, depth first.
-
-    A non-empty nested record at key ``p`` contributes ``p.q`` entries; an
-    empty nested record becomes the explicit null ``p = None``.  Scalars keep
-    their keys.
-    """
-    result: TupleRecord = {}
-    _flatten_into(record, "", result)
-    return result
-
-
-def _flatten_into(record: NestedRecord, prefix: str, result: TupleRecord) -> None:
-    for k, v in record.items():
-        key = prefix + SEPARATOR + k if prefix else k
-        if isinstance(v, dict):
-            if v:
-                _flatten_into(v, key, result)
-                continue
-            v = None
-        if key in result:
-            raise KeyCollisionError(f"flattening produced key {key!r} twice")
-        result[key] = v
-
-
 def select(rel: Relation, cond: Condition) -> Relation:
     """Keep the rows whose value at ``cond.field`` equals ``cond.value``.
 
@@ -108,7 +79,7 @@ def select(rel: Relation, cond: Condition) -> Relation:
     """
     field, value = cond.field, cond.value
     rows = {key: dict(row) for key, row in rel.rows.items() if field in row and row[field] == value}
-    return Relation._adopt(rel.schema, rows)
+    return Relation(rel.schema, rows)
 
 
 def project(rel: Relation, columns: list[str] | tuple[str, ...] | str) -> Relation:
@@ -119,13 +90,13 @@ def project(rel: Relation, columns: list[str] | tuple[str, ...] | str) -> Relati
     keys are preserved, so projection never merges duplicate rows.
     """
     if columns == STAR:
-        return Relation._adopt(rel.schema, {k: dict(r) for k, r in rel.rows.items()})
+        return Relation(rel.schema, {k: dict(r) for k, r in rel.rows.items()})
     wanted = list(dict.fromkeys(columns))
     rows = {
         key: {f: row[f] for f in wanted if f in row}
         for key, row in rel.rows.items()
     }
-    return Relation._adopt(replace(rel.schema, fields=tuple(wanted)), rows)
+    return Relation(replace(rel.schema, fields=tuple(wanted)), rows)
 
 
 def rename(rel: Relation, old: str, new: str) -> Relation:
@@ -143,7 +114,7 @@ def rename(rel: Relation, old: str, new: str) -> Relation:
     }
     fields = tuple(new if f == old else f for f in rel.schema.fields)
     pk = new if rel.schema.primary_key == old else rel.schema.primary_key
-    return Relation._adopt(replace(rel.schema, fields=fields, primary_key=pk), rows)
+    return Relation(replace(rel.schema, fields=fields, primary_key=pk), rows)
 
 
 def _require_key(key: str | None) -> str:
@@ -235,7 +206,7 @@ def _join(left: Relation, right: Relation, key: str, keep_left: bool, keep_right
                     f"synthesized right row key {rk!r} collides with an existing result row"
                 )
             rows[rk] = _stitch(before, _right_part(key, rrow), after) if key in blank else dict(blank)
-    return Relation._adopt(_joined_schema(left.schema, right.schema, key), rows)
+    return Relation(_joined_schema(left.schema, right.schema, key), rows)
 
 
 def inner_join(left: Relation, right: Relation, key: str) -> Relation:
@@ -283,7 +254,7 @@ def cartesian(left: Relation, right: Relation, nest_field: str) -> Relation:
             if pair_key in rows:
                 raise KeyCollisionError(f"pair key {pair_key!r} produced twice")
             rows[pair_key] = _stitch(before, part, after)
-    return Relation._adopt(_joined_schema(left.schema, right.schema, nest_field), rows)
+    return Relation(_joined_schema(left.schema, right.schema, nest_field), rows)
 
 
 def natural_join(left: Relation, right: Relation) -> Relation:

@@ -3,20 +3,22 @@
 Rows are always emitted in row-key order.  Columns follow the schema's field
 order; fields that appear only in some rows of a heterogeneous result are
 appended after the schema columns, sorted by name.  Table and CSV output pad
-missing fields with "" and show the explicit null as ``NULL``; JSON
-output emits each row's record verbatim (null as JSON null) using the same
-canonical serialization the table files use.  Table output writes a line
-feed or carriage return inside a cell or column name as the two characters
-``\n`` or ``\r``, so every row stays on one line and the columns line up.
-CSV output quotes cells as ``csvio.write_rows`` does.
+missing fields with "".  Table output shows the explicit null as ``NULL``,
+and CSV output writes it as an empty cell, as ``sgdb export`` does (its file
+is this CSV output); JSON output emits each row's record verbatim (null as
+JSON null) using the same canonical serialization the table files use.
+Table output writes a line feed or carriage return inside a cell or column
+name as the two characters ``\n`` or ``\r``, so every row stays on one line
+and the columns line up.  CSV output quotes cells as ``write_rows`` does.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
+from typing import Iterable, TextIO
 
-from sgdb.csvio import write_rows
 from sgdb.model import Relation
 from sgdb.storage import CANONICAL_JSON
 
@@ -40,13 +42,14 @@ def render(rel: Relation, spec: RenderSpec = RenderSpec()) -> str:
     if spec.format == "json":
         return "".join(CANONICAL_JSON.encode(rel.rows[key]) + "\n" for key in sorted(rel.rows))
     cols = columns_of(rel)
+    null = "" if spec.format == "csv" else "NULL"
     grid = []
     for key in sorted(rel.rows):
         row = rel.rows[key]
         cells = []
         for c in cols:
             v = row.get(c, "")
-            cells.append("NULL" if v is None else v)
+            cells.append(null if v is None else v)
         grid.append(cells)
     if spec.format == "csv":
         out = io.StringIO()
@@ -60,6 +63,24 @@ def render(rel: Relation, spec: RenderSpec = RenderSpec()) -> str:
     if text.count("\n") != len(grid) + 3 or "\r" in text:
         text = _table([_escaped(c) for c in cols], [[_escaped(cell) for cell in cells] for cells in grid])
     return text
+
+
+def write_rows(fh: TextIO, rows: Iterable[list[str]]) -> None:
+    """Write ``rows`` to ``fh`` as CSV lines ending in ``\n``.
+
+    A cell is quoted where the csv module quotes it, and also when it holds
+    a carriage return: unquoted, a ``\r`` before the line end reads back as
+    part of the line end, and the value loses it.
+    """
+    plain = csv.writer(fh, lineterminator="\n")
+    for cells in rows:
+        if any("\r" in cell for cell in cells):
+            # The csv module quotes a cell holding any character of the line terminator.
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\r\n").writerow(cells)
+            fh.write(line.getvalue()[:-2] + "\n")
+        else:
+            plain.writerow(cells)
 
 
 def _escaped(text: str) -> str:

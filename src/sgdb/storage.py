@@ -110,7 +110,6 @@ import json
 import os
 import re
 import struct
-import uuid
 import zlib
 from collections import defaultdict
 from pathlib import Path
@@ -246,7 +245,7 @@ def _install(path: Path, data: bytes, *, replace: bool, sync: bool = True):
     locked, a failure leaves no temporary file and no open file, and one
     before the rename or link leaves ``path`` as it was.
     """
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
     fh = open(tmp, "x+b")
     try:
         _flock(fh, tmp)
@@ -450,7 +449,7 @@ class TableFile:
     def scan_all(self) -> Relation:
         """Materialize the live rows as an in-memory relation."""
         self._check_open()
-        return Relation._adopt(self.schema, _decoded(self.path, self.schema, self.live_index))
+        return Relation(self.schema, _decoded(self.path, self.schema, self.live_index))
 
     def compact(self) -> None:
         """Rewrite the file as META plus one PUT per live key, in key order.
@@ -561,4 +560,4 @@ class Database:
         self._parses[name] = parse
         # The parse is kept for later scans, so the caller gets a copy of the rows it takes;
         # _decoded has already checked them.
-        return Relation._adopt(parse.schema, {key: dict(row) for key, row in taken.items()})
+        return Relation(parse.schema, {key: dict(row) for key, row in taken.items()})

@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import golden_data as gd
 from conftest import load_fixture_db
 
+import sgdb
 from sgdb import dsl, evaluator, storage
 from sgdb.cli import main, run_repl
 from sgdb.csvio import export_csv, import_csv
@@ -22,6 +27,15 @@ from sgdb.storage import Database
 def dbdir(tmp_path):
     load_fixture_db(tmp_path / "db")
     return str(tmp_path / "db")
+
+
+def run_python(args, stdin=b"", **env):
+    """Run ``python args`` with this ``sgdb`` importable and ``env`` set; return the finished process."""
+    path = os.pathsep.join(filter(None, [str(Path(sgdb.__file__).parent.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
 
 
 # --- render ---------------------------------------------------------------
@@ -204,6 +218,17 @@ def test_export_then_import_keeps_carriage_returns(tmp_path):
     assert out.read_bytes() == b'k,v\n1,"cr\r"\n2,"\r\nboth"\n3,"a\rb"\n4,plain\n'
     assert import_csv(db, "back", out, pk="k") == 4
     assert db.scan("back").rows == db.scan("t").rows
+
+
+def test_export_writes_the_csv_that_exec_prints(tmp_path, capsys):
+    db = Database(tmp_path / "db")
+    db.load("t", Schema("k", ("k", "v")), [{"k": "1", "v": None}, {"k": "2", "v": "cr\r"}, {"k": "3", "v": ""}])
+    out = tmp_path / "t.csv"
+    assert main(["--db", str(db.root), "export", "t", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["--db", str(db.root), "exec", "--format", "csv", "-e", "t"]) == 0
+    printed = capsys.readouterr().out
+    assert out.read_bytes() == printed.encode("utf-8") == b'k,v\n1,\n2,"cr\r"\n3,\n'
 
 
 def test_export_empty_table(tmp_path):
@@ -471,10 +496,15 @@ def test_difftest_that_would_check_nothing_is_an_error(dbdir, args, capsys):
     assert "0 divergences" not in capsys.readouterr().out
 
 
+def test_difftest_refuses_an_unknown_operator(capsys):
+    assert main(["difftest", "--seeds", "1", "--ops", "select,flatten"]) == 2
+    assert "unknown operators ['flatten']" in capsys.readouterr().err
+
+
 def test_difftest_needs_no_database(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("SGDB_DB", raising=False)
     monkeypatch.chdir(tmp_path)
-    assert main(["difftest", "--seeds", "3", "--ops", "select,flatten"]) == 0
+    assert main(["difftest", "--seeds", "3", "--ops", "select,project"]) == 0
     assert main(["--db", str(tmp_path / "db"), "difftest", "--seeds", "3", "--ops", "select"]) == 0
     assert capsys.readouterr().out.count("0 divergences") == 2
     assert list(tmp_path.iterdir()) == []
@@ -565,3 +595,24 @@ def test_repl_reports_a_string_that_can_never_close_at_once(dbdir, line_end):
     out = repl_session(dbdir, 'books | select title = "x' + line_end + "show tables;\n")
     assert out.startswith("error: unterminated string (line 1, col 24)\n")
     assert out.endswith("books\ncatalog\n")
+
+
+@pytest.mark.parametrize("errors", ["surrogateescape", "strict"])
+def test_repl_reports_a_line_that_is_not_utf8_and_goes_on(dbdir, errors):
+    # The undecodable line ends the statement typed so far ("books |"), which is dropped.
+    done = run_python(
+        ["-m", "sgdb.cli", "--db", dbdir, "repl"],
+        b"show tables;\nbooks |\n\xff;\nshow tables;\n",
+        PYTHONIOENCODING=f"utf-8:{errors}",
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode("utf-8") == (
+        "books\ncatalog\n"
+        "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        "books\ncatalog\n"
+    )
+
+
+def test_importing_the_cli_leaves_difftest_and_uuid_unimported():
+    done = run_python(["-c", "import sys, sgdb.cli; print(sorted({'sgdb.difftest', 'uuid'} & set(sys.modules)))"])
+    assert (done.returncode, done.stdout.strip()) == (0, b"[]")

@@ -275,10 +275,10 @@ def test_evaluate_ddl_dml_cycle(tmp_path):
     status = evaluate(parse("create table pets pk name fields name, kind"), db)
     assert isinstance(status, Status)
     status = evaluate(parse('insert pets { name: rex, kind: dog }'), db)
-    assert status.affected == 1
+    assert status.message == "inserted 1 row into pets"
     assert evaluate(parse("pets"), db).rows == {"rex": {"name": "rex", "kind": "dog"}}
-    assert evaluate(parse("delete pets key rex"), db).affected == 1
-    assert evaluate(parse("delete pets key rex"), db).affected == 0
+    assert evaluate(parse("delete pets key rex"), db).message == "deleted 1 row from pets"
+    assert evaluate(parse("delete pets key rex"), db).message == "deleted 0 row from pets"
     listing = evaluate(parse("show tables"), db)
     assert listing.message == "pets"
     evaluate(parse("drop table pets"), db)

@@ -21,16 +21,15 @@ def test_create_relation_schemas():
 
 @pytest.mark.parametrize("value", [{"a": "x"}, 1, ["x"]])
 def test_relation_rows_hold_only_text_and_null(value):
-    schema = Schema("k", ("k", "v"))
-    assert Relation(schema, {"1": {"k": "1", "v": None}}).rows["1"]["v"] is None
+    assert relation_from_mapping({"1": {"k": "1", "v": None}}, "k", ["k", "v"]).rows["1"]["v"] is None
     with pytest.raises(SchemaError, match=f"field 'v' of row '1' must hold a string or null, not {type(value).__name__}"):
-        Relation(schema, {"1": {"k": "1", "v": value}})
+        relation_from_mapping({"1": {"k": "1", "v": value}}, "k", ["k", "v"])
 
 
 @pytest.mark.parametrize("key", ["", None, 1])
 def test_relation_row_keys_are_non_empty_text(key):
     with pytest.raises(SchemaError, match=f"row key {key!r} must be a non-empty string"):
-        Relation(Schema("k", ("k",)), {key: {"k": "x"}})
+        relation_from_mapping({key: {"k": key}}, "k", ["k"])
 
 
 @pytest.mark.parametrize(

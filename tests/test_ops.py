@@ -18,7 +18,6 @@ from sgdb.ops import (
     STAR,
     Condition,
     cartesian,
-    flatten_record,
     inner_join,
     left_join,
     natural_join,
@@ -29,7 +28,7 @@ from sgdb.ops import (
     select,
 )
 from sgdb.dsl import SelectStep
-from sgdb.oracle import oracle_eval
+from sgdb.oracle import flatten, oracle_eval
 
 
 def rows(rel):
@@ -125,7 +124,7 @@ def test_rename_absent_field_changes_nothing(catalog):
 
 def test_flatten_nested_record():
     record = {"a": "1", "c": {"catalog": "001", "description": "computing"}}
-    assert flatten_record(record) == {
+    assert flatten(record) == {
         "a": "1",
         "c.catalog": "001",
         "c.description": "computing",
@@ -133,16 +132,16 @@ def test_flatten_nested_record():
 
 
 def test_flatten_empty_nested_record_becomes_null():
-    assert flatten_record({"a": {}}) == {"a": None}
+    assert flatten({"a": {}}) == {"a": None}
 
 
 def test_flatten_flat_record_is_identity():
-    assert flatten_record({"a": "1"}) == {"a": "1"}
+    assert flatten({"a": "1"}) == {"a": "1"}
 
 
 def test_flatten_path_collision_is_an_error():
     with pytest.raises(KeyCollisionError):
-        flatten_record({"a.b": "1", "a": {"b": "2"}})
+        flatten({"a.b": "1", "a": {"b": "2"}})
 
 
 # --- joins -------------------------------------------------------------
@@ -362,7 +361,7 @@ def test_operators_leave_inputs_untouched(books, catalog):
 
 
 def _ref_row(lrow, key, rrow):
-    return flatten_record({**lrow, key: dict(rrow)})
+    return flatten({**lrow, key: dict(rrow)})
 
 
 def _ref_inner(left, right, key):
@@ -378,7 +377,7 @@ def _ref_left(left, right, key):
     rows = {}
     for k, lrow in left.rows.items():
         v = lrow.get(key)
-        rows[k] = _ref_row(lrow, key, right.rows[v]) if v in right.rows else flatten_record(lrow)
+        rows[k] = _ref_row(lrow, key, right.rows[v]) if v in right.rows else flatten(lrow)
     return rows
 
 
@@ -390,7 +389,7 @@ def _ref_synthesized(left, right, key, rows):
         synth = {f: dict(rrow) if f == key else "" for f in left.schema.fields}
         if rk in rows:
             raise KeyCollisionError(f"synthesized right row key {rk!r} collides with an existing result row")
-        rows[rk] = flatten_record(synth)
+        rows[rk] = flatten(synth)
     return rows
 
 
