@@ -2,8 +2,11 @@
 
 Each tuple is a star graph — the primary-key value at the center, one
 labeled edge per field — held as a plain row dict, and a relation is a
-keyed set of such rows.  ``relation_from_mapping`` builds a relation from a
-literal and checks its rows; ``Relation(schema, rows)`` wraps rows as given.
+keyed set of such rows.  ``relation_from_mapping`` is the checked builder:
+it builds a relation from a literal and checks its rows.
+``Relation(schema, rows)`` wraps rows as given and checks nothing, so the
+operators, given hand-built rows whose values are not text or null, may raise
+plain Python errors such as ``TypeError`` rather than an ``SgdbError``.
 The package provides the relational operators over that model, one-file-
 per-table persistence, a pipeline query language with a REPL, CSV
 import/export, and a built-in differential-testing oracle.

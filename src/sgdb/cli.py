@@ -76,14 +76,13 @@ def _lexes(text: str) -> bool:
     return True
 
 
-def run_repl(db: Database, stdin=None, out=None) -> int:
+def run_repl(db: Database, stdin, out=None) -> int:
     """Read statements (terminated by a ';' token), evaluate, render; errors keep the session alive.
 
     A line holding a byte that is not UTF-8, which a ``surrogateescape`` stdin
     passes on as an escape, is reported as ``sgdb run`` reports such a script,
     and the statement it belongs to is dropped.
     """
-    stdin = stdin if stdin is not None else sys.stdin
     out = out if out is not None else sys.stdout
     interactive = stdin.isatty()
     buffer = ""

@@ -127,7 +127,7 @@ def _pushed_condition(step: Step, after: Step | None, left: Relation) -> Conditi
         return None
     if any(f.startswith(prefix) for row in left.rows.values() for f in row):
         return None
-    if isinstance(step, CrossStep) and any("_" in key for key in left.rows):
+    if isinstance(step, CrossStep) and any(ops.PAIR_SEPARATOR in key for key in left.rows):
         return None
     return Condition(field[len(prefix):], value)
 

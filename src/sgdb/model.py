@@ -12,14 +12,15 @@ afterwards.  Rows from outside the program are checked where they enter:
 ``relation_from_mapping`` is the checked builder for literals, and
 ``sgdb.storage`` checks what it reads from a file.
 
-One function states the rules rows follow (``_check_row``).  The value rule
-serves every relation: the row key is non-empty text, and a field holds text
-or ``None``, the explicit null a join produces when it nests an empty right
-tuple.  The empty string ``""`` is an ordinary text value (it marks
-absent left-side fields in right/outer joins) and is never equal to null.
-Given a schema, it also states the stored-record rule, which every base
-relation and every record in a table log follows: only the schema's fields,
-and the row stored under its own primary-key value.
+One function states the rule rows follow where they enter (``_check_row``),
+and every base relation and every record in a table log follows it: the row
+holds only the schema's fields, it is stored under its own primary-key value,
+which is non-empty text, and each field holds text or ``None``.  ``None`` is
+the explicit null a join produces when it nests an empty right tuple.  The
+empty string ``""`` is an ordinary text value (it marks absent left-side
+fields in right/outer joins) and is never equal to null.  Rows the operators
+build hold only text and null too: they rearrange checked values and add
+only ``""`` and null.
 """
 
 from __future__ import annotations
@@ -56,7 +57,10 @@ class Relation:
 
     Instances are treated as immutable values: every operation returns a new
     relation and never mutates its inputs, so relations are safe to share.
-    The constructor keeps ``rows`` as given, with no copy and no check.
+    The constructor keeps ``rows`` as given, with no copy and no check, so
+    rows built by hand whose values are not text or null can make an operator
+    raise a plain Python error such as ``TypeError``; ``relation_from_mapping``
+    is the checked builder.
     """
 
     __slots__ = ("schema", "rows")
@@ -72,25 +76,22 @@ class Relation:
         return f"Relation(pk={self.schema.primary_key!r}, rows={len(self.rows)})"
 
 
-def _check_row(key: object, row: Mapping[str, object], schema: Schema | None = None) -> None:
-    """The value rule: ``key`` is non-empty text, and every value of ``row`` is text or null.
-
-    Given ``schema``, also the stored-record rule: ``row`` holds the
-    primary-key field and only ``schema``'s fields, and its primary-key value
-    is ``key``, so the row sits under its own primary-key value.
+def _check_row(key: object, row: Mapping[str, object], schema: Schema) -> None:
+    """The stored-record rule: ``row`` holds the primary-key field and only
+    ``schema``'s fields, its primary-key value is non-empty text and is
+    ``key``, so the row sits under its own primary-key value, and every value
+    is text or null.
     """
-    own_key = key
-    if schema is not None:
-        pk = schema.primary_key
-        if pk not in row:
-            raise SchemaError(f"record is missing the primary-key field {pk!r}")
-        if not schema.field_set.issuperset(row):
-            # Plain loops name the offending field: a comprehension here would turn
-            # this function's locals into closure cells and slow every call.
-            for f in row:
-                if f not in schema.field_set:
-                    raise SchemaError(f"unknown field {f!r} for this relation")
-        own_key = row[pk]
+    pk = schema.primary_key
+    if pk not in row:
+        raise SchemaError(f"record is missing the primary-key field {pk!r}")
+    if not schema.field_set.issuperset(row):
+        # Plain loops name the offending field: a comprehension here would turn
+        # this function's locals into closure cells and slow every call.
+        for f in row:
+            if f not in schema.field_set:
+                raise SchemaError(f"unknown field {f!r} for this relation")
+    own_key = row[pk]
     if type(own_key) is not str or not own_key:
         raise SchemaError(f"row key {own_key!r} must be a non-empty string")
     for v in row.values():

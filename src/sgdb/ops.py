@@ -36,6 +36,12 @@ each left row is split around the joining field, and a row is
 flattening meets first; so the rows, their field order and the errors are
 those of nesting and flattening.
 
+The schema of a join or ``cartesian`` result splices the right schema's
+fields, dotted under the joining field, into the left schema at that
+field's position, or appends them when the left schema lacks the field
+(``_joined_schema``).  ``cartesian`` keys each pair
+``<left key><PAIR_SEPARATOR><right key>``.
+
 Matching is by string equality only.  A row that lacks the relevant field is
 simply skipped by ``select`` and ``project`` and counts as unmatched in joins.
 """
@@ -57,6 +63,9 @@ from sgdb.model import Relation, Schema, TupleRecord
 STAR = "*"
 
 SEPARATOR = "."
+
+# Joins a left and a right row key into a ``cartesian`` pair key.
+PAIR_SEPARATOR = "_"
 
 
 @dataclass(frozen=True)
@@ -124,16 +133,12 @@ def _require_key(key: str | None) -> str:
 
 
 def _joined_schema(left: Schema, right: Schema, key: str) -> Schema:
+    """``left``'s fields with ``right``'s, dotted under ``key``, in the joining
+    field's place, or at the end when ``left`` has no such field."""
+    fields = left.fields
+    at = fields.index(key) if key in fields else len(fields)
     dotted = tuple(f"{key}{SEPARATOR}{rf}" for rf in right.fields)
-    fields: list[str] = []
-    for f in left.fields:
-        if f == key:
-            fields.extend(dotted)
-        else:
-            fields.append(f)
-    if key not in left.fields:
-        fields.extend(dotted)
-    return replace(left, fields=tuple(fields))
+    return replace(left, fields=fields[:at] + dotted + fields[at + 1:])
 
 
 def _right_part(key: str, rrow: TupleRecord) -> TupleRecord:
@@ -250,7 +255,7 @@ def cartesian(left: Relation, right: Relation, nest_field: str) -> Relation:
     for lk, lrow in left.rows.items():
         before, after = _split(lrow, nest_field)
         for rk, part in parts:
-            pair_key = f"{lk}_{rk}"
+            pair_key = f"{lk}{PAIR_SEPARATOR}{rk}"
             if pair_key in rows:
                 raise KeyCollisionError(f"pair key {pair_key!r} produced twice")
             rows[pair_key] = _stitch(before, part, after)

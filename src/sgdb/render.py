@@ -7,9 +7,11 @@ missing fields with "".  Table output shows the explicit null as ``NULL``,
 and CSV output writes it as an empty cell, as ``sgdb export`` does (its file
 is this CSV output); JSON output emits each row's record verbatim (null as
 JSON null) using the same canonical serialization the table files use.
-Table output writes a line feed or carriage return inside a cell or column
-name as the two characters ``\n`` or ``\r``, so every row stays on one line
-and the columns line up.  CSV output quotes cells as ``write_rows`` does.
+Table output pads each column to its longest cell, column name included,
+and lays out the header and every row the same way (``_table``).  It writes
+a line feed or carriage return inside a cell or column name as the two
+characters ``\n`` or ``\r``, so every row stays on one line and the columns
+line up.  CSV output quotes cells as ``write_rows`` does.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, TextIO
 
 from sgdb.model import Relation
@@ -38,19 +41,13 @@ def columns_of(rel: Relation) -> list[str]:
     return cols + sorted(extras)
 
 
-def render(rel: Relation, spec: RenderSpec = RenderSpec()) -> str:
+def render(rel: Relation, spec: RenderSpec) -> str:
+    keys = sorted(rel.rows)
     if spec.format == "json":
-        return "".join(CANONICAL_JSON.encode(rel.rows[key]) + "\n" for key in sorted(rel.rows))
+        return "".join(CANONICAL_JSON.encode(rel.rows[key]) + "\n" for key in keys)
     cols = columns_of(rel)
     null = "" if spec.format == "csv" else "NULL"
-    grid = []
-    for key in sorted(rel.rows):
-        row = rel.rows[key]
-        cells = []
-        for c in cols:
-            v = row.get(c, "")
-            cells.append(null if v is None else v)
-        grid.append(cells)
+    grid = [[null if v is None else v for v in map(row.get, cols, repeat(""))] for row in map(rel.rows.get, keys)]
     if spec.format == "csv":
         out = io.StringIO()
         write_rows(out, [cols, *grid])
@@ -88,15 +85,12 @@ def _escaped(text: str) -> str:
 
 
 def _table(cols: list[str], grid: list[list[str]]) -> str:
-    widths = [len(c) for c in cols]
-    for cells in grid:
-        for i, cell in enumerate(cells):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(c.ljust(widths[i]) for i, c in enumerate(cols)).rstrip(" "),
-        "  ".join("-" * w for w in widths),
-    ]
-    for cells in grid:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)).rstrip(" "))
-    lines.append(f"({len(grid)} row{'s' if len(grid) != 1 else ''})")
-    return "\n".join(lines) + "\n"
+    """Each column as wide as its longest cell, header included; every line,
+    header and body alike, is its cells padded to those widths, joined by two
+    spaces, with trailing spaces stripped."""
+    widths = [max(map(len, column)) for column in zip(cols, *grid)]
+    line = "  ".join(f"{{:<{w}}}" for w in widths).format
+    header, *body = [line(*cells).rstrip(" ") for cells in [cols, *grid]]
+    dashes = "  ".join("-" * w for w in widths)
+    footer = f"({len(grid)} row{'s' if len(grid) != 1 else ''})"
+    return "\n".join([header, dashes, *body, footer]) + "\n"

@@ -9,10 +9,10 @@ op is META=0x00, PUT=0x01 or DEL=0x02; the CRC covers op, lengths, key and
 value.  The META record (key = the single byte 0x00) carries the schema as
 JSON and is written once, first.  Values are canonical JSON: keys sorted by
 code point, UTF-8, no insignificant whitespace.  A record is stored under
-the rule every base relation follows (``model._check_row`` given the
-schema): it holds only the schema's fields, its primary-key value is
-non-empty text and is its record key, and each other field holds text or
-the explicit null, which is written as JSON null and read back as ``None``.
+the rule every base relation follows (``model._check_row``): it holds only
+the schema's fields, its primary-key value is non-empty text and is its
+record key, and each other field holds text or the explicit null, which is
+written as JSON null and read back as ``None``.
 
 The reader states no rule of its own: it holds what it reads to the checks
 the writer runs, in ``model``.  A schema record is built by
@@ -341,7 +341,7 @@ def _replay(path: Path, data: bytes, kept: _Parse | None = None) -> _Parse:
 
 def _decoded(path: Path, schema: Schema, index: dict[str, bytes]) -> dict[str, TupleRecord]:
     """Every live payload of ``index``, decoded as one JSON object and held to the
-    rule ``put_record`` writes by (``model._check_row`` given the schema)."""
+    rule ``put_record`` writes by (``model._check_row``)."""
     rows = {}
     for key, payload in index.items():
         try:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import golden_data as gd
 from conftest import load_fixture_db
 
 import sgdb
-from sgdb import dsl, evaluator, storage
+from sgdb import dsl, evaluator, ops, storage
 from sgdb.cli import main, run_repl
 from sgdb.csvio import export_csv, import_csv
 from sgdb.difftest import differential_check
@@ -469,6 +470,20 @@ def test_cli_import_of_a_csv_that_is_not_utf8_is_an_error(dbdir, tmp_path, capsy
     assert "people" not in Database(dbdir).list_tables()
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("empty.csv", "", "empty.csv: empty file, expected a header row"),
+    ("ragged.csv", "id,name\n1,a\n2\n", "ragged.csv:3: row has 1 cells, header has 2"),
+    ("emptypk.csv", "id,name\n1,a\n,b\n", "emptypk.csv:3: empty primary-key value"),
+], ids=["empty file", "short row", "empty key"])
+def test_cli_import_of_a_malformed_csv_is_an_error_and_leaves_no_table(tmp_path, monkeypatch, capsys, name, text, message):
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(text)
+    assert main(["--db", "db", "import", "t", name, "--pk", "id"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["--db", "db", "exec", "-e", "show tables"]) == 0
+    assert capsys.readouterr().out == "(no tables)\n"
+
+
 def test_cli_difftest_small(dbdir, capsys):
     assert main(["--db", dbdir, "difftest", "--seeds", "1000"]) == 0
     assert "0 divergences" in capsys.readouterr().out
@@ -520,6 +535,25 @@ def test_difftest_checks_each_operator_as_the_dsl_prints_it(monkeypatch, op, pri
     reports = differential_check(range(100), (op,))
     assert reports
     assert {report.operator for report in reports} == {f"{op} through storage"}
+
+
+def test_difftest_prints_each_divergence_it_finds(monkeypatch, capsys):
+    rename = ops.rename
+
+    def lossy(rel, old, new):
+        renamed = rename(rel, old, new)
+        return Relation(renamed.schema, dict(list(renamed.rows.items())[1:]))
+
+    monkeypatch.setattr(ops, "rename", lossy)
+    assert main(["difftest", "--seeds", "5", "--ops", "rename"]) == 1
+    summary, *lines = capsys.readouterr().out.splitlines()
+    found = int(re.fullmatch(r"difftest: 5 seeds x 1 operators, (\d+) divergences", summary).group(1))
+    assert found > 0 and len(lines) == 4 * found
+    for first, inputs, engine, oracle in zip(*[iter(lines)] * 4):
+        assert re.fullmatch(r"seed [0-4], operator rename through storage: row '.+' only in oracle output", first)
+        assert inputs.startswith("  inputs: ")
+        assert engine.startswith("  engine: ")
+        assert oracle.startswith("  oracle: ")
 
 
 # --- REPL ---------------------------------------------------------------------

@@ -381,6 +381,25 @@ def test_mid_file_corruption_is_reported(path):
         TableFile(path)
 
 
+@pytest.mark.parametrize("where", ["at the end", "mid-log"])
+def test_an_unknown_record_tag_is_reported_and_not_cut_off(path, where):
+    table = TableFile(path, BOOKS_SCHEMA)
+    boundaries = []
+    for record in gd.BOOKS.values():
+        table.put_record(record)
+        boundaries.append(path.stat().st_size)
+    table.close()
+    data = bytearray(path.read_bytes())
+    if where == "at the end":
+        data.append(0x07)
+    else:
+        data[boundaries[1]] = 0x07
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptFileError, match="invalid record tag 0x07"):
+        TableFile(path)
+    assert path.read_bytes() == data
+
+
 def test_bad_magic_is_reported(path):
     path.write_bytes(b"NOPE\x01")
     with pytest.raises(CorruptFileError):
