@@ -29,12 +29,16 @@ outer join both:
 
 The joins and ``cartesian`` build each such row in one step rather than
 nesting and re-flattening every pair.  Each right tuple is flattened once per
-call into its dotted part (``{key.f: v}``, or ``{key: None}`` when empty),
-each left row is split around the joining field, and a row is
-``{**before, **part, **after}``.  A left field named like a part field makes
-``_stitch`` raise the ``KeyCollisionError`` flattening would, naming the field
-flattening meets first; so the rows, their field order and the errors are
-those of nesting and flattening.
+call into its dotted part (``{key.f: v}``, or ``{key: None}`` when empty).
+A join builds a matched row in one loop over the left row, copying each
+field and putting the part in the joining field's place; ``cartesian``
+splits each left row once around the field (``_split``) and builds each pair
+as ``{**before, **part, **after}``.  The one collision flattening can meet is
+a left field named like a part field, and it leaves the row shorter than the
+left fields other than the joining field plus the part.  Only such a short
+row calls ``_stitch``, which raises the ``KeyCollisionError`` flattening
+would, naming the field flattening meets first; so the rows, their field
+order and the errors are those of nesting and flattening.
 
 The schema of a join or ``cartesian`` result splices the right schema's
 fields, dotted under the joining field, into the left schema at that
@@ -111,8 +115,9 @@ def project(rel: Relation, columns: list[str] | tuple[str, ...] | str) -> Relati
 def rename(rel: Relation, old: str, new: str) -> Relation:
     """Re-label field ``old`` as ``new`` in every row that has it.
 
-    The new name must not already occur anywhere in the relation.  Renaming
-    the primary-key field renames it in the schema too; row keys stay put.
+    The new name must not already occur in any row.  A schema that already
+    names it keeps it once, at its first position.  Renaming the primary-key
+    field renames it in the schema too; row keys stay put.
     """
     for key, row in rel.rows.items():
         if new in row:
@@ -121,7 +126,7 @@ def rename(rel: Relation, old: str, new: str) -> Relation:
         key: {(new if f == old else f): v for f, v in row.items()}
         for key, row in rel.rows.items()
     }
-    fields = tuple(new if f == old else f for f in rel.schema.fields)
+    fields = tuple(dict.fromkeys(new if f == old else f for f in rel.schema.fields))
     pk = new if rel.schema.primary_key == old else rel.schema.primary_key
     return Relation(replace(rel.schema, fields=fields, primary_key=pk), rows)
 
@@ -193,10 +198,19 @@ def _join(left: Relation, right: Relation, key: str, keep_left: bool, keep_right
         v = lrow.get(key)
         rrow = right.rows.get(v)
         if rrow is not None and (rrow or keep_left):
-            if v not in parts:
-                parts[v] = _right_part(key, rrow)
-            before, after = _split(lrow, key)
-            rows[k] = _stitch(before, parts[v], after)
+            part = parts.get(v)
+            if part is None:
+                part = parts[v] = _right_part(key, rrow)
+            row = {}
+            for f, x in lrow.items():
+                if f == key:
+                    row.update(part)
+                else:
+                    row[f] = x
+            if len(row) < len(lrow) - 1 + len(part):  # a left field is named like a part field
+                before, after = _split(lrow, key)
+                _stitch(before, part, after)
+            rows[k] = row
         elif keep_left:
             rows[k] = dict(lrow)
     if keep_right:
@@ -254,11 +268,15 @@ def cartesian(left: Relation, right: Relation, nest_field: str) -> Relation:
     rows: dict[str, TupleRecord] = {}
     for lk, lrow in left.rows.items():
         before, after = _split(lrow, nest_field)
+        size = len(before) + len(after)
         for rk, part in parts:
             pair_key = f"{lk}{PAIR_SEPARATOR}{rk}"
             if pair_key in rows:
                 raise KeyCollisionError(f"pair key {pair_key!r} produced twice")
-            rows[pair_key] = _stitch(before, part, after)
+            row = {**before, **part, **after}
+            if len(row) < size + len(part):
+                _stitch(before, part, after)
+            rows[pair_key] = row
     return Relation(_joined_schema(left.schema, right.schema, nest_field), rows)
 
 

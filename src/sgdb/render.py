@@ -7,11 +7,14 @@ missing fields with "".  Table output shows the explicit null as ``NULL``,
 and CSV output writes it as an empty cell, as ``sgdb export`` does (its file
 is this CSV output); JSON output emits each row's record verbatim (null as
 JSON null) using the same canonical serialization the table files use.
-Table output pads each column to its longest cell, column name included,
-and lays out the header and every row the same way (``_table``).  It writes
-a line feed or carriage return inside a cell or column name as the two
-characters ``\n`` or ``\r``, so every row stays on one line and the columns
-line up.  CSV output quotes cells as ``write_rows`` does.
+Table and CSV output are built one column at a time: a column holds one
+field's value in every row, and only a column that holds a null has it
+replaced.  Table output pads each column to its longest cell, column name
+included, and lays out the header and every row with one format
+(``_table``).  It writes a line feed or carriage return inside a cell or
+column name as the two characters ``\n`` or ``\r``, so every row stays on
+one line and the columns line up.  CSV output quotes cells as ``write_rows``
+does.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, TextIO
+from itertools import chain, repeat, starmap
+from typing import Iterable, Sequence, TextIO
 
 from sgdb.model import Relation
 from sgdb.storage import CANONICAL_JSON
@@ -36,33 +39,38 @@ class RenderSpec:
 def columns_of(rel: Relation) -> list[str]:
     """Schema fields first, then any extra row fields in sorted order."""
     cols = list(rel.schema.fields)
-    known = set(cols)
-    extras = {f for row in rel.rows.values() for f in row if f not in known}
-    return cols + sorted(extras)
+    return cols + sorted(set().union(*rel.rows.values()).difference(cols))
 
 
 def render(rel: Relation, spec: RenderSpec) -> str:
+    """``rel`` as text in ``spec.format`` (see the module docstring)."""
     keys = sorted(rel.rows)
     if spec.format == "json":
         return "".join(CANONICAL_JSON.encode(rel.rows[key]) + "\n" for key in keys)
+    rows = list(map(rel.rows.__getitem__, keys))
     cols = columns_of(rel)
     null = "" if spec.format == "csv" else "NULL"
-    grid = [[null if v is None else v for v in map(row.get, cols, repeat(""))] for row in map(rel.rows.get, keys)]
+    columns = []
+    for c in cols:
+        column = [row.get(c, "") for row in rows]
+        if None in column:
+            column = [null if v is None else v for v in column]
+        columns.append(column)
     if spec.format == "csv":
         out = io.StringIO()
-        write_rows(out, [cols, *grid])
+        write_rows(out, chain([cols], _by_row(columns, len(rows))))
         return out.getvalue()
     if spec.format != "table":
         raise ValueError(f"unknown format {spec.format!r}")
-    text = _table(cols, grid)
+    text = _table(cols, columns, len(rows))
     # Only a line break inside a cell or column name adds line breaks to the
     # text: rows are stripped of their space padding and of nothing else.
-    if text.count("\n") != len(grid) + 3 or "\r" in text:
-        text = _table([_escaped(c) for c in cols], [[_escaped(cell) for cell in cells] for cells in grid])
+    if text.count("\n") != len(rows) + 3 or "\r" in text:
+        text = _table(list(map(_escaped, cols)), [list(map(_escaped, column)) for column in columns], len(rows))
     return text
 
 
-def write_rows(fh: TextIO, rows: Iterable[list[str]]) -> None:
+def write_rows(fh: TextIO, rows: Iterable[Sequence[str]]) -> None:
     """Write ``rows`` to ``fh`` as CSV lines ending in ``\n``.
 
     A cell is quoted where the csv module quotes it, and also when it holds
@@ -84,13 +92,22 @@ def _escaped(text: str) -> str:
     return text.replace("\n", "\\n").replace("\r", "\\r")
 
 
-def _table(cols: list[str], grid: list[list[str]]) -> str:
-    """Each column as wide as its longest cell, header included; every line,
+def _by_row(columns: list[list[str]], n: int) -> Iterable[tuple[str, ...]]:
+    """The cells of each of the ``n`` rows that ``columns`` holds column by column."""
+    return zip(*columns) if columns else repeat((), n)
+
+
+def _table(cols: list[str], columns: list[list[str]], n: int) -> str:
+    """The table of ``n`` rows under the header ``cols``, where ``columns``
+    holds the rows' cells column by column.
+
+    Each column is as wide as its longest cell, header included; every line,
     header and body alike, is its cells padded to those widths, joined by two
-    spaces, with trailing spaces stripped."""
-    widths = [max(map(len, column)) for column in zip(cols, *grid)]
+    spaces, with trailing spaces stripped.
+    """
+    widths = [max(len(c), max(map(len, column), default=0)) for c, column in zip(cols, columns)]
     line = "  ".join(f"{{:<{w}}}" for w in widths).format
-    header, *body = [line(*cells).rstrip(" ") for cells in [cols, *grid]]
+    body = map(str.rstrip, starmap(line, _by_row(columns, n)), repeat(" "))
     dashes = "  ".join("-" * w for w in widths)
-    footer = f"({len(grid)} row{'s' if len(grid) != 1 else ''})"
-    return "\n".join([header, dashes, *body, footer]) + "\n"
+    footer = f"({n} row{'s' if n != 1 else ''})"
+    return "\n".join([line(*cols).rstrip(" "), dashes, *body, footer]) + "\n"

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import golden_data as gd
 from conftest import load_fixture_db
@@ -20,7 +22,7 @@ from sgdb.dsl import CrossStep, NaturalJoinStep, RenameStep, SelectStep
 from sgdb.errors import DuplicateKeyError, MissingColumnError, UnknownTableError
 from sgdb.model import Relation, Schema, relation_equal, relation_from_mapping
 from sgdb.ops import Condition
-from sgdb.render import RenderSpec, columns_of, render
+from sgdb.render import RenderSpec, columns_of, render, write_rows
 from sgdb.storage import Database
 
 
@@ -127,6 +129,66 @@ def test_render_is_deterministic(books):
     for fmt in ("table", "csv", "json"):
         spec = RenderSpec(format=fmt)
         assert render(books, spec) == render(books, spec)
+
+
+def _row_major_render(rel, fmt):
+    """The table or CSV text of ``rel``, built one row at a time: the reference
+    for ``render``, which builds its output one column at a time."""
+    cols = list(rel.schema.fields)
+    cols += sorted({f for row in rel.rows.values() for f in row if f not in cols})
+    null = "" if fmt == "csv" else "NULL"
+    grid = []
+    for key in sorted(rel.rows):
+        cells = []
+        for c in cols:
+            value = rel.rows[key].get(c, "")
+            cells.append(null if value is None else value)
+        grid.append(cells)
+    if fmt == "csv":
+        out = io.StringIO()
+        write_rows(out, [cols, *grid])
+        return out.getvalue()
+    lines = [cols, *grid]
+    if any("\n" in cell or "\r" in cell for cells in lines for cell in cells):
+        lines = [[cell.replace("\n", "\\n").replace("\r", "\\r") for cell in cells] for cells in lines]
+    widths = [0] * len(cols)
+    for cells in lines:
+        for i, cell in enumerate(cells):
+            widths[i] = max(widths[i], len(cell))
+    text = []
+    for cells in lines:
+        text.append("  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip(" "))
+    text.insert(1, "  ".join("-" * w for w in widths))
+    text.append(f"({len(grid)} row{'' if len(grid) == 1 else 's'})")
+    return "\n".join(text) + "\n"
+
+
+# Names and cells with line breaks, commas, quotes, spaces and a wide letter.
+RENDER_NAMES = st.text(alphabet="ab \n\r", min_size=1, max_size=3)
+RENDER_CELLS = st.none() | st.text(alphabet='ab \n\r,"é', max_size=5)
+
+
+@st.composite
+def _render_relations(draw):
+    fields = draw(st.lists(RENDER_NAMES, min_size=1, max_size=4, unique=True))
+    # Row fields come from the schema and from extra names, so rows lack some
+    # schema fields and carry others.
+    names = list(dict.fromkeys(fields + draw(st.lists(RENDER_NAMES, max_size=3))))
+    row = st.dictionaries(st.sampled_from(names), RENDER_CELLS)
+    rows = draw(st.dictionaries(st.text(alphabet="0123", max_size=3), row, max_size=6))
+    return Relation(Schema(fields[0], tuple(fields)), rows)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(rel=_render_relations())
+@example(rel=Relation(Schema("k", ("k", "v"))))
+@example(rel=Relation(Schema("k", ("k", "v")), {"2": {"k": "2", "v": None}, "1": {"k": "1", "v": None}}))
+@example(rel=Relation(Schema("k", ("k",)), {"1": {"k": "1", "v": None, "w": None}}))
+# ``project(rel, [])`` keeps every row and no field.
+@example(rel=Relation(Schema("k", ()), {"1": {}, "2": {}}))
+def test_render_equals_a_row_major_reference(rel):
+    for fmt in ("table", "csv"):
+        assert render(rel, RenderSpec(fmt)) == _row_major_render(rel, fmt), fmt
 
 
 # --- CSV import/export ------------------------------------------------------
@@ -390,6 +452,22 @@ def test_exec_insert_naming_a_field_twice_is_an_error_and_changes_nothing(dbdir,
 def test_exec_project_naming_a_column_twice_renders_it_once(dbdir, capsys, fmt, expected):
     query = "books | select ISBN = 9780596159818 | project title, title, ISBN"
     assert main(["--db", dbdir, "exec", "-e", query, "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("query, expected", [
+    ("t | rename c -> b", "a  b\n-  -\nk  1\n(1 row)\n"),
+    ("t | rename c -> b | ljoin u on b", "a  b.id  b.x\n-  ----  ---\nk  1     y\n(1 row)\n"),
+], ids=["rename", "ljoin"])
+def test_exec_rename_onto_a_field_no_row_holds_shows_it_once(tmp_path, capsys, query, expected):
+    root = str(tmp_path / "db")
+    tables = (
+        "create table t pk a fields a, b, c; insert t { a: k, c: 1 };"
+        "create table u pk id fields id, x; insert u { id: 1, x: y };"
+    )
+    assert main(["--db", root, "exec", "-e", tables]) == 0
+    capsys.readouterr()
+    assert main(["--db", root, "exec", "-e", query]) == 0
     assert capsys.readouterr().out == expected
 
 

@@ -119,6 +119,15 @@ def test_rename_absent_field_changes_nothing(catalog):
     assert relation_equal(rename(catalog, "ghost", "fresh"), catalog)
 
 
+def test_rename_onto_a_schema_field_no_row_holds_names_it_once():
+    rel = Relation(Schema("a", ("a", "b", "c")), {"k": {"a": "k", "c": "1"}})
+    result = rename(rel, "c", "b")
+    assert result.schema.fields == ("a", "b")
+    assert rows(result) == {"k": {"a": "k", "b": "1"}}
+    right = Relation(Schema("id", ("id", "x")), {"1": {"id": "1", "x": "y"}})
+    assert left_join(result, right, "b").schema.fields == ("a", "b.id", "b.x")
+
+
 # --- flatten -----------------------------------------------------------
 
 
