@@ -218,6 +218,36 @@ def test_parse_errors_carry_position():
     assert "->" in err.value.expected
 
 
+_STEP_WORDS = {"select", "project", "rename", "ijoin", "ljoin", "rjoin", "ojoin", "cross", "njoin"}
+
+
+@pytest.mark.parametrize(
+    "text, message, col, expected",
+    [
+        ("b | ijoin", "unexpected end of input, expected table name", 10, {"table name"}),
+        ("b | ljoin c", "unexpected end of input, expected on", 12, {"on"}),
+        ("b | rjoin c as k", "unexpected KEYWORD 'as', expected on", 13, {"on"}),
+        ("b | ojoin c on", "unexpected end of input, expected joining field", 15, {"joining field"}),
+        ("b | cross c on k", "unexpected KEYWORD 'on', expected as", 13, {"as"}),
+        ("b | cross c as", "unexpected end of input, expected nesting field", 15, {"nesting field"}),
+        ("b | njoin", "unexpected end of input, expected table name", 10, {"table name"}),
+        ("b | njoin c on k", "unexpected KEYWORD 'on', expected end of statement", 13, {"end of statement"}),
+        (
+            "b | bogus",
+            "unexpected IDENT 'bogus', expected cross, ijoin, ljoin, njoin, ojoin, project, rename, rjoin, select",
+            5,
+            _STEP_WORDS,
+        ),
+    ],
+)
+def test_parse_error_of_each_join_word(text, message, col, expected):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (line 1, col {col})"
+    assert (err.value.line, err.value.col) == (1, col)
+    assert err.value.expected == frozenset(expected)
+
+
 # --- pretty printer -------------------------------------------------------
 
 
