@@ -38,6 +38,12 @@ def _print_positioned_error(exc: LexError | ParseError, text: str, out) -> None:
         out.write("  " + " " * (exc.col - 1) + "^\n")
 
 
+def _check_utf8(text: str) -> None:
+    """Raise ``UnicodeDecodeError`` for the first byte of ``text`` that is not UTF-8,
+    which ``sys.argv`` and a ``surrogateescape`` stream pass on as an escape."""
+    text.encode("utf-8", "surrogateescape").decode("utf-8")
+
+
 def _exec_text(db: Database, text: str, spec: RenderSpec, out, err) -> int:
     try:
         statements = dsl.parse_script(text)
@@ -91,7 +97,7 @@ def run_repl(db: Database, stdin, out=None) -> int:
         out.flush()
     for line in stdin:
         try:
-            line.encode("utf-8", "surrogateescape").decode("utf-8")
+            _check_utf8(line)
         except UnicodeError as exc:
             out.write(f"error: {exc}\n")
             buffer = ""
@@ -178,6 +184,7 @@ def main(argv: list[str] | None = None) -> int:
             stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape", newline="\n")
             return run_repl(db, stdin)
         if args.command == "exec":
+            _check_utf8(args.statement)
             return _exec_text(db, args.statement, RenderSpec(format=args.format), sys.stdout, sys.stderr)
         if args.command == "run":
             # A byte-order mark, as some editors write, is not part of the script.
@@ -193,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"exported {count} rows from {args.table}")
             return 0
     except (SgdbError, OSError, UnicodeDecodeError) as exc:
-        # UnicodeDecodeError: a script or CSV file that is not UTF-8 text.
+        # UnicodeDecodeError: a statement, script or CSV file that is not UTF-8 text.
         print(f"error: {exc}", file=sys.stderr)
         return 3
     raise AssertionError("unreachable")

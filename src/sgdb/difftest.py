@@ -140,11 +140,9 @@ def _pick_step(op: str, seed: int, left: Relation) -> dsl.Step:
     if op == "rename":
         return dsl.RenameStep(rng.choice(fields + ["ghost"]), "relabeled")
     if op == "natural_join":
-        return dsl.NaturalJoinStep("right")
+        return dsl.JoinStep("natural", "right")
     key = JOIN_FIELD if rng.random() < 0.75 else rng.choice(fields)
-    if op == "cartesian":
-        return dsl.CrossStep("right", key)
-    return dsl.JoinStep(op.removesuffix("_join"), "right", key)
+    return dsl.JoinStep("cross" if op == "cartesian" else op.removesuffix("_join"), "right", key)
 
 
 def _another_condition(seed: int, left: Relation, cond: Condition) -> Condition:
@@ -195,12 +193,11 @@ def _pick_pipeline(seed: int, left: Relation, right: Relation) -> dsl.Query:
                 steps.append(dsl.ProjectStep(tuple(fields)))
         else:
             if kind == "join":
-                name = JOIN_FIELD
-                steps.append(dsl.JoinStep(rng.choice(("inner", "left", "right", "outer")), "right", name))
+                join, name = rng.choice(("inner", "left", "right", "outer")), JOIN_FIELD
             else:
                 # Mostly "link", which a join before it has already dotted.
-                name = rng.choices(_NEST_NAMES, weights=(1, 2))[0]
-                steps.append(dsl.CrossStep("right", name))
+                join, name = "cross", rng.choices(_NEST_NAMES, weights=(1, 2))[0]
+            steps.append(dsl.JoinStep(join, "right", name))
             added = [f"{name}.{f}" for f in right.schema.fields]
             fields = list(dict.fromkeys([f for f in fields if f != name] + added))
             if rng.random() < 0.6:
@@ -219,6 +216,11 @@ def _exact(fn, *args) -> tuple:
     return ("ok", rel.schema, [(key, list(row.items())) for key, row in rel.rows.items()])
 
 
+def _right_table(tables: dict[str, Relation], step: dsl.Step) -> Relation | None:
+    """The relation in ``tables`` that a join ``step`` reads; None for any other step."""
+    return tables[step.table] if isinstance(step, dsl.JoinStep) else None
+
+
 def _fold_plainly(tables: dict[str, Relation], query: dsl.Query, schemas: list[Schema]) -> Relation:
     """``query`` as a left fold of ``evaluator._apply`` over ``tables`` (name ->
     relation), with no rewrite.
@@ -229,7 +231,7 @@ def _fold_plainly(tables: dict[str, Relation], query: dsl.Query, schemas: list[S
     rel = tables[query.source]
     for step in query.steps:
         schemas.append(rel.schema)
-        rel = evaluator._apply(step, rel, tables.get(getattr(step, "table", None)))
+        rel = evaluator._apply(step, rel, _right_table(tables, step))
     return rel
 
 
@@ -244,7 +246,7 @@ def _oracle_fold(tables: dict[str, Relation], query: dsl.Query, schemas: list[Sc
     try:
         for step, schema in zip(query.steps, schemas):
             left = Relation(schema, rel.rows)
-            rel = oracle.oracle_eval(step, left, tables.get(getattr(step, "table", None)))
+            rel = oracle.oracle_eval(step, left, _right_table(tables, step))
     except SgdbError as exc:
         return ("error", type(exc).__name__)
     return ("ok", rel.rows)

@@ -34,8 +34,10 @@ KEYWORDS = frozenset(
     "create table pk fields drop insert delete key show tables".split()
 )
 
-JOIN_KINDS = {"ijoin": "inner", "ljoin": "left", "rjoin": "right", "ojoin": "outer"}
-_STEP_WORDS = ("select", "project", "rename", "cross", "njoin", *JOIN_KINDS)
+JOIN_KINDS = {"ijoin": "inner", "ljoin": "left", "rjoin": "right", "ojoin": "outer",
+              "cross": "cross", "njoin": "natural"}
+_JOIN_WORDS = {kind: word for word, kind in JOIN_KINDS.items()}
+_STEP_WORDS = ("select", "project", "rename", *JOIN_KINDS)
 
 _WORD_RE = re.compile(r"[A-Za-z0-9_.]+")
 _PUNCT = {
@@ -118,23 +120,20 @@ class RenameStep:
 
 @dataclass(frozen=True)
 class JoinStep:
-    kind: str  # inner | left | right | outer
+    """A step that combines each row with the rows of ``table``.
+
+    ``kind`` is ``inner``, ``left``, ``right``, ``outer`` (``ijoin`` ...
+    ``ojoin T on key``), ``cross`` (``cross T as key``) or ``natural``
+    (``njoin T``).  ``key`` is the joining field, the field a cross nests
+    each right row under, or None for a natural join.
+    """
+
+    kind: str
     table: str
-    key: str
+    key: str | None = None
 
 
-@dataclass(frozen=True)
-class CrossStep:
-    table: str
-    nest_field: str
-
-
-@dataclass(frozen=True)
-class NaturalJoinStep:
-    table: str
-
-
-Step = SelectStep | ProjectStep | RenameStep | JoinStep | CrossStep | NaturalJoinStep
+Step = SelectStep | ProjectStep | RenameStep | JoinStep
 
 
 @dataclass(frozen=True)
@@ -275,15 +274,14 @@ class _Parser:
             old = self._name("field name")
             self._take("->")
             return RenameStep(old, self._name("field name"))
-        if word in JOIN_KINDS:
-            table = self._name("table name")
-            self._take("on")
-            return JoinStep(JOIN_KINDS[word], table, self._name("joining field"))
+        table = self._name("table name")
+        if word == "njoin":
+            return JoinStep("natural", table)
         if word == "cross":
-            table = self._name("table name")
             self._take("as")
-            return CrossStep(table, self._name("nesting field"))
-        return NaturalJoinStep(self._name("table name"))
+            return JoinStep("cross", table, self._name("nesting field"))
+        self._take("on")
+        return JoinStep(JOIN_KINDS[word], table, self._name("joining field"))
 
     def _create(self) -> CreateTable:
         self._advance()
@@ -379,11 +377,9 @@ def _render_step(step: Step) -> str:
             return "project " + ", ".join(_quote(c) for c in columns)
         case RenameStep(old, new):
             return f"rename {_quote(old)} -> {_quote(new)}"
-        case JoinStep(kind, table, key):
-            word = {v: k for k, v in JOIN_KINDS.items()}[kind]
-            return f"{word} {_quote(table)} on {_quote(key)}"
-        case CrossStep(table, nest_field):
-            return f"cross {_quote(table)} as {_quote(nest_field)}"
-        case NaturalJoinStep(table):
+        case JoinStep("natural", table):
             return f"njoin {_quote(table)}"
+        case JoinStep(kind, table, key):
+            joiner = "as" if kind == "cross" else "on"
+            return f"{_JOIN_WORDS[kind]} {_quote(table)} {joiner} {_quote(key)}"
     raise TypeError(f"not a step: {step!r}")

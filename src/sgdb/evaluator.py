@@ -38,12 +38,10 @@ from dataclasses import dataclass
 from sgdb import ops
 from sgdb.dsl import (
     CreateTable,
-    CrossStep,
     Delete,
     DropTable,
     Insert,
     JoinStep,
-    NaturalJoinStep,
     ProjectStep,
     Query,
     RenameStep,
@@ -70,6 +68,7 @@ _JOINS = {
     "left": ops.left_join,
     "right": ops.right_join,
     "outer": ops.outer_join,
+    "cross": ops.cartesian,
 }
 
 
@@ -84,8 +83,7 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
                 where = _pushed_condition(step, pending[0] if pending else None, rel)
                 if where is not None:
                     pending.pop(0)
-                table = getattr(step, "table", None)
-                rel = _apply(step, rel, db.scan(table, where) if table else None)
+                rel = _apply(step, rel, db.scan(step.table, where) if isinstance(step, JoinStep) else None)
             return rel
         case CreateTable(name, pk, fields):
             db.create(name, Schema(pk, tuple(fields))).close()
@@ -116,18 +114,15 @@ def _pushed_condition(step: Step, after: Step | None, left: Relation) -> Conditi
     when the module docstring's rule lets it run inside that table's scan."""
     if not isinstance(after, SelectStep):
         return None
-    match step:
-        case CrossStep(nest_field=name) | JoinStep(kind="inner", key=name):
-            pass
-        case _:
-            return None
-    prefix = name + ops.SEPARATOR
+    if not (isinstance(step, JoinStep) and step.kind in ("inner", "cross")):
+        return None
+    prefix = step.key + ops.SEPARATOR
     field, value = after.condition.field, after.condition.value
     if not field.startswith(prefix):
         return None
     if any(f.startswith(prefix) for row in left.rows.values() for f in row):
         return None
-    if isinstance(step, CrossStep) and any(ops.PAIR_SEPARATOR in key for key in left.rows):
+    if step.kind == "cross" and any(ops.PAIR_SEPARATOR in key for key in left.rows):
         return None
     return Condition(field[len(prefix):], value)
 
@@ -142,10 +137,8 @@ def _apply(step: Step, rel: Relation, right: Relation | None) -> Relation:
             return ops.project(rel, columns)
         case RenameStep(old, new):
             return ops.rename(rel, old, new)
+        case JoinStep("natural"):
+            return ops.natural_join(rel, right)
         case JoinStep(kind, _, key):
             return _JOINS[kind](rel, right, key)
-        case CrossStep(_, nest_field):
-            return ops.cartesian(rel, right, nest_field)
-        case NaturalJoinStep():
-            return ops.natural_join(rel, right)
     raise TypeError(f"not a step: {step!r}")

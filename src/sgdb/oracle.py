@@ -37,7 +37,7 @@ from __future__ import annotations
 import copy
 from typing import Iterator, Mapping
 
-from sgdb.dsl import CrossStep, JoinStep, NaturalJoinStep, ProjectStep, RenameStep, SelectStep, Step
+from sgdb.dsl import JoinStep, ProjectStep, RenameStep, SelectStep, Step
 from sgdb.errors import (
     FieldCollisionError,
     KeyCollisionError,
@@ -254,9 +254,9 @@ def oracle_eval(step: Step, left: Relation, right: Relation | None = None) -> Re
             rows = right_join(lview, rview, key, left_fields=left.schema.fields)
         case JoinStep("outer", _, key):
             rows = outer_join(lview, rview, key, left_fields=left.schema.fields)
-        case CrossStep(_, nest_field):
+        case JoinStep("cross", _, nest_field):
             rows = cartesian(lview, rview, nest_field)
-        case NaturalJoinStep():
+        case JoinStep("natural"):
             rows = natural_join(
                 lview,
                 rview,

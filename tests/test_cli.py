@@ -18,7 +18,7 @@ from sgdb import dsl, evaluator, ops, storage
 from sgdb.cli import main, run_repl
 from sgdb.csvio import export_csv, import_csv
 from sgdb.difftest import differential_check
-from sgdb.dsl import CrossStep, NaturalJoinStep, RenameStep, SelectStep
+from sgdb.dsl import JoinStep, RenameStep, SelectStep
 from sgdb.errors import DuplicateKeyError, MissingColumnError, UnknownTableError
 from sgdb.model import Relation, Schema, relation_equal, relation_from_mapping
 from sgdb.ops import Condition
@@ -522,6 +522,14 @@ def test_run_script_that_is_not_utf8_is_an_error(dbdir, tmp_path, capsys):
     assert captured.err == "error: 'utf-8' codec can't decode byte 0xe9 in position 18: invalid continuation byte\n"
 
 
+def test_exec_statement_that_is_not_utf8_is_an_error(dbdir):
+    before = Database(dbdir).scan("books")
+    done = run_python(["-m", "sgdb.cli", "--db", dbdir, "exec", "-e", b'insert books { ISBN: 1, title: "\xff" }'])
+    assert (done.returncode, done.stdout) == (3, b"")
+    assert done.stderr == b"error: 'utf-8' codec can't decode byte 0xff in position 32: invalid start byte\n"
+    assert relation_equal(Database(dbdir).scan("books"), before)
+
+
 def test_run_script_stops_on_eval_error(dbdir, tmp_path, capsys):
     script = tmp_path / "bad.sgq"
     script.write_text("show tables;\nnosuch | project *;\nshow tables;\n")
@@ -552,7 +560,10 @@ def test_cli_import_of_a_csv_that_is_not_utf8_is_an_error(dbdir, tmp_path, capsy
     ("empty.csv", "", "empty.csv: empty file, expected a header row"),
     ("ragged.csv", "id,name\n1,a\n2\n", "ragged.csv:3: row has 1 cells, header has 2"),
     ("emptypk.csv", "id,name\n1,a\n,b\n", "emptypk.csv:3: empty primary-key value"),
-], ids=["empty file", "short row", "empty key"])
+    ("cut.csv", 'id,name\n1,"unterminated\n', "cut.csv:2: unexpected end of data"),
+    ("after.csv", 'id,name\n1,"ab"c\n', "after.csv:2: ',' expected after '\"'"),
+    ("wide.csv", "id,name\n1,a\n2," + "x" * 131_073 + "\n", "wide.csv:3: field larger than field limit (131072)"),
+], ids=["empty file", "short row", "empty key", "cut in a quoted cell", "text after a closing quote", "cell over the limit"])
 def test_cli_import_of_a_malformed_csv_is_an_error_and_leaves_no_table(tmp_path, monkeypatch, capsys, name, text, message):
     monkeypatch.chdir(tmp_path)
     Path(name).write_text(text)
@@ -570,10 +581,10 @@ def test_cli_difftest_small(dbdir, capsys):
 
 def test_difftest_pipeline_finds_a_cross_rewrite_that_skips_its_checks(monkeypatch):
     def unchecked(step, after, left):
-        if isinstance(step, CrossStep) and isinstance(after, SelectStep):
+        if isinstance(step, JoinStep) and step.kind == "cross" and isinstance(after, SelectStep):
             field, value = after.condition.field, after.condition.value
-            if field.startswith(step.nest_field + "."):
-                return Condition(field[len(step.nest_field) + 1:], value)
+            if field.startswith(step.key + "."):
+                return Condition(field[len(step.key) + 1:], value)
         return None
 
     monkeypatch.setattr(evaluator, "_pushed_condition", unchecked)
@@ -605,7 +616,7 @@ def test_difftest_needs_no_database(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("op, printed_wrong", [
     ("rename", lambda step: RenameStep(step.new, step.old) if isinstance(step, RenameStep) else step),
-    ("natural_join", lambda step: NaturalJoinStep("left") if isinstance(step, NaturalJoinStep) else step),
+    ("natural_join", lambda step: JoinStep("natural", "left") if step == JoinStep("natural", "right") else step),
 ], ids=["rename", "natural_join"])
 def test_difftest_checks_each_operator_as_the_dsl_prints_it(monkeypatch, op, printed_wrong):
     render_step = dsl._render_step
