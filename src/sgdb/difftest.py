@@ -8,7 +8,7 @@ temporary database, and every operator is checked as a query over those
 tables: the one-step query ``left | <step>`` for each of the nine
 relational operators (a ``select`` also runs a second time, on
 the same field, so the equality index that storage builds is read), and a
-random query of one to four steps for ``pipeline``, which the evaluator may
+random query for ``pipeline`` (``_pick_pipeline``), which the evaluator may
 rewrite (see ``sgdb.evaluator``).  Each query is printed, parsed back and
 evaluated against the database, so the printer, the parser, the evaluator's
 scans and rewrites and the storage round trip are all on the path.  Its
@@ -167,14 +167,18 @@ def _evaluated(db: Database, query: dsl.Query) -> Relation:
 
 
 def _pick_pipeline(seed: int, left: Relation, right: Relation) -> dsl.Query:
-    """A query of one to four steps over the tables ``left`` and ``right``.
+    """A query of one to four drawn steps over the tables ``left`` and
+    ``right``, with the steps that follow its joins.
 
     Steps are selects, projects, the four joins on ``link`` and ``cross
     right as n`` (``n`` or ``link``).  A cross or join is often followed by a
-    select on a field of the table it adds, the pair the evaluator may
-    rewrite.  A second cross or join under the same name meets dotted
-    ``n.*`` left fields, and a cross after a cross meets pair keys holding
-    ``_``: the cases the rewrite must leave alone.
+    select on a field of the table it adds, and an inner join or cross
+    (after that select, if any) half the time by a column project, which
+    may name the joining field, a column twice or a field no row holds: the
+    steps the evaluator may take into the join.  A second cross or join
+    under the same name meets dotted ``n.*`` left fields, and a cross after
+    a cross meets pair keys holding ``_``: the cases the rewrites must leave
+    alone.
     """
     rng = random.Random(f"{seed}/pipeline")
     fields = list(left.schema.fields)
@@ -203,6 +207,12 @@ def _pick_pipeline(seed: int, left: Relation, right: Relation) -> dsl.Query:
             if rng.random() < 0.6:
                 field = rng.choice(added + [f"{name}.ghost"])
                 steps.append(dsl.SelectStep(Condition(field, rng.choice(values))))
+            if join in ("inner", "cross") and rng.random() < 0.5:
+                # Also the joining field itself, a column named twice and fields no row holds.
+                columns = rng.sample(fields, rng.randint(1, len(fields)))
+                columns += rng.sample([columns[0], name, f"{name}.ghost", "ghost"], rng.randint(0, 2))
+                steps.append(dsl.ProjectStep(tuple(columns)))
+                fields = list(dict.fromkeys(columns))
     return dsl.Query("left", tuple(steps))
 
 

@@ -2,28 +2,46 @@
 
 Queries fold their pipeline steps left to right over an in-memory scan of
 the source table; joins scan their right-hand table the same way.  The fold
-looks one step ahead and moves a ``select`` into the scan it follows
-(``Database.scan(name, where)``), so only the matching rows are copied out
-of storage, which picks how to find them (see ``sgdb.storage``):
+looks one step ahead and makes three rewrites.  The first two move a
+``select`` into the scan it follows (``Database.scan(name, where)``), so only
+the matching rows are copied out of storage, which picks how to find them
+(see ``sgdb.storage``):
 
 * a query's leading ``select f = v`` runs inside the scan of its source;
 * ``cross T as n`` or ``ijoin T on n`` followed at once by ``select n.g = v``
   becomes the same step over the scan of ``T`` with ``g = v``, and the
   select is dropped.  This is σ_p(R × S) = R × σ_p(S) for a p that reads
-  only S, and the same law for the inner join.  It fires only when the
-  left relation shows that the result cannot change:
+  only S, and the same law for the inner join.
 
-  1. no left row has a field starting with ``n.``, so no pair the select
-     drops could have raised the flatten ``KeyCollisionError``, and no pair
-     is kept for a left field named ``n.g``;
-  2. for ``cross``, no left row key contains ``_``, so pair keys
-     ``<left key>_<right key>`` are all distinct and no dropped pair could
-     have raised the duplicate pair-key error.
+The third runs a join and the column ``project`` after it as one call:
 
-  Otherwise the two steps run one after the other.  Left, right and outer
-  joins are never rewritten: filtering their right side changes which rows
-  go unmatched, and those rows stay in their result.  Natural joins are not
-  rewritten either.
+* ``cross T as n`` or ``ijoin T on n`` followed at once by ``project c, …``
+  (not ``*``), judged after the second rewrite has dropped its select,
+  becomes one ``ops.cartesian``/``ops.inner_join`` call given the columns,
+  which builds only those fields of each row rather than every left and
+  right field (π_L(R ⋈ S) in one pass).
+
+The rewrites fire only when the left relation shows that the result cannot
+change:
+
+1. no left row has a field starting with ``n.`` (``_nests_cleanly``).  Then
+   flattening can never meet a field twice, so no pair the select drops and
+   no field the project drops could have raised the flatten
+   ``KeyCollisionError``, and no pair is kept for a left field named
+   ``n.g``.  This is one set union of the left rows' fields;
+2. for the select after ``cross``, no left row key contains ``_``, so pair
+   keys ``<left key>_<right key>`` are all distinct and no dropped pair
+   could have raised the duplicate pair-key error.  A project drops no
+   pair, and the fused ``cross`` checks its pair keys as before.
+
+Otherwise the steps run one after the other.  Left, right and outer joins
+are never rewritten: filtering their right side changes which rows go
+unmatched, and those rows stay in their result.  Natural joins are not
+rewritten either.  Only the join right before the project builds fewer
+fields.  The earlier joins of a chain (``… | ijoin a on x | ijoin b on y |
+project …``) build their rows in full: narrowed rows would reach the next
+join with other fields in another order, and an error that join raises
+would then name another field than the plain fold's.
 
 Rows, row order, field order, schema and errors are those of applying each
 step in turn over full scans.  Table management and row statements go
@@ -80,10 +98,19 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
             rel = db.scan(source, where)
             while pending:
                 step = pending.pop(0)
+                if not isinstance(step, JoinStep):
+                    rel = _apply(step, rel, None)
+                    continue
                 where = _pushed_condition(step, pending[0] if pending else None, rel)
                 if where is not None:
                     pending.pop(0)
-                rel = _apply(step, rel, db.scan(step.table, where) if isinstance(step, JoinStep) else None)
+                right = db.scan(step.table, where)
+                columns = _pushed_columns(step, pending[0] if pending else None, rel)
+                if columns is None:
+                    rel = _apply(step, rel, right)
+                else:
+                    pending.pop(0)
+                    rel = _JOINS[step.kind](rel, right, step.key, columns)
             return rel
         case CreateTable(name, pk, fields):
             db.create(name, Schema(pk, tuple(fields))).close()
@@ -109,22 +136,36 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
     raise TypeError(f"not a statement: {stmt!r}")
 
 
+def _nests_cleanly(step: Step, left: Relation) -> bool:
+    """Whether ``step`` is an ``ijoin`` or ``cross`` and no field of ``left``
+    starts with its ``<key>.``: rule 1 of the module docstring, which both
+    rewrites need."""
+    if not (isinstance(step, JoinStep) and step.kind in ("inner", "cross")):
+        return False
+    prefix = step.key + ops.SEPARATOR
+    return not any(f.startswith(prefix) for f in set().union(*left.rows.values()))
+
+
 def _pushed_condition(step: Step, after: Step | None, left: Relation) -> Condition | None:
     """The condition on ``step``'s own table that the select ``after`` applies,
     when the module docstring's rule lets it run inside that table's scan."""
-    if not isinstance(after, SelectStep):
-        return None
-    if not (isinstance(step, JoinStep) and step.kind in ("inner", "cross")):
+    if not isinstance(after, SelectStep) or not _nests_cleanly(step, left):
         return None
     prefix = step.key + ops.SEPARATOR
     field, value = after.condition.field, after.condition.value
     if not field.startswith(prefix):
         return None
-    if any(f.startswith(prefix) for row in left.rows.values() for f in row):
-        return None
     if step.kind == "cross" and any(ops.PAIR_SEPARATOR in key for key in left.rows):
         return None
     return Condition(field[len(prefix):], value)
+
+
+def _pushed_columns(step: Step, after: Step | None, left: Relation) -> tuple[str, ...] | None:
+    """The columns of the project ``after``, when the module docstring's rule
+    lets ``step`` build only those fields."""
+    if not isinstance(after, ProjectStep) or after.columns == ops.STAR or not _nests_cleanly(step, left):
+        return None
+    return after.columns
 
 
 def _apply(step: Step, rel: Relation, right: Relation | None) -> Relation:

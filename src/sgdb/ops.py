@@ -40,6 +40,19 @@ row calls ``_stitch``, which raises the ``KeyCollisionError`` flattening
 would, naming the field flattening meets first; so the rows, their field
 order and the errors are those of nesting and flattening.
 
+``inner_join`` and ``cartesian`` take an optional ``fields``, the columns
+of a ``project`` to run in the same pass (``sgdb.evaluator`` passes it).
+Each result row is then ``{f: v}`` over those columns, in their order, named
+once each, and holding only those the plain row holds; the schema is the
+one ``project`` gives.  This equals ``project`` over the plain result only
+for a left relation none of whose rows holds a field starting with
+``<key>.``, which the caller must know.  Then the plain row is the left row
+without the joining field plus the part, two pieces that share no field, so
+each column comes from the piece that holds it (``_picked``) and no
+``KeyCollisionError`` from flattening can arise.  A matched row never takes
+the joining field itself from the left row.  Pair keys do not depend on
+fields, so ``cartesian`` checks them as before.
+
 The schema of a join or ``cartesian`` result splices the right schema's
 fields, dotted under the joining field, into the left schema at that
 field's position, or appends them when the left schema lacks the field
@@ -71,6 +84,9 @@ SEPARATOR = "."
 # Joins a left and a right row key into a ``cartesian`` pair key.
 PAIR_SEPARATOR = "_"
 
+# The field names a ``project`` keeps, in order.
+Columns = list[str] | tuple[str, ...]
+
 
 @dataclass(frozen=True)
 class Condition:
@@ -95,7 +111,7 @@ def select(rel: Relation, cond: Condition) -> Relation:
     return Relation(rel.schema, rows)
 
 
-def project(rel: Relation, columns: list[str] | tuple[str, ...] | str) -> Relation:
+def project(rel: Relation, columns: Columns | str) -> Relation:
     """Keep only the requested fields of every row; ``STAR`` keeps everything.
 
     A requested field missing from a row is silently omitted from that row,
@@ -137,9 +153,12 @@ def _require_key(key: str | None) -> str:
     return key
 
 
-def _joined_schema(left: Schema, right: Schema, key: str) -> Schema:
+def _joined_schema(left: Schema, right: Schema, key: str, wanted: tuple[str, ...] | None) -> Schema:
     """``left``'s fields with ``right``'s, dotted under ``key``, in the joining
-    field's place, or at the end when ``left`` has no such field."""
+    field's place, or at the end when ``left`` has no such field; ``wanted``
+    instead, as ``project`` would make it, when given."""
+    if wanted is not None:
+        return replace(left, fields=wanted)
     fields = left.fields
     at = fields.index(key) if key in fields else len(fields)
     dotted = tuple(f"{key}{SEPARATOR}{rf}" for rf in right.fields)
@@ -189,9 +208,31 @@ def _stitch(before: TupleRecord, part: TupleRecord, after: TupleRecord) -> Tuple
     return row
 
 
-def _join(left: Relation, right: Relation, key: str, keep_left: bool, keep_right: bool) -> Relation:
-    """The keyed join that preserves the sides the flags name (see the module docstring)."""
+def _picked(wanted: tuple[str, ...], key: str, lrow: TupleRecord, part: TupleRecord) -> TupleRecord:
+    """The fields ``wanted`` of the row that nesting a right tuple in ``lrow``
+    at ``key`` and flattening gives, where ``part = _right_part(key, rrow)``
+    and no field of ``lrow`` starts with ``key.``.
+
+    That row is ``lrow`` without ``key``, plus the part, and the two share no
+    field, so each wanted field comes from the one that holds it.
+    """
+    row = {}
+    for f in wanted:
+        if f in part:
+            row[f] = part[f]
+        elif f != key and f in lrow:
+            row[f] = lrow[f]
+    return row
+
+
+def _join(
+    left: Relation, right: Relation, key: str, keep_left: bool, keep_right: bool, fields: Columns | None = None
+) -> Relation:
+    """The keyed join that preserves the sides the flags name, narrowed to
+    ``fields`` when given (see the module docstring); only ``inner_join``, with
+    neither flag, gives ``fields``."""
     key = _require_key(key)
+    wanted = None if fields is None else tuple(dict.fromkeys(fields))
     parts: dict[str, TupleRecord] = {}
     rows: dict[str, TupleRecord] = {}
     for k, lrow in left.rows.items():
@@ -201,15 +242,18 @@ def _join(left: Relation, right: Relation, key: str, keep_left: bool, keep_right
             part = parts.get(v)
             if part is None:
                 part = parts[v] = _right_part(key, rrow)
-            row = {}
-            for f, x in lrow.items():
-                if f == key:
-                    row.update(part)
-                else:
-                    row[f] = x
-            if len(row) < len(lrow) - 1 + len(part):  # a left field is named like a part field
-                before, after = _split(lrow, key)
-                _stitch(before, part, after)
+            if wanted is not None:
+                row = _picked(wanted, key, lrow, part)
+            else:
+                row = {}
+                for f, x in lrow.items():
+                    if f == key:
+                        row.update(part)
+                    else:
+                        row[f] = x
+                if len(row) < len(lrow) - 1 + len(part):  # a left field is named like a part field
+                    before, after = _split(lrow, key)
+                    _stitch(before, part, after)
             rows[k] = row
         elif keep_left:
             rows[k] = dict(lrow)
@@ -225,16 +269,19 @@ def _join(left: Relation, right: Relation, key: str, keep_left: bool, keep_right
                     f"synthesized right row key {rk!r} collides with an existing result row"
                 )
             rows[rk] = _stitch(before, _right_part(key, rrow), after) if key in blank else dict(blank)
-    return Relation(_joined_schema(left.schema, right.schema, key), rows)
+    return Relation(_joined_schema(left.schema, right.schema, key, wanted), rows)
 
 
-def inner_join(left: Relation, right: Relation, key: str) -> Relation:
+def inner_join(left: Relation, right: Relation, key: str, fields: Columns | None = None) -> Relation:
     """Rows of ``left`` whose ``key`` value is the row key of a non-empty right tuple.
 
     The right tuple is nested under ``key`` and flattened; unmatched left
-    rows are dropped.  Result rows keep the left row keys.
+    rows are dropped.  Result rows keep the left row keys.  With ``fields``
+    it is ``project(inner_join(left, right, key), fields)``, built in one
+    pass, for a ``left`` whose rows hold no field under ``key`` (see the
+    module docstring).
     """
-    return _join(left, right, key, keep_left=False, keep_right=False)
+    return _join(left, right, key, keep_left=False, keep_right=False, fields=fields)
 
 
 def left_join(left: Relation, right: Relation, key: str) -> Relation:
@@ -256,28 +303,36 @@ def outer_join(left: Relation, right: Relation, key: str) -> Relation:
     return _join(left, right, key, keep_left=True, keep_right=True)
 
 
-def cartesian(left: Relation, right: Relation, nest_field: str) -> Relation:
+def cartesian(left: Relation, right: Relation, nest_field: str, fields: Columns | None = None) -> Relation:
     """Every left/right pair, keyed ``<left key>_<right key>``.
 
     Each pair takes an independent copy of the left tuple, nests the right
     tuple at ``nest_field``, and flattens, so the result always holds exactly
-    ``len(left) * len(right)`` rows.
+    ``len(left) * len(right)`` rows.  With ``fields`` it is
+    ``project(cartesian(left, right, nest_field), fields)``, built in one
+    pass, for a ``left`` whose rows hold no field under ``nest_field`` (see
+    the module docstring).
     """
     nest_field = _require_key(nest_field)
+    wanted = None if fields is None else tuple(dict.fromkeys(fields))
     parts = [(rk, _right_part(nest_field, rrow)) for rk, rrow in right.rows.items()]
     rows: dict[str, TupleRecord] = {}
     for lk, lrow in left.rows.items():
-        before, after = _split(lrow, nest_field)
-        size = len(before) + len(after)
+        if wanted is None:
+            before, after = _split(lrow, nest_field)
+            size = len(before) + len(after)
         for rk, part in parts:
             pair_key = f"{lk}{PAIR_SEPARATOR}{rk}"
             if pair_key in rows:
                 raise KeyCollisionError(f"pair key {pair_key!r} produced twice")
-            row = {**before, **part, **after}
-            if len(row) < size + len(part):
-                _stitch(before, part, after)
+            if wanted is not None:
+                row = _picked(wanted, nest_field, lrow, part)
+            else:
+                row = {**before, **part, **after}
+                if len(row) < size + len(part):
+                    _stitch(before, part, after)
             rows[pair_key] = row
-    return Relation(_joined_schema(left.schema, right.schema, nest_field), rows)
+    return Relation(_joined_schema(left.schema, right.schema, nest_field, wanted), rows)
 
 
 def natural_join(left: Relation, right: Relation) -> Relation:

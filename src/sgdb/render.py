@@ -13,7 +13,7 @@ replaced.  Table output pads each column to its longest cell, column name
 included, and lays out the header and every row with one format
 (``_table``).  It writes a line feed or carriage return inside a cell or
 column name as the two characters ``\n`` or ``\r``, so every row stays on
-one line and the columns line up.  CSV output quotes cells as ``write_rows``
+one line and the columns line up.  CSV output quotes cells as ``csv_text``
 does.
 """
 
@@ -22,8 +22,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
-from typing import Iterable, Sequence, TextIO
+from itertools import repeat, starmap
+from typing import Iterable, Sequence
 
 from sgdb.model import Relation
 from sgdb.storage import CANONICAL_JSON
@@ -57,9 +57,7 @@ def render(rel: Relation, spec: RenderSpec) -> str:
             column = [null if v is None else v for v in column]
         columns.append(column)
     if spec.format == "csv":
-        out = io.StringIO()
-        write_rows(out, chain([cols], _by_row(columns, len(rows))))
-        return out.getvalue()
+        return csv_text([cols, *_by_row(columns, len(rows))])
     if spec.format != "table":
         raise ValueError(f"unknown format {spec.format!r}")
     text = _table(cols, columns, len(rows))
@@ -70,22 +68,27 @@ def render(rel: Relation, spec: RenderSpec) -> str:
     return text
 
 
-def write_rows(fh: TextIO, rows: Iterable[Sequence[str]]) -> None:
-    """Write ``rows`` to ``fh`` as CSV lines ending in ``\n``.
+def csv_text(rows: Sequence[Sequence[str]]) -> str:
+    """``rows`` as CSV lines ending in ``\n``.
 
     A cell is quoted where the csv module quotes it, and also when it holds
     a carriage return: unquoted, a ``\r`` before the line end reads back as
-    part of the line end, and the value loses it.
+    part of the line end, and the value loses it.  The rows are written once
+    as plain CSV, and again, one row at a time, only when that text holds a
+    ``\r``.
     """
-    plain = csv.writer(fh, lineterminator="\n")
-    for cells in rows:
-        if any("\r" in cell for cell in cells):
-            # The csv module quotes a cell holding any character of the line terminator.
-            line = io.StringIO()
-            csv.writer(line, lineterminator="\r\n").writerow(cells)
-            fh.write(line.getvalue()[:-2] + "\n")
-        else:
-            plain.writerow(cells)
+    text = _csv_lines(rows, "\n")
+    if "\r" in text:
+        # The csv module quotes a cell holding any character of the line
+        # terminator, and quotes every other cell as it would with "\n".
+        text = "".join(_csv_lines([cells], "\r\n")[:-2] + "\n" for cells in rows)
+    return text
+
+
+def _csv_lines(rows: Iterable[Sequence[str]], end: str) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator=end).writerows(rows)
+    return out.getvalue()
 
 
 def _escaped(text: str) -> str:

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -22,7 +23,7 @@ from sgdb.dsl import JoinStep, RenameStep, SelectStep
 from sgdb.errors import DuplicateKeyError, MissingColumnError, UnknownTableError
 from sgdb.model import Relation, Schema, relation_equal, relation_from_mapping
 from sgdb.ops import Condition
-from sgdb.render import RenderSpec, columns_of, render, write_rows
+from sgdb.render import RenderSpec, columns_of, render
 from sgdb.storage import Database
 
 
@@ -145,8 +146,14 @@ def _row_major_render(rel, fmt):
             cells.append(null if value is None else value)
         grid.append(cells)
     if fmt == "csv":
+        # A row holding "\r" is written with "\r\n" line ends, so that the csv
+        # module quotes each cell holding "\r" as it quotes one holding "\n".
         out = io.StringIO()
-        write_rows(out, [cols, *grid])
+        for cells in [cols, *grid]:
+            end = "\r\n" if any("\r" in cell for cell in cells) else "\n"
+            line = io.StringIO()
+            csv.writer(line, lineterminator=end).writerow(cells)
+            out.write(line.getvalue().removesuffix(end) + "\n")
         return out.getvalue()
     lines = [cols, *grid]
     if any("\n" in cell or "\r" in cell for cells in lines for cell in cells):
@@ -563,7 +570,11 @@ def test_cli_import_of_a_csv_that_is_not_utf8_is_an_error(dbdir, tmp_path, capsy
     ("cut.csv", 'id,name\n1,"unterminated\n', "cut.csv:2: unexpected end of data"),
     ("after.csv", 'id,name\n1,"ab"c\n', "after.csv:2: ',' expected after '\"'"),
     ("wide.csv", "id,name\n1,a\n2," + "x" * 131_073 + "\n", "wide.csv:3: field larger than field limit (131072)"),
-], ids=["empty file", "short row", "empty key", "cut in a quoted cell", "text after a closing quote", "cell over the limit"])
+    # A quoted line feed: every message names the physical line, as csv.Error's do.
+    ("r.csv", 'id,name\n1,"a\nb"\n2\n', "r.csv:4: row has 1 cells, header has 2"),
+    ("dup.csv", 'id,name\n1,"a\nb"\n1,c\n', "dup.csv:4: duplicate primary key '1'"),
+], ids=["empty file", "short row", "empty key", "cut in a quoted cell", "text after a closing quote", "cell over the limit",
+        "short row after a quoted line feed", "duplicate key after a quoted line feed"])
 def test_cli_import_of_a_malformed_csv_is_an_error_and_leaves_no_table(tmp_path, monkeypatch, capsys, name, text, message):
     monkeypatch.chdir(tmp_path)
     Path(name).write_text(text)

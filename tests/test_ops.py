@@ -27,6 +27,7 @@ from sgdb.ops import (
     right_join,
     select,
 )
+from sgdb.difftest import _exact
 from sgdb.dsl import SelectStep
 from sgdb.oracle import flatten, oracle_eval
 
@@ -501,3 +502,39 @@ def test_joined_rows_equal_nest_then_flatten(inputs):
     for op, reference in REFERENCES.items():
         assert _outcome(op, left, right, key) == _outcome(reference, left, right, key), op.__name__
     assert (left.rows, right.rows) == before
+
+
+@st.composite
+def _join_inputs_and_columns(draw):
+    """Join inputs whose left rows hold no field under the joining field, whose
+    right tuples may be empty, and columns from both sides, the joining field,
+    a field no row holds and repeats."""
+    key = draw(JOIN_FIELDS)
+    left = draw(_relation(["id", "a", "k", "n"], key))
+    right = draw(_relation(RIGHT_FIELDS, key))
+    names = ["id", "a", "k", "n", "ghost", f"{key}.id", f"{key}.a", f"{key}.k", f"{key}.a.b"]
+    return left, right, key, draw(st.lists(st.sampled_from(names), max_size=5))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(inputs=_join_inputs_and_columns())
+# An empty right tuple: the pair holds the joining field as null, from the right.
+@example(inputs=(
+    Relation(Schema("id", ("id", "k")), {"1": {"id": "1", "k": "x"}}),
+    Relation(Schema("id", ("a",)), {"x": {}}),
+    "k",
+    ["k", "id", "k"],
+))
+# No columns: every row is kept and holds no field.
+@example(inputs=(
+    Relation(Schema("id", ("id", "k")), {"1": {"id": "1", "k": "x"}}),
+    Relation(Schema("id", ("a",)), {"x": {"a": "v"}}),
+    "k",
+    [],
+))
+def test_a_join_given_columns_equals_the_project_of_the_join(inputs):
+    left, right, key, columns = inputs
+    for op in (inner_join, cartesian):
+        assert _exact(op, left, right, key, columns) == _exact(
+            lambda: project(op(left, right, key), columns)
+        ), op.__name__

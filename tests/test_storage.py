@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import golden_data as gd
 
-from sgdb import ops, storage
+from sgdb import evaluator, ops, storage
 from sgdb.difftest import _exact, _fold_plainly
 from sgdb.dsl import ProjectStep, Query, SelectStep, parse, render_statement
 from sgdb.errors import (
@@ -1106,6 +1106,34 @@ def test_a_select_on_the_joined_table_runs_inside_its_scan(db, monkeypatch, quer
     assert evaluated == _exact(_fold_plainly, tables, parse(query), [])
 
 
+def _recording_joins(monkeypatch):
+    """The argument counts of the calls ``evaluate`` makes through ``evaluator._JOINS``;
+    a call given a project's columns has four."""
+    calls = []
+    for kind, fn in list(evaluator._JOINS.items()):
+        monkeypatch.setitem(evaluator._JOINS, kind, lambda *args, fn=fn: calls.append(len(args)) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("query, calls", [
+    ("books | ijoin catalog on catalog | project title, catalog.description, catalog", [4]),
+    ('books | cross catalog as c | select c.catalog = "002" | project c.description, title, c.description', [4]),
+    ("books | ijoin catalog on catalog | ijoin catalog on publisher | project title, publisher.description", [3, 4]),
+    ("books | ijoin catalog on catalog | project *", [3]),
+    ("books | ljoin catalog on catalog | project title", [3]),
+    ("books | ijoin catalog on catalog | select title = x | project title", [3]),
+    # The second cross meets the dotted left fields c.*, so it builds every field
+    # and raises the flatten error the plain fold raises.
+    ("books | cross catalog as c | cross catalog as c | project title, c.description", [3, 3]),
+])
+def test_a_project_after_an_inner_join_or_cross_runs_inside_it(db, monkeypatch, query, calls):
+    tables = {name: db.scan(name) for name in db.list_tables()}
+    plain = _exact(_fold_plainly, tables, parse(query), [])
+    made = _recording_joins(monkeypatch)
+    assert _exact(evaluate, parse(query), db) == plain
+    assert made == calls
+
+
 def _write(db, step, model):
     key, value = step
     with TableFile(db.root / "t.sgt", sync=False) as table:
@@ -1225,3 +1253,67 @@ def test_a_select_through_a_kept_parse_equals_a_select_over_a_fresh_scan(steps):
                 got = db.scan("t", arg)
                 assert _ordered(got) == _ordered(ops.select(Database(tmp).scan("t"), arg))
                 assert got.rows == _select_in_model(model, arg, None)
+
+
+# Tables t (id, k, x) and u (id, y), whose rows may lack k, x or y.  A k of "zz"
+# names no row of u.  Row keys holding "_" make cross pair keys collide:
+# "t1" + "1_u1" and "t1_1" + "u1" are both "t1_1_u1".
+T_ROWS = st.dictionaries(
+    st.sampled_from(("t1", "t1_1", "t2")),
+    st.fixed_dictionaries({}, optional={"k": st.sampled_from(("u1", "1_u1", "zz")), "x": st.sampled_from(("1", "2"))}),
+    max_size=3,
+)
+U_ROWS = st.dictionaries(
+    st.sampled_from(("u1", "1_u1")), st.fixed_dictionaries({}, optional={"y": st.sampled_from(("1", "2"))}), max_size=2
+)
+# Steps before the last join: joins and crosses that dot fields under k, n or
+# a.b, so that the last one may meet dotted left fields and must build every field.
+EARLIER_STEPS = st.sampled_from((
+    "ijoin u on k", "ljoin u on k", "cross u as n", "cross u as k", "cross t as a.b", "select x = 1", "project id, k, n",
+))
+LAST_JOINS = st.sampled_from(("ijoin u on k", "ijoin u on n", "cross u as n", "cross u as k", "cross u as a.b"))
+SELECTS_AFTER = st.sampled_from((None, "select n.y = 1", "select k.y = 1", "select a.b.y = 2"))
+# The joining fields themselves, their dotted right fields, left fields and a field no row holds.
+PROJECT_COLUMNS = st.sampled_from((
+    "id", "k", "x", "y", "n", "n.id", "n.y", "k.id", "k.y", "a.b", "a.b.id", "a.b.k", "a.b.y", "ghost",
+))
+
+
+# Rows that match, a row whose k names no row of u, and a row without x; row keys without "_".
+T_FULL = {"t1": {"k": "u1", "x": "1"}, "t2": {"k": "zz"}, "t3": {"k": "1_u1"}}
+U_FULL = {"u1": {"y": "1"}, "1_u1": {}}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    t_rows=T_ROWS,
+    u_rows=U_ROWS,
+    earlier=st.lists(EARLIER_STEPS, max_size=2),
+    join=LAST_JOINS,
+    select=SELECTS_AFTER,
+    columns=st.lists(PROJECT_COLUMNS, min_size=1, max_size=5),
+)
+# The joining field named as a column, next to its dotted right fields.
+@example(t_rows=T_FULL, u_rows=U_FULL, earlier=[], join="ijoin u on k", select=None, columns=["k", "k.y", "id"])
+# A column named twice, after a cross whose select runs inside the scan of u.
+@example(t_rows=T_FULL, u_rows=U_FULL, earlier=[], join="cross u as n", select="select n.y = 1",
+         columns=["n.y", "id", "n.y", "k"])
+# "*", which is never taken into the join.
+@example(t_rows=T_FULL, u_rows=U_FULL, earlier=[], join="ijoin u on k", select=None, columns=["*"])
+# A cross after a join under the same name meets the dotted left fields k.*.
+@example(t_rows=T_FULL, u_rows=U_FULL, earlier=["ijoin u on k"], join="cross u as k", select=None,
+         columns=["k.y", "id", "k"])
+# Dotted nesting fields: the second cross meets the left fields a.b.*.
+@example(t_rows=T_FULL, u_rows=U_FULL, earlier=["cross t as a.b"], join="cross u as a.b", select=None,
+         columns=["a.b.id", "a.b.k", "id"])
+# Pair keys t1_1_u1 twice: the cross raises its duplicate pair-key error either way.
+@example(t_rows={"t1": {}, "t1_1": {}}, u_rows=U_FULL, earlier=[], join="cross u as n", select=None,
+         columns=["id"])
+def test_a_project_after_a_join_gives_what_it_gives_after_the_join(t_rows, u_rows, earlier, join, select, columns):
+    query = parse(" | ".join(["t", *earlier, join, *([select] if select else []), "project " + ", ".join(columns)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        db = Database(tmp)
+        db.load("t", Schema("id", ("id", "k", "x")), [{"id": key, **row} for key, row in t_rows.items()])
+        db.load("u", Schema("id", ("id", "y")), [{"id": key, **row} for key, row in u_rows.items()])
+        tables = {name: db.scan(name) for name in ("t", "u")}
+        assert _exact(evaluate, query, db) == _exact(_fold_plainly, tables, query, [])
