@@ -656,6 +656,110 @@ def test_log_matches_a_dict_model_and_any_cut_reopens_to_its_record_prefix(histo
         assert db.scan("cut").rows == rows
 
 
+def _reference_replay(data: bytes) -> tuple[dict[str, dict], int] | str:
+    """The live rows of a (k, v) log and the offset just past its last complete record,
+    or the ``CorruptFileError`` message without its path.
+
+    The log is read record by record from the layout in the ``storage`` module
+    docstring, and each stored CRC is compared with the CRC of the bytes before it.
+    """
+    if data[:5] != b"SGDB\x01":
+        return "bad magic"
+    rows: dict[str, dict] = {}
+    pos, schema_read = 5, False
+    while pos < len(data):
+        tag = data[pos]
+        if tag not in (0x00, 0x01, 0x02):
+            return f"invalid record tag 0x{tag:02x}"
+        fields, at = [], pos + 1
+        for _ in range(1 if tag == 0x02 else 2):  # the key, then the value of a META or PUT
+            length = int.from_bytes(data[at:at + 4], "little")
+            fields.append(data[at + 4:at + 4 + length])
+            at += 4 + length
+        if at + 4 > len(data):  # runs past the end (a short length field too): a torn tail
+            break
+        if int.from_bytes(data[at:at + 4], "little") != zlib.crc32(data[pos:at]):
+            return "checksum mismatch"
+        try:
+            key = fields[0].decode("utf-8")
+        except UnicodeDecodeError:
+            return f"record key at offset {pos} is not UTF-8"
+        if not schema_read:
+            if tag != 0x00:
+                return "the log does not start with a schema record"
+            # No damage below yields a META record that checks but holds another schema.
+            assert json.loads(fields[1]) == {"fields": ["k", "v"], "primary_key": "k"}
+            schema_read = True
+        elif tag == 0x00:
+            return f"a second schema record at offset {pos}"
+        elif tag == 0x01:
+            rows[key] = json.loads(fields[1])
+        else:
+            rows.pop(key, None)
+        pos = at + 4
+    if not schema_read:
+        return "the log does not start with a schema record"
+    return rows, pos
+
+
+# One damage to a log: flip a byte, cut at an offset, append zero or random bytes, or set the
+# tag of a record after the META one.  An offset is drawn as a fraction of the log's size.
+FRACTIONS = st.floats(0, 1, exclude_max=True)
+DAMAGES = (
+    st.tuples(st.just("flip"), FRACTIONS, st.integers(1, 255))
+    | st.tuples(st.just("cut"), FRACTIONS)
+    | st.tuples(st.just("append"), st.integers(1, 64).map(bytes) | st.binary(min_size=1, max_size=64))
+    | st.tuples(st.just("tag"), st.integers(0, 63), st.sampled_from([0x00, 0x03]))
+)
+
+
+def _damaged(log: bytes, starts: list[int], damage) -> bytes:
+    kind, *args = damage
+    data = bytearray(log)
+    if kind == "flip":
+        data[int(args[0] * len(data))] ^= args[1]
+    elif kind == "cut":
+        del data[int(args[0] * (len(data) + 1)):]
+    elif kind == "append":
+        data += args[0]
+    elif starts:  # a tag, when the log holds a record after the META one
+        data[starts[args[0] % len(starts)]] = args[1]
+    return bytes(data)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(history=HISTORIES, damage=DAMAGES)
+@example(history=[("a", "x")], damage=("append", b"\x07"))  # an unknown tag in a tail under 5 bytes
+@example(history=[("a", "x")], damage=("append", bytes(4)))  # a torn tail of zeros
+@example(history=[("a", "x")], damage=("append", bytes(16)))  # zeros holding a complete record
+@example(history=[("a", "x"), ("a", None)], damage=("tag", 1, 0x00))  # a DEL read as a META
+@example(history=[], damage=("cut", 0.1))  # the header only
+def test_a_damaged_log_opens_as_a_record_by_record_reading_says(history, damage):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.sgt"
+        starts = []
+        with TableFile(path, Schema("k", ("k", "v")), sync=False) as table:
+            for key, value in history:
+                starts.append(path.stat().st_size)
+                if value is None:
+                    table.delete_record(key)
+                else:
+                    table.put_record({"k": key, "v": value})
+        data = _damaged(path.read_bytes(), starts, damage)
+        path.write_bytes(data)
+        expected = _reference_replay(data)
+        if isinstance(expected, str):
+            expected = (f"{path}: {expected}", data)
+        else:
+            expected = (expected[0], data[:expected[1]])
+        try:
+            with TableFile(path) as table:
+                got = table.scan_all().rows
+        except CorruptFileError as exc:
+            got = str(exc)
+        assert (got, path.read_bytes()) == expected
+
+
 # --- database directory --------------------------------------------------
 
 
