@@ -28,9 +28,14 @@ one; neither looks first at what the path holds.  A create fails with
 its schema from the log.
 
 Opening reads the whole log with one sized read and replays it from memory
-(``_replay``), which parses and checks each record once, into the live
-index: each live key -> the payload of its last PUT (last write wins, DEL
-removes).  The live index is the handle's one image of the table.
+in one loop (``_replay``), which reads every record in place, the META
+record included, and parses and checks each once, into the live index: each
+live key -> the payload of its last PUT (last write wins, DEL removes).  A
+record checks when one CRC-32 over all its bytes, its stored CRC included,
+is the CRC residue (``_CRC_RESIDUE``), which holds exactly when the stored
+CRC is the CRC of the bytes before it.  The same loop holds the log to its
+first-record rule: the first record it reads must be META, whose schema it
+builds before it reads on, and a later META is corruption.  The live index is the handle's one image of the table.
 ``put_record`` and ``delete_record`` update it with what they append, and
 ``scan_all`` and ``compact`` decode its payloads, so a handle reads its log
 only at open and parses no record twice.  Until it first writes, a handle
@@ -136,6 +141,10 @@ META_KEY = b"\x00"
 _HEADER = MAGIC + bytes([VERSION])
 
 _U32 = struct.Struct("<I")
+# The CRC-32 residue: crc32(m + crc32(m).to_bytes(4, "little")) is this constant for
+# every m, and for a fixed m distinct 4-byte suffixes give distinct CRCs, so the CRC of
+# a whole record equals it exactly when its stored CRC is the CRC of the bytes before.
+_CRC_RESIDUE = 0x2144DF1C
 _DECODER = json.JSONDecoder()
 # The canonical JSON of records and schemas: keys sorted by code point, UTF-8
 # text, no insignificant whitespace.  One encoder serves every call.
@@ -282,33 +291,6 @@ class _Parse(NamedTuple):
     by_value: dict[str, dict[str, list[str]]] | None = None
 
 
-def _record(path: Path, data: bytes, pos: int) -> tuple[int, str, bytes | None, int] | None:
-    """The record at ``data[pos]`` as (op, key, value, offset just past it),
-    or None when it runs past the end of ``data``."""
-    size = len(data)
-    op = data[pos]
-    if op > OP_DEL:
-        raise CorruptFileError(f"{path}: invalid record tag 0x{op:02x}")
-    if pos + 5 > size:
-        return None
-    key_end = pos + 5 + _U32.unpack_from(data, pos + 1)[0]
-    value_end = key_end
-    if op != OP_DEL:
-        if key_end + 4 > size:
-            return None
-        value_end = key_end + 4 + _U32.unpack_from(data, key_end)[0]
-    if value_end + 4 > size:
-        return None
-    if _U32.unpack_from(data, value_end)[0] != zlib.crc32(data[pos:value_end]):
-        raise CorruptFileError(f"{path}: checksum mismatch")
-    try:
-        key = data[pos + 5:key_end].decode("utf-8")
-    except UnicodeDecodeError:
-        raise CorruptFileError(f"{path}: record key at offset {pos} is not UTF-8") from None
-    value = None if op == OP_DEL else data[key_end + 4:value_end]
-    return op, key, value, value_end + 4
-
-
 def _replay(path: Path, data: bytes, kept: _Parse | None = None) -> _Parse:
     """``kept`` if its bytes are ``data``; otherwise ``data``, a whole log, replayed
     up to its last complete record (last write wins, DEL removes)."""
@@ -316,25 +298,45 @@ def _replay(path: Path, data: bytes, kept: _Parse | None = None) -> _Parse:
         return kept
     if data[:len(_HEADER)] != _HEADER:
         raise CorruptFileError(f"{path}: bad magic")
-    # _log writes one META record, first.
-    meta = _record(path, data, len(_HEADER)) if len(data) > len(_HEADER) else None
-    if meta is None or meta[0] != OP_META:
-        raise CorruptFileError(f"{path}: the log does not start with a schema record")
-    schema = _schema_from_bytes(path, meta[2])
+    unpack, crc32 = _U32.unpack_from, zlib.crc32
+    size = len(data)
+    schema = None
     index: dict[str, bytes] = {}
-    pos = meta[3]
-    while pos < len(data):
-        record = _record(path, data, pos)
-        if record is None:
+    pos = len(_HEADER)
+    while pos < size:
+        op = data[pos]
+        if op > OP_DEL:
+            raise CorruptFileError(f"{path}: invalid record tag 0x{op:02x}")
+        if pos + 5 > size:
             break
-        op, key, value, end = record
-        if op == OP_PUT:
-            index[key] = value
+        key_end = end = pos + 5 + unpack(data, pos + 1)[0]
+        if op != OP_DEL:
+            if key_end + 4 > size:
+                break
+            end = key_end + 4 + unpack(data, key_end)[0]
+        end += 4  # past the stored CRC
+        if end > size:
+            break
+        if crc32(data[pos:end]) != _CRC_RESIDUE:
+            raise CorruptFileError(f"{path}: checksum mismatch")
+        try:
+            key = data[pos + 5:key_end].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptFileError(f"{path}: record key at offset {pos} is not UTF-8") from None
+        if schema is None:
+            # _log writes one META record, first.
+            if op != OP_META:
+                raise CorruptFileError(f"{path}: the log does not start with a schema record")
+            schema = _schema_from_bytes(path, data[key_end + 4:end - 4])
+        elif op == OP_PUT:
+            index[key] = data[key_end + 4:end - 4]
         elif op == OP_DEL:
             index.pop(key, None)
         else:
             raise CorruptFileError(f"{path}: a second schema record at offset {pos}")
         pos = end
+    if schema is None:  # a header-only log, or a torn META record
+        raise CorruptFileError(f"{path}: the log does not start with a schema record")
     # Slicing all of a bytes object copies nothing.
     return _Parse(data[:pos], schema, index)
 
