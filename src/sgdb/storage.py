@@ -35,13 +35,14 @@ record checks when one CRC-32 over all its bytes, its stored CRC included,
 is the CRC residue (``_CRC_RESIDUE``), which holds exactly when the stored
 CRC is the CRC of the bytes before it.  The same loop holds the log to its
 first-record rule: the first record it reads must be META, whose schema it
-builds before it reads on, and a later META is corruption.  The live index is the handle's one image of the table.
-``put_record`` and ``delete_record`` update it with what they append, and
-``scan_all`` and ``compact`` decode its payloads, so a handle reads its log
-only at open and parses no record twice.  Until it first writes, a handle
-also keeps the bytes it read, for ``Database.scan``; it thus holds a buffer
-as large as the file plus a copy of each live payload, and after a write
-only the payloads.
+builds before it reads on, and a later META is corruption.  The live index
+is the handle's one image of the table.  ``put_record`` and
+``delete_record`` update it with what they append, and ``scan_all`` and
+``compact`` decode its payloads, so a handle reads its log only at open and
+parses no record twice.  Until it first writes, a handle also keeps the
+bytes it read, for ``Database.scan``; it thus holds a buffer as large as
+the file plus a copy of each live payload, and after a write only the
+payloads.
 
 ``Database.scan`` keeps, per table, the parse of its last scan: the log
 bytes, the schema and live payloads replayed from them, the decoded live rows,
@@ -298,11 +299,8 @@ def _replay(path: Path, data: bytes, kept: _Parse | None = None) -> _Parse:
         return kept
     if data[:len(_HEADER)] != _HEADER:
         raise CorruptFileError(f"{path}: bad magic")
-    unpack, crc32 = _U32.unpack_from, zlib.crc32
-    size = len(data)
-    schema = None
-    index: dict[str, bytes] = {}
-    pos = len(_HEADER)
+    unpack, crc32, size, pos = _U32.unpack_from, zlib.crc32, len(data), len(_HEADER)
+    schema, index = None, {}
     while pos < size:
         op = data[pos]
         if op > OP_DEL:
