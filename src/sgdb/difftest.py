@@ -170,15 +170,18 @@ def _pick_pipeline(seed: int, left: Relation, right: Relation) -> dsl.Query:
     """A query of one to four drawn steps over the tables ``left`` and
     ``right``, with the steps that follow its joins.
 
-    Steps are selects, projects, the four joins on ``link`` and ``cross
-    right as n`` (``n`` or ``link``).  A cross or join is often followed by a
-    select on a field of the table it adds, and an inner join or cross
-    (after that select, if any) half the time by a column project, which
-    may name the joining field, a column twice or a field no row holds: the
-    steps the evaluator may take into the join.  A second cross or join
-    under the same name meets dotted ``n.*`` left fields, and a cross after
-    a cross meets pair keys holding ``_``: the cases the rewrites must leave
-    alone.
+    Steps are selects, projects, renames, the four joins on ``link`` and
+    ``cross right as n`` (``n`` or ``link``).  A cross or join is often
+    followed by a select on a field of the table it adds, and an inner join
+    or cross (after that select, if any) half the time by a column project,
+    which may name the joining field, a column twice or a field no row
+    holds: the steps the evaluator may take into the join.  The cases the
+    rewrites must leave alone are drawn too.  A rename gives a left field a
+    dotted name ``<n>.<f>`` (``n`` or ``link``, ``f`` a right field), which
+    no table can hold as ``.`` is reserved in field names, and a second
+    cross or join under one name meets dotted ``n.*`` left fields; either
+    way flattening may meet a field twice.  A cross after a cross meets
+    pair keys holding ``_``.
     """
     rng = random.Random(f"{seed}/pipeline")
     fields = list(left.schema.fields)
@@ -186,8 +189,12 @@ def _pick_pipeline(seed: int, left: Relation, right: Relation) -> dsl.Query:
     steps: list[dsl.Step] = []
     n_steps = rng.randint(1, 4)
     while len(steps) < n_steps:
-        kind = rng.choices(("select", "project", "join", "cross"), weights=(1, 1, 2, 2))[0]
-        if kind == "select":
+        kind = rng.choices(("select", "project", "rename", "join", "cross"), weights=(1, 1, 1, 2, 2))[0]
+        if kind == "rename":
+            old, new = rng.choice(fields), f"{rng.choice(_NEST_NAMES)}.{rng.choice(right.schema.fields)}"
+            steps.append(dsl.RenameStep(old, new))
+            fields = list(dict.fromkeys(new if f == old else f for f in fields))
+        elif kind == "select":
             steps.append(dsl.SelectStep(Condition(rng.choice(fields + ["ghost"]), rng.choice(values))))
         elif kind == "project":
             if rng.random() < 0.2:

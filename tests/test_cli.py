@@ -18,9 +18,9 @@ import sgdb
 from sgdb import dsl, evaluator, ops, storage
 from sgdb.cli import main, run_repl
 from sgdb.csvio import export_csv, import_csv
-from sgdb.difftest import differential_check
+from sgdb.difftest import _pick_pipeline, differential_check, generate_database
 from sgdb.dsl import JoinStep, RenameStep, SelectStep
-from sgdb.errors import DuplicateKeyError, MissingColumnError, UnknownTableError
+from sgdb.errors import DuplicateKeyError, MissingColumnError, SgdbError, UnknownTableError
 from sgdb.model import Relation, Schema, relation_equal, relation_from_mapping
 from sgdb.ops import Condition
 from sgdb.render import RenderSpec, columns_of, render
@@ -602,6 +602,25 @@ def test_difftest_pipeline_finds_a_cross_rewrite_that_skips_its_checks(monkeypat
     reports = differential_check(range(200), ("pipeline",))
     assert reports
     assert {report.operator for report in reports} == {"pipeline through storage"}
+
+
+def test_difftest_pipelines_draw_the_flatten_collision_of_a_keyed_join():
+    # A left row whose joining field matches a right key and which holds a field dotted under
+    # that field is where a keyed join's flattening meets a field twice (``ops._join``'s check).
+    met = []
+    for seed in range(200):
+        left, right = generate_database(seed)
+        rel = left
+        for step in _pick_pipeline(seed, left, right).steps:
+            if isinstance(step, JoinStep) and step.kind in ("inner", "left", "right", "outer"):
+                dotted = [f"{step.key}.{f}" for f in right.schema.fields]
+                if any(row.get(step.key) in right.rows and any(f in row for f in dotted) for row in rel.rows.values()):
+                    met.append(seed)
+            try:
+                rel = evaluator._apply(step, rel, right if isinstance(step, JoinStep) else None)
+            except SgdbError:
+                break
+    assert met
 
 
 @pytest.mark.parametrize("args", [["--seeds", "-3"], ["--seeds", "0"], ["--seeds", "5", "--ops", ","]],
