@@ -13,35 +13,35 @@ the matching rows are copied out of storage, which picks how to find them
   select is dropped.  This is σ_p(R × S) = R × σ_p(S) for a p that reads
   only S, and the same law for the inner join.
 
-The third runs a join and the column ``project`` after it as one call:
+The second rewrite fires only when the left relation shows that the result
+cannot change:
+
+1. no left row has a field starting with ``n.`` (``ops._nests_cleanly``).
+   Then flattening can never meet a field twice, so no pair the select drops
+   could have raised the flatten ``KeyCollisionError``, and no pair is kept
+   for a left field named ``n.g``.  This is one set union of the left rows'
+   fields;
+2. after ``cross``, no left row key contains ``_``, so pair keys
+   ``<left key>_<right key>`` are all distinct and no dropped pair could
+   have raised the duplicate pair-key error.
+
+Otherwise the select runs after the join.  The third rewrite runs a join
+and the column ``project`` after it as one call:
 
 * ``cross T as n`` or ``ijoin T on n`` followed at once by ``project c, …``
   (not ``*``), judged after the second rewrite has dropped its select,
-  becomes one ``ops.cartesian``/``ops.inner_join`` call given the columns,
-  which builds only those fields of each row rather than every left and
-  right field (π_L(R ⋈ S) in one pass).
+  becomes one ``ops.cartesian``/``ops.inner_join`` call given the columns.
+  That call returns exactly the project of the join, and builds only those
+  fields of each row when the left relation passes rule 1 (π_L(R ⋈ S) in
+  one pass).
 
-The rewrites fire only when the left relation shows that the result cannot
-change:
-
-1. no left row has a field starting with ``n.`` (``_nests_cleanly``).  Then
-   flattening can never meet a field twice, so no pair the select drops and
-   no field the project drops could have raised the flatten
-   ``KeyCollisionError``, and no pair is kept for a left field named
-   ``n.g``.  This is one set union of the left rows' fields;
-2. for the select after ``cross``, no left row key contains ``_``, so pair
-   keys ``<left key>_<right key>`` are all distinct and no dropped pair
-   could have raised the duplicate pair-key error.  A project drops no
-   pair, and the fused ``cross`` checks its pair keys as before.
-
-Otherwise the steps run one after the other.  Left, right and outer joins
-are never rewritten: filtering their right side changes which rows go
-unmatched, and those rows stay in their result.  Natural joins are not
-rewritten either.  Only the join right before the project builds fewer
-fields.  The earlier joins of a chain (``… | ijoin a on x | ijoin b on y |
-project …``) build their rows in full: narrowed rows would reach the next
-join with other fields in another order, and an error that join raises
-would then name another field than the plain fold's.
+Left, right and outer joins are never rewritten: filtering their right side
+changes which rows go unmatched, and those rows stay in their result.
+Natural joins are not rewritten either.  Only the join right before the
+project builds fewer fields.  The earlier joins of a chain (``… | ijoin a on
+x | ijoin b on y | project …``) build their rows in full: narrowed rows
+would reach the next join with other fields in another order, and an error
+that join raises would then name another field than the plain fold's.
 
 Rows, row order, field order, schema and errors are those of applying each
 step in turn over full scans.  Table management and row statements go
@@ -105,12 +105,12 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
                 if where is not None:
                     pending.pop(0)
                 right = db.scan(step.table, where)
-                columns = _pushed_columns(step, pending[0] if pending else None, rel)
-                if columns is None:
-                    rel = _apply(step, rel, right)
-                else:
+                after = pending[0] if pending else None
+                if step.kind in ("inner", "cross") and isinstance(after, ProjectStep) and after.columns != ops.STAR:
                     pending.pop(0)
-                    rel = _JOINS[step.kind](rel, right, step.key, columns)
+                    rel = _JOINS[step.kind](rel, right, step.key, after.columns)
+                else:
+                    rel = _apply(step, rel, right)
             return rel
         case CreateTable(name, pk, fields):
             db.create(name, Schema(pk, tuple(fields))).close()
@@ -136,36 +136,18 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
     raise TypeError(f"not a statement: {stmt!r}")
 
 
-def _nests_cleanly(step: Step, left: Relation) -> bool:
-    """Whether ``step`` is an ``ijoin`` or ``cross`` and no field of ``left``
-    starts with its ``<key>.``: rule 1 of the module docstring, which both
-    rewrites need."""
-    if not (isinstance(step, JoinStep) and step.kind in ("inner", "cross")):
-        return False
-    prefix = step.key + ops.SEPARATOR
-    return not any(f.startswith(prefix) for f in set().union(*left.rows.values()))
-
-
 def _pushed_condition(step: Step, after: Step | None, left: Relation) -> Condition | None:
     """The condition on ``step``'s own table that the select ``after`` applies,
-    when the module docstring's rule lets it run inside that table's scan."""
-    if not isinstance(after, SelectStep) or not _nests_cleanly(step, left):
+    when the module docstring's rules let it run inside that table's scan."""
+    if not (isinstance(after, SelectStep) and step.kind in ("inner", "cross")):
         return None
     prefix = step.key + ops.SEPARATOR
     field, value = after.condition.field, after.condition.value
-    if not field.startswith(prefix):
+    if not field.startswith(prefix) or not ops._nests_cleanly(left, step.key):
         return None
     if step.kind == "cross" and any(ops.PAIR_SEPARATOR in key for key in left.rows):
         return None
     return Condition(field[len(prefix):], value)
-
-
-def _pushed_columns(step: Step, after: Step | None, left: Relation) -> tuple[str, ...] | None:
-    """The columns of the project ``after``, when the module docstring's rule
-    lets ``step`` build only those fields."""
-    if not isinstance(after, ProjectStep) or after.columns == ops.STAR or not _nests_cleanly(step, left):
-        return None
-    return after.columns
 
 
 def _apply(step: Step, rel: Relation, right: Relation | None) -> Relation:

@@ -41,17 +41,16 @@ would, naming the field flattening meets first; so the rows, their field
 order and the errors are those of nesting and flattening.
 
 ``inner_join`` and ``cartesian`` take an optional ``fields``, the columns
-of a ``project`` to run in the same pass (``sgdb.evaluator`` passes it).
-Each result row is then ``{f: v}`` over those columns, in their order, named
-once each, and holding only those the plain row holds; the schema is the
-one ``project`` gives.  This equals ``project`` over the plain result only
-for a left relation none of whose rows holds a field starting with
-``<key>.``, which the caller must know.  Then the plain row is the left row
-without the joining field plus the part, two pieces that share no field, so
-each column comes from the piece that holds it (``_picked``) and no
+of a ``project`` to run with them (``sgdb.evaluator`` passes it), and then
+return exactly ``project`` over the plain result: its rows, row order,
+field order, schema and error.  When some left row holds a field starting
+with ``<key>.``, they build the plain result and project it.  Otherwise
+(``_nests_cleanly``) the plain row is the left row without the joining
+field plus the part, two pieces that share no field, so each column comes
+from the piece that holds it (``_picked``), in one pass, and no
 ``KeyCollisionError`` from flattening can arise.  A matched row never takes
 the joining field itself from the left row.  Pair keys do not depend on
-fields, so ``cartesian`` checks them as before.
+fields, so ``cartesian`` checks them in the same order either way.
 
 The schema of a join or ``cartesian`` result splices the right schema's
 fields, dotted under the joining field, into the left schema at that
@@ -135,13 +134,11 @@ def rename(rel: Relation, old: str, new: str) -> Relation:
     names it keeps it once, at its first position.  Renaming the primary-key
     field renames it in the schema too; row keys stay put.
     """
+    rows = {}
     for key, row in rel.rows.items():
         if new in row:
             raise FieldCollisionError(f"field {new!r} already present in row {key!r}")
-    rows = {
-        key: {(new if f == old else f): v for f, v in row.items()}
-        for key, row in rel.rows.items()
-    }
+        rows[key] = {(new if f == old else f): v for f, v in row.items()}
     fields = tuple(dict.fromkeys(new if f == old else f for f in rel.schema.fields))
     pk = new if rel.schema.primary_key == old else rel.schema.primary_key
     return Relation(replace(rel.schema, fields=fields, primary_key=pk), rows)
@@ -208,10 +205,18 @@ def _stitch(before: TupleRecord, part: TupleRecord, after: TupleRecord) -> Tuple
     return row
 
 
+def _nests_cleanly(left: Relation, key: str) -> bool:
+    """Whether no row of ``left`` holds a field starting with ``key.``, so that
+    nesting a right tuple at ``key`` and flattening never meets a field twice
+    and no left field is named like a part field."""
+    prefix = key + SEPARATOR
+    return not any(f.startswith(prefix) for f in set().union(*left.rows.values()))
+
+
 def _picked(wanted: tuple[str, ...], key: str, lrow: TupleRecord, part: TupleRecord) -> TupleRecord:
     """The fields ``wanted`` of the row that nesting a right tuple in ``lrow``
     at ``key`` and flattening gives, where ``part = _right_part(key, rrow)``
-    and no field of ``lrow`` starts with ``key.``.
+    and ``lrow`` belongs to a relation that ``_nests_cleanly`` at ``key``.
 
     That row is ``lrow`` without ``key``, plus the part, and the two share no
     field, so each wanted field comes from the one that holds it.
@@ -228,10 +233,12 @@ def _picked(wanted: tuple[str, ...], key: str, lrow: TupleRecord, part: TupleRec
 def _join(
     left: Relation, right: Relation, key: str, keep_left: bool, keep_right: bool, fields: Columns | None = None
 ) -> Relation:
-    """The keyed join that preserves the sides the flags name, narrowed to
+    """The keyed join that preserves the sides the flags name, projected onto
     ``fields`` when given (see the module docstring); only ``inner_join``, with
     neither flag, gives ``fields``."""
     key = _require_key(key)
+    if fields is not None and not _nests_cleanly(left, key):
+        return project(_join(left, right, key, keep_left, keep_right), fields)
     wanted = None if fields is None else tuple(dict.fromkeys(fields))
     parts: dict[str, TupleRecord] = {}
     rows: dict[str, TupleRecord] = {}
@@ -278,8 +285,8 @@ def inner_join(left: Relation, right: Relation, key: str, fields: Columns | None
     The right tuple is nested under ``key`` and flattened; unmatched left
     rows are dropped.  Result rows keep the left row keys.  With ``fields``
     it is ``project(inner_join(left, right, key), fields)``, built in one
-    pass, for a ``left`` whose rows hold no field under ``key`` (see the
-    module docstring).
+    pass when no row of ``left`` holds a field under ``key`` (see the module
+    docstring).
     """
     return _join(left, right, key, keep_left=False, keep_right=False, fields=fields)
 
@@ -310,10 +317,12 @@ def cartesian(left: Relation, right: Relation, nest_field: str, fields: Columns 
     tuple at ``nest_field``, and flattens, so the result always holds exactly
     ``len(left) * len(right)`` rows.  With ``fields`` it is
     ``project(cartesian(left, right, nest_field), fields)``, built in one
-    pass, for a ``left`` whose rows hold no field under ``nest_field`` (see
-    the module docstring).
+    pass when no row of ``left`` holds a field under ``nest_field`` (see the
+    module docstring).
     """
     nest_field = _require_key(nest_field)
+    if fields is not None and not _nests_cleanly(left, nest_field):
+        return project(cartesian(left, right, nest_field), fields)
     wanted = None if fields is None else tuple(dict.fromkeys(fields))
     parts = [(rk, _right_part(nest_field, rrow)) for rk, rrow in right.rows.items()]
     rows: dict[str, TupleRecord] = {}

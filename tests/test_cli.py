@@ -19,7 +19,7 @@ from sgdb import dsl, evaluator, ops, storage
 from sgdb.cli import main, run_repl
 from sgdb.csvio import export_csv, import_csv
 from sgdb.difftest import _pick_pipeline, differential_check, generate_database
-from sgdb.dsl import JoinStep, RenameStep, SelectStep
+from sgdb.dsl import JoinStep, ProjectStep, RenameStep, SelectStep
 from sgdb.errors import DuplicateKeyError, MissingColumnError, SgdbError, UnknownTableError
 from sgdb.model import Relation, Schema, relation_equal, relation_from_mapping
 from sgdb.ops import Condition
@@ -616,6 +616,26 @@ def test_difftest_pipelines_draw_the_flatten_collision_of_a_keyed_join():
                 dotted = [f"{step.key}.{f}" for f in right.schema.fields]
                 if any(row.get(step.key) in right.rows and any(f in row for f in dotted) for row in rel.rows.values()):
                     met.append(seed)
+            try:
+                rel = evaluator._apply(step, rel, right if isinstance(step, JoinStep) else None)
+            except SgdbError:
+                break
+    assert met
+
+
+def test_difftest_pipelines_draw_a_column_project_after_a_join_over_a_left_dotted_under_its_key():
+    # An ijoin or cross given a project's columns over a left row that holds a field dotted
+    # under the joining field builds the plain join and projects it (``ops._nests_cleanly``).
+    met = []
+    for seed in range(200):
+        left, right = generate_database(seed)
+        rel = left
+        steps = _pick_pipeline(seed, left, right).steps
+        for step, after in zip(steps, steps[1:] + (None,)):
+            if (isinstance(step, JoinStep) and step.kind in ("inner", "cross")
+                    and isinstance(after, ProjectStep) and after.columns != ops.STAR
+                    and any(f.startswith(f"{step.key}.") for row in rel.rows.values() for f in row)):
+                met.append(seed)
             try:
                 rel = evaluator._apply(step, rel, right if isinstance(step, JoinStep) else None)
             except SgdbError:

@@ -114,6 +114,10 @@ def test_rename_collision_is_an_error(catalog):
         rename(catalog, "description", "description")
     with pytest.raises(FieldCollisionError):
         rename(catalog, "description", "catalog")
+    # The error names the first row, in row order, that holds the new name.
+    rel = Relation(Schema("id", ("x", "y")), {"b": {"x": "1"}, "c": {"x": "2", "y": "3"}, "a": {"y": "4"}})
+    with pytest.raises(FieldCollisionError, match="^field 'y' already present in row 'c'$"):
+        rename(rel, "x", "y")
 
 
 def test_rename_absent_field_changes_nothing(catalog):
@@ -506,11 +510,13 @@ def test_joined_rows_equal_nest_then_flatten(inputs):
 
 @st.composite
 def _join_inputs_and_columns(draw):
-    """Join inputs whose left rows hold no field under the joining field, whose
-    right tuples may be empty, and columns from both sides, the joining field,
+    """Join inputs whose right tuples may be empty, whose left rows hold fields
+    under the joining field half the time, which the right fields ``a`` and
+    ``id`` then collide with, and columns from both sides, the joining field,
     a field no row holds and repeats."""
     key = draw(JOIN_FIELDS)
-    left = draw(_relation(["id", "a", "k", "n"], key))
+    dotted = [f"{key}.a", f"{key}.id"] if draw(st.booleans()) else []
+    left = draw(_relation(["id", "a", "k", "n", *dotted], key))
     right = draw(_relation(RIGHT_FIELDS, key))
     names = ["id", "a", "k", "n", "ghost", f"{key}.id", f"{key}.a", f"{key}.k", f"{key}.a.b"]
     return left, right, key, draw(st.lists(st.sampled_from(names), max_size=5))
@@ -531,6 +537,14 @@ def _join_inputs_and_columns(draw):
     Relation(Schema("id", ("a",)), {"x": {"a": "v"}}),
     "k",
     [],
+))
+# A left field under the joining field: the column "k.a" is the left row's, and
+# flattening meets it twice, so the project of the join raises.
+@example(inputs=(
+    Relation(Schema("id", ("id", "k", "k.a")), {"1": {"id": "1", "k": "r", "k.a": "left"}}),
+    Relation(Schema("id", ("a",)), {"r": {"a": "right"}}),
+    "k",
+    ["id", "k.a"],
 ))
 def test_a_join_given_columns_equals_the_project_of_the_join(inputs):
     left, right, key, columns = inputs
