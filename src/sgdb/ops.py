@@ -43,14 +43,22 @@ order and the errors are those of nesting and flattening.
 ``inner_join`` and ``cartesian`` take an optional ``fields``, the columns
 of a ``project`` to run with them (``sgdb.evaluator`` passes it), and then
 return exactly ``project`` over the plain result: its rows, row order,
-field order, schema and error.  When some left row holds a field starting
-with ``<key>.``, they build the plain result and project it.  Otherwise
-(``_nests_cleanly``) the plain row is the left row without the joining
-field plus the part, two pieces that share no field, so each column comes
-from the piece that holds it (``_picked``), in one pass, and no
-``KeyCollisionError`` from flattening can arise.  A matched row never takes
-the joining field itself from the left row.  Pair keys do not depend on
-fields, so ``cartesian`` checks them in the same order either way.
+field order, schema and error.  ``STAR`` gives the plain result; any other
+string is a ``TypeError``, as it is for ``project``.  When some left row
+holds a field starting with ``<key>.``, they build the plain result and
+project it.  Otherwise (``_nests_cleanly``) the plain row is the left row
+without the joining field plus the part, two pieces that share no field,
+and no ``KeyCollisionError`` from flattening can arise.  So, once per call,
+the columns split in two (``_sides``): the right columns, ``<key>`` and
+every name under ``<key>.``, which only the part can hold, and the left
+columns, every other name.  Each part is picked down to the right columns
+once per call (per distinct right key in a join, per right row in
+``cartesian``) and each left row down to the left columns once, and each
+result row is ``{**left pick, **right pick}``.  Only when the columns
+interleave the two sides is that row re-laid in column order.  A matched
+row never takes the joining field itself from the left row.  Pair keys do
+not depend on fields, so ``cartesian`` checks them in the same order either
+way.
 
 The schema of a join or ``cartesian`` result splices the right schema's
 fields, dotted under the joining field, into the left schema at that
@@ -115,16 +123,38 @@ def project(rel: Relation, columns: Columns | str) -> Relation:
 
     A requested field missing from a row is silently omitted from that row,
     and a field requested twice is kept once, where it is first named.  Row
-    keys are preserved, so projection never merges duplicate rows.
+    keys are preserved, so projection never merges duplicate rows.  A string
+    other than ``STAR`` is a ``TypeError``.
     """
-    if columns == STAR:
+    wanted = _columns(columns, "columns")
+    if wanted is None:
         return Relation(rel.schema, {k: dict(r) for k, r in rel.rows.items()})
-    wanted = list(dict.fromkeys(columns))
-    rows = {
-        key: {f: row[f] for f in wanted if f in row}
-        for key, row in rel.rows.items()
-    }
-    return Relation(replace(rel.schema, fields=tuple(wanted)), rows)
+    rows = {key: _pick(row, wanted) for key, row in rel.rows.items()}
+    return Relation(replace(rel.schema, fields=wanted), rows)
+
+
+def _columns(columns: Columns | str, name: str) -> tuple[str, ...] | None:
+    """``columns`` once each, where first named, or None for ``STAR``.
+
+    Any other string is a ``TypeError`` naming the argument ``name``: read as
+    a sequence, it would name one-letter columns.
+    """
+    if isinstance(columns, str):
+        if columns == STAR:
+            return None
+        raise TypeError(f"{name} must be a list of field names or STAR, not the string {columns!r}")
+    return tuple(dict.fromkeys(columns))
+
+
+def _pick(row: TupleRecord, columns: tuple[str, ...]) -> TupleRecord:
+    """The fields ``columns`` of ``row`` that it holds, in the order of ``columns``."""
+    # A loop, not a comprehension: CPython 3.11 makes a function object for
+    # each comprehension it runs, which costs more than a few columns do.
+    picked = {}
+    for f in columns:
+        if f in row:
+            picked[f] = row[f]
+    return picked
 
 
 def rename(rel: Relation, old: str, new: str) -> Relation:
@@ -213,44 +243,45 @@ def _nests_cleanly(left: Relation, key: str) -> bool:
     return not any(f.startswith(prefix) for f in set().union(*left.rows.values()))
 
 
-def _picked(wanted: tuple[str, ...], key: str, lrow: TupleRecord, part: TupleRecord) -> TupleRecord:
-    """The fields ``wanted`` of the row that nesting a right tuple in ``lrow``
-    at ``key`` and flattening gives, where ``part = _right_part(key, rrow)``
-    and ``lrow`` belongs to a relation that ``_nests_cleanly`` at ``key``.
-
-    That row is ``lrow`` without ``key``, plus the part, and the two share no
-    field, so each wanted field comes from the one that holds it.
-    """
-    row = {}
-    for f in wanted:
-        if f in part:
-            row[f] = part[f]
-        elif f != key and f in lrow:
-            row[f] = lrow[f]
-    return row
+def _sides(wanted: tuple[str, ...], key: str) -> tuple[tuple[str, ...], tuple[str, ...], bool]:
+    """The columns of ``wanted`` a left row gives and those a right tuple's part
+    gives (``key`` and every name under ``key.``), each in ``wanted``'s order,
+    and whether ``wanted`` interleaves the two, so that a row built as
+    ``{**left pick, **right pick}`` must be re-laid in ``wanted``'s order."""
+    prefix = key + SEPARATOR
+    right = tuple(f for f in wanted if f == key or f.startswith(prefix))
+    left = tuple(f for f in wanted if f not in right)
+    return left, right, wanted != left + right
 
 
 def _join(
-    left: Relation, right: Relation, key: str, keep_left: bool, keep_right: bool, fields: Columns | None = None
+    left: Relation, right: Relation, key: str, keep_left: bool, keep_right: bool,
+    fields: Columns | str | None = None,
 ) -> Relation:
     """The keyed join that preserves the sides the flags name, projected onto
     ``fields`` when given (see the module docstring); only ``inner_join``, with
     neither flag, gives ``fields``."""
     key = _require_key(key)
-    if fields is not None and not _nests_cleanly(left, key):
-        return project(_join(left, right, key, keep_left, keep_right), fields)
-    wanted = None if fields is None else tuple(dict.fromkeys(fields))
+    wanted = None if fields is None else _columns(fields, "fields")
+    if wanted is not None and not _nests_cleanly(left, key):
+        return project(_join(left, right, key, keep_left, keep_right), wanted)
+    if wanted is not None:
+        lcols, rcols, relay = _sides(wanted, key)
     parts: dict[str, TupleRecord] = {}
     rows: dict[str, TupleRecord] = {}
     for k, lrow in left.rows.items():
         v = lrow.get(key)
-        rrow = right.rows.get(v)
-        if rrow is not None and (rrow or keep_left):
-            part = parts.get(v)
-            if part is None:
-                part = parts[v] = _right_part(key, rrow)
+        part = parts.get(v)
+        if part is None:
+            rrow = right.rows.get(v)
+            if rrow is not None and (rrow or keep_left):
+                part = _right_part(key, rrow)
+                part = parts[v] = part if wanted is None else _pick(part, rcols)
+        if part is not None:
             if wanted is not None:
-                row = _picked(wanted, key, lrow, part)
+                row = {**_pick(lrow, lcols), **part}
+                if relay:
+                    row = _pick(row, wanted)
             else:
                 row = {}
                 for f, x in lrow.items():
@@ -279,7 +310,7 @@ def _join(
     return Relation(_joined_schema(left.schema, right.schema, key, wanted), rows)
 
 
-def inner_join(left: Relation, right: Relation, key: str, fields: Columns | None = None) -> Relation:
+def inner_join(left: Relation, right: Relation, key: str, fields: Columns | str | None = None) -> Relation:
     """Rows of ``left`` whose ``key`` value is the row key of a non-empty right tuple.
 
     The right tuple is nested under ``key`` and flattened; unmatched left
@@ -310,7 +341,7 @@ def outer_join(left: Relation, right: Relation, key: str) -> Relation:
     return _join(left, right, key, keep_left=True, keep_right=True)
 
 
-def cartesian(left: Relation, right: Relation, nest_field: str, fields: Columns | None = None) -> Relation:
+def cartesian(left: Relation, right: Relation, nest_field: str, fields: Columns | str | None = None) -> Relation:
     """Every left/right pair, keyed ``<left key>_<right key>``.
 
     Each pair takes an independent copy of the left tuple, nests the right
@@ -321,21 +352,28 @@ def cartesian(left: Relation, right: Relation, nest_field: str, fields: Columns 
     module docstring).
     """
     nest_field = _require_key(nest_field)
-    if fields is not None and not _nests_cleanly(left, nest_field):
-        return project(cartesian(left, right, nest_field), fields)
-    wanted = None if fields is None else tuple(dict.fromkeys(fields))
+    wanted = None if fields is None else _columns(fields, "fields")
+    if wanted is not None and not _nests_cleanly(left, nest_field):
+        return project(cartesian(left, right, nest_field), wanted)
     parts = [(rk, _right_part(nest_field, rrow)) for rk, rrow in right.rows.items()]
+    if wanted is not None:
+        lcols, rcols, relay = _sides(wanted, nest_field)
+        parts = [(rk, _pick(part, rcols)) for rk, part in parts]
     rows: dict[str, TupleRecord] = {}
     for lk, lrow in left.rows.items():
         if wanted is None:
             before, after = _split(lrow, nest_field)
             size = len(before) + len(after)
+        else:
+            picked = _pick(lrow, lcols)
         for rk, part in parts:
             pair_key = f"{lk}{PAIR_SEPARATOR}{rk}"
             if pair_key in rows:
                 raise KeyCollisionError(f"pair key {pair_key!r} produced twice")
             if wanted is not None:
-                row = _picked(wanted, nest_field, lrow, part)
+                row = {**picked, **part}
+                if relay:
+                    row = _pick(row, wanted)
             else:
                 row = {**before, **part, **after}
                 if len(row) < size + len(part):

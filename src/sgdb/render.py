@@ -10,11 +10,11 @@ JSON null) using the same canonical serialization the table files use.
 Table and CSV output are built one column at a time: a column holds one
 field's value in every row, and only a column that holds a null has it
 replaced.  Table output pads each column to its longest cell, column name
-included, and lays out the header and every row with one format
-(``_table``).  It writes a line feed or carriage return inside a cell or
-column name as the two characters ``\n`` or ``\r``, so every row stays on
-one line and the columns line up.  CSV output quotes cells as ``csv_text``
-does.
+included, once, and lays out the header and every row from those padded
+columns (``_table``).  It writes a line feed or carriage return inside a
+cell or column name as the two characters ``\n`` or ``\r``, so every row
+stays on one line and the columns line up.  CSV output quotes cells as
+``csv_text`` does.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import repeat, starmap
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from sgdb.model import Relation
@@ -95,7 +95,7 @@ def _escaped(text: str) -> str:
     return text.replace("\n", "\\n").replace("\r", "\\r")
 
 
-def _by_row(columns: list[list[str]], n: int) -> Iterable[tuple[str, ...]]:
+def _by_row(columns: list[Iterable[str]], n: int) -> Iterable[tuple[str, ...]]:
     """The cells of each of the ``n`` rows that ``columns`` holds column by column."""
     return zip(*columns) if columns else repeat((), n)
 
@@ -104,13 +104,14 @@ def _table(cols: list[str], columns: list[list[str]], n: int) -> str:
     """The table of ``n`` rows under the header ``cols``, where ``columns``
     holds the rows' cells column by column.
 
-    Each column is as wide as its longest cell, header included; every line,
-    header and body alike, is its cells padded to those widths, joined by two
-    spaces, with trailing spaces stripped.
+    Each column is as wide as its longest cell, header included, and is
+    padded to that width once; every line, header and body alike, is its
+    padded cells joined by two spaces, with trailing spaces stripped.
     """
     widths = [max(len(c), max(map(len, column), default=0)) for c, column in zip(cols, columns)]
-    line = "  ".join(f"{{:<{w}}}" for w in widths).format
-    body = map(str.rstrip, starmap(line, _by_row(columns, n)), repeat(" "))
+    padded = [map(str.ljust, column, repeat(w)) for column, w in zip(columns, widths)]
+    body = map(str.rstrip, map("  ".join, _by_row(padded, n)), repeat(" "))
+    header = "  ".join(map(str.ljust, cols, widths)).rstrip(" ")
     dashes = "  ".join("-" * w for w in widths)
     footer = f"({n} row{'s' if n != 1 else ''})"
-    return "\n".join([line(*cols).rstrip(" "), dashes, *body, footer]) + "\n"
+    return "\n".join([header, dashes, *body, footer]) + "\n"

@@ -193,6 +193,16 @@ def _render_relations(draw):
 @example(rel=Relation(Schema("k", ("k",)), {"1": {"k": "1", "v": None, "w": None}}))
 # ``project(rel, [])`` keeps every row and no field.
 @example(rel=Relation(Schema("k", ()), {"1": {}, "2": {}}))
+# A last-column cell ending in spaces loses them with the padding; one in a
+# middle column keeps them.
+@example(rel=Relation(Schema("k", ("k", "v", "w")), {
+    "1": {"k": "1", "v": "a  ", "w": "b  "},
+    "2": {"k": "2", "v": "ab", "w": " "},
+}))
+# An all-empty last column: every body line ends at the column before it.
+@example(rel=Relation(Schema("k", ("k", "v")), {"1": {"k": "1", "v": ""}, "2": {"k": "22"}}))
+# Headers wider than every cell, in the middle and at the end.
+@example(rel=Relation(Schema("k", ("k", "middle", "last")), {"1": {"k": "1", "middle": "a", "last": "b"}}))
 def test_render_equals_a_row_major_reference(rel):
     for fmt in ("table", "csv"):
         assert render(rel, RenderSpec(fmt)) == _row_major_render(rel, fmt), fmt

@@ -546,9 +546,58 @@ def _join_inputs_and_columns(draw):
     "k",
     ["id", "k.a"],
 ))
+# Columns that interleave the two sides: the row built left pick first is
+# re-laid in column order.
+@example(inputs=(
+    Relation(Schema("id", ("id", "k")), {"1": {"id": "1", "k": "r"}, "2": {"k": "r", "id": "2"}}),
+    Relation(Schema("id", ("id", "a")), {"r": {"id": "r", "a": "v"}}),
+    "k",
+    ["k.a", "id", "k.id"],
+))
+# Left columns first, then right ones: no re-lay, the merge order is the column order.
+@example(inputs=(
+    Relation(Schema("id", ("id", "n", "k")), {"1": {"k": "r", "n": "m", "id": "1"}}),
+    Relation(Schema("id", ("id", "a")), {"r": {"a": "v", "id": "r"}}),
+    "k",
+    ["id", "n", "k.a", "k.id"],
+))
+# A left row that lacks a requested left column omits it, and only it.
+@example(inputs=(
+    Relation(Schema("id", ("id", "n", "k")), {"1": {"id": "1", "k": "r"}, "2": {"n": "m", "k": "r"}}),
+    Relation(Schema("id", ("a",)), {"r": {"a": "v"}}),
+    "k",
+    ["n", "id", "k.a"],
+))
+# A cross over an empty right tuple with the joining field between left
+# columns: the null at "k" comes from the right and sits between them.
+@example(inputs=(
+    Relation(Schema("id", ("id", "k", "n")), {"1": {"id": "1", "k": "x", "n": "m"}}),
+    Relation(Schema("id", ("a",)), {"x": {}}),
+    "k",
+    ["id", "k", "n"],
+))
 def test_a_join_given_columns_equals_the_project_of_the_join(inputs):
     left, right, key, columns = inputs
     for op in (inner_join, cartesian):
         assert _exact(op, left, right, key, columns) == _exact(
             lambda: project(op(left, right, key), columns)
         ), op.__name__
+
+
+def test_project_given_a_string_other_than_star_is_a_type_error(books):
+    with pytest.raises(TypeError, match="columns"):
+        project(books, "title")
+    assert relation_equal(project(books, STAR), books)
+
+
+@pytest.mark.parametrize("op", [inner_join, cartesian])
+def test_a_join_given_star_as_fields_is_the_plain_join(op, books, catalog):
+    plain = op(books, catalog, "catalog")
+    assert _exact(op, books, catalog, "catalog", STAR) == _exact(lambda: plain)
+    assert _exact(op, books, catalog, "catalog", STAR) == _exact(lambda: project(plain, STAR))
+
+
+@pytest.mark.parametrize("op", [inner_join, cartesian])
+def test_a_join_given_a_string_other_than_star_as_fields_is_a_type_error(op, books, catalog):
+    with pytest.raises(TypeError, match="fields"):
+        op(books, catalog, "catalog", "title")
