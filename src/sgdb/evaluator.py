@@ -2,44 +2,28 @@
 
 Queries fold their pipeline steps left to right over an in-memory scan of
 the source table; joins scan their right-hand table the same way.  The fold
-looks one step ahead and makes three rewrites.  The first two move a
+looks one step ahead and groups steps in three ways.  The first two move a
 ``select`` into the scan it follows (``Database.scan(name, where)``), so only
 the matching rows are copied out of storage, which picks how to find them
 (see ``sgdb.storage``):
 
-* a query's leading ``select f = v`` runs inside the scan of its source;
-* ``cross T as n`` or ``ijoin T on n`` followed at once by ``select n.g = v``
-  becomes the same step over the scan of ``T`` with ``g = v``, and the
-  select is dropped.  This is σ_p(R × S) = R × σ_p(S) for a p that reads
-  only S, and the same law for the inner join.
+* a query's leading ``select`` runs inside the scan of its source;
+* ``cross T as n`` or ``ijoin T on n`` followed at once by a ``select``
+  scans ``T`` with the condition ``ops.right_condition`` gives, and the
+  select is dropped; when it gives None, the select runs after the join.
 
-The second rewrite fires only when the left relation shows that the result
-cannot change:
+The third runs a join and the ``project`` after it as one call:
 
-1. no left row has a field starting with ``n.`` (``ops._nests_cleanly``).
-   Then flattening can never meet a field twice, so no pair the select drops
-   could have raised the flatten ``KeyCollisionError``, and no pair is kept
-   for a left field named ``n.g``.  This is one set union of the left rows'
-   fields;
-2. after ``cross``, no left row key contains ``_``, so pair keys
-   ``<left key>_<right key>`` are all distinct and no dropped pair could
-   have raised the duplicate pair-key error.
+* ``cross T as n`` or ``ijoin T on n`` followed at once by ``project``,
+  after the second has dropped its select, becomes one
+  ``ops.cartesian``/``ops.inner_join`` call given the columns, which
+  returns exactly the project of the join.
 
-Otherwise the select runs after the join.  The third rewrite runs a join
-and the column ``project`` after it as one call:
-
-* ``cross T as n`` or ``ijoin T on n`` followed at once by ``project c, …``
-  (not ``*``), judged after the second rewrite has dropped its select,
-  becomes one ``ops.cartesian``/``ops.inner_join`` call given the columns.
-  That call returns exactly the project of the join, and builds only those
-  fields of each row when the left relation passes rule 1 (π_L(R ⋈ S) in
-  one pass).
-
-Left, right and outer joins are never rewritten: filtering their right side
+Left, right and outer joins are never grouped: filtering their right side
 changes which rows go unmatched, and those rows stay in their result.
-Natural joins are not rewritten either.  Only the join right before the
-project builds fewer fields.  The earlier joins of a chain (``… | ijoin a on
-x | ijoin b on y | project …``) build their rows in full: narrowed rows
+Natural joins are not grouped either.  Only the join right before the
+project is given its columns.  The earlier joins of a chain (``… | ijoin a
+on x | ijoin b on y | project …``) build their rows in full: narrowed rows
 would reach the next join with other fields in another order, and an error
 that join raises would then name another field than the plain fold's.
 
@@ -70,7 +54,6 @@ from sgdb.dsl import (
 )
 from sgdb.errors import SchemaError
 from sgdb.model import Relation, Schema
-from sgdb.ops import Condition
 from sgdb.storage import Database
 
 
@@ -101,19 +84,20 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
                 if not isinstance(step, JoinStep):
                     rel = _apply(step, rel, None)
                     continue
-                where = _pushed_condition(step, pending[0] if pending else None, rel)
-                if where is not None:
-                    pending.pop(0)
+                fuses = step.kind in ("inner", "cross")
+                where = None
+                if fuses and pending and isinstance(pending[0], SelectStep):
+                    where = ops.right_condition(rel, step.key, pending[0].condition, step.kind == "cross")
+                    if where is not None:
+                        pending.pop(0)
                 right = db.scan(step.table, where)
-                after = pending[0] if pending else None
-                if step.kind in ("inner", "cross") and isinstance(after, ProjectStep) and after.columns != ops.STAR:
-                    pending.pop(0)
-                    rel = _JOINS[step.kind](rel, right, step.key, after.columns)
+                if fuses and pending and isinstance(pending[0], ProjectStep):
+                    rel = _JOINS[step.kind](rel, right, step.key, pending.pop(0).columns)
                 else:
                     rel = _apply(step, rel, right)
             return rel
         case CreateTable(name, pk, fields):
-            db.create(name, Schema(pk, tuple(fields))).close()
+            db.load(name, Schema(pk, tuple(fields)), ())
             return Status(f"created table {name}")
         case DropTable(name):
             db.drop(name)
@@ -134,20 +118,6 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
             names = db.list_tables()
             return Status("\n".join(names) if names else "(no tables)")
     raise TypeError(f"not a statement: {stmt!r}")
-
-
-def _pushed_condition(step: Step, after: Step | None, left: Relation) -> Condition | None:
-    """The condition on ``step``'s own table that the select ``after`` applies,
-    when the module docstring's rules let it run inside that table's scan."""
-    if not (isinstance(after, SelectStep) and step.kind in ("inner", "cross")):
-        return None
-    prefix = step.key + ops.SEPARATOR
-    field, value = after.condition.field, after.condition.value
-    if not field.startswith(prefix) or not ops._nests_cleanly(left, step.key):
-        return None
-    if step.kind == "cross" and any(ops.PAIR_SEPARATOR in key for key in left.rows):
-        return None
-    return Condition(field[len(prefix):], value)
 
 
 def _apply(step: Step, rel: Relation, right: Relation | None) -> Relation:

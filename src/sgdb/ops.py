@@ -60,6 +60,20 @@ row never takes the joining field itself from the left row.  Pair keys do
 not depend on fields, so ``cartesian`` checks them in the same order either
 way.
 
+A ``select`` of ``<key>.g = v`` after ``inner_join`` or ``cartesian`` at
+``key`` gives what the same join gives over the right rows that
+``select g = v`` keeps (σ_p(R ⋈ S) = R ⋈ σ_p(S) for a p that reads only S)
+when the left relation shows that dropping those rows first cannot change
+the result.  ``right_condition`` returns ``g = v`` then, and None otherwise:
+
+1. no left row holds a field starting with ``<key>.`` (``_nests_cleanly``),
+   so flattening never meets a field twice: no dropped row could have
+   raised its ``KeyCollisionError``, and no row is kept for a left field
+   named ``<key>.g``;
+2. for ``cartesian``, no left row key holds ``PAIR_SEPARATOR``, so every
+   pair key is distinct and no dropped pair could have raised the duplicate
+   pair-key error.
+
 The schema of a join or ``cartesian`` result splices the right schema's
 fields, dotted under the joining field, into the left schema at that
 field's position, or appends them when the left schema lacks the field
@@ -241,6 +255,19 @@ def _nests_cleanly(left: Relation, key: str) -> bool:
     and no left field is named like a part field."""
     prefix = key + SEPARATOR
     return not any(f.startswith(prefix) for f in set().union(*left.rows.values()))
+
+
+def right_condition(left: Relation, key: str, cond: Condition, pairs: bool) -> Condition | None:
+    """The condition on the right table's own fields that ``cond`` names under
+    ``key``, when a select on it may run on the right relation before
+    ``inner_join`` (``cartesian`` when ``pairs``) of ``left`` at ``key``, else
+    None (rules 1 and 2 of the module docstring)."""
+    prefix = key + SEPARATOR
+    if not cond.field.startswith(prefix) or not _nests_cleanly(left, key):
+        return None
+    if pairs and any(PAIR_SEPARATOR in lk for lk in left.rows):
+        return None
+    return Condition(cond.field[len(prefix):], cond.value)
 
 
 def _sides(wanted: tuple[str, ...], key: str) -> tuple[tuple[str, ...], tuple[str, ...], bool]:

@@ -19,7 +19,7 @@ from sgdb import dsl, evaluator, ops, storage
 from sgdb.cli import main, run_repl
 from sgdb.csvio import export_csv, import_csv
 from sgdb.difftest import _pick_pipeline, differential_check, generate_database
-from sgdb.dsl import JoinStep, ProjectStep, RenameStep, SelectStep
+from sgdb.dsl import JoinStep, ProjectStep, RenameStep
 from sgdb.errors import DuplicateKeyError, MissingColumnError, SgdbError, UnknownTableError
 from sgdb.model import Relation, Schema, relation_equal, relation_from_mapping
 from sgdb.ops import Condition
@@ -601,14 +601,12 @@ def test_cli_difftest_small(dbdir, capsys):
 
 
 def test_difftest_pipeline_finds_a_cross_rewrite_that_skips_its_checks(monkeypatch):
-    def unchecked(step, after, left):
-        if isinstance(step, JoinStep) and step.kind == "cross" and isinstance(after, SelectStep):
-            field, value = after.condition.field, after.condition.value
-            if field.startswith(step.key + "."):
-                return Condition(field[len(step.key) + 1:], value)
+    def unchecked(left, key, cond, pairs):
+        if pairs and cond.field.startswith(key + "."):
+            return Condition(cond.field[len(key) + 1:], cond.value)
         return None
 
-    monkeypatch.setattr(evaluator, "_pushed_condition", unchecked)
+    monkeypatch.setattr(ops, "right_condition", unchecked)
     reports = differential_check(range(200), ("pipeline",))
     assert reports
     assert {report.operator for report in reports} == {"pipeline through storage"}

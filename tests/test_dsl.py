@@ -161,6 +161,7 @@ def test_parse_natural_join():
 
 def test_parse_bare_table_scan():
     assert parse("books") == Query("books", ())
+    assert parse("books;") == Query("books", ())
 
 
 def test_parse_project_star_and_rename():
@@ -230,6 +231,8 @@ _STEP_WORDS = {"select", "project", "rename", "ijoin", "ljoin", "rjoin", "ojoin"
         ("b | cross c as", "unexpected end of input, expected nesting field", 15, {"nesting field"}),
         ("b | njoin", "unexpected end of input, expected table name", 10, {"table name"}),
         ("b | njoin c on k", "unexpected KEYWORD 'on', expected end of statement", 13, {"end of statement"}),
+        # One trailing ";" ends the statement; a second is left over.
+        ("t;;", "unexpected SEMI ';', expected end of statement", 3, {"end of statement"}),
         (
             "b | bogus",
             "unexpected IDENT 'bogus', expected cross, ijoin, ljoin, njoin, ojoin, project, rename, rjoin, select",

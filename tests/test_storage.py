@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import stat
 import struct
 import tempfile
@@ -968,6 +969,31 @@ def test_create_drop_and_compact_fsync_the_directory(tmp_path, monkeypatch):
     assert syncs_the_directory(lambda: db.load("books", BOOKS_SCHEMA, gd.BOOKS.values()))
 
 
+def test_a_create_table_statement_installs_its_log_with_two_fsyncs(tmp_path, monkeypatch):
+    db = Database(tmp_path / "db")
+    synced, built = [], []
+    fsync, init = os.fsync, TableFile.__init__
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or fsync(fd))
+    monkeypatch.setattr(TableFile, "__init__", lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
+    assert evaluate(parse("create table pets pk name fields name, kind"), db).message == "created table pets"
+    assert (len(synced), built) == (2, [])
+    monkeypatch.undo()
+    pets = db.scan("pets")
+    assert (pets.schema, pets.rows) == (Schema("name", ("name", "kind")), {})
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ('create table "no-table" pk x fields a', SchemaError, "invalid table name 'no-table'"),
+    ("create table books pk x fields a", SchemaError, "primary key 'x' is not among the fields"),
+    ("create table books pk a fields a", TableExistsError, "table 'books' already exists"),
+])
+def test_a_create_table_statement_checks_the_name_then_the_schema_then_the_table(db, text, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        evaluate(parse(text), db)
+    assert db.list_tables() == ["books", "catalog"]
+    assert [p.name for p in db.root.iterdir() if p.suffix == ".tmp"] == []
+
+
 @pytest.mark.parametrize("call", ["open", "scan", "drop"])
 def test_a_table_dropped_just_before_it_is_opened_is_unknown(db, monkeypatch, call):
     other = Database(db.root)
@@ -1233,7 +1259,7 @@ def _recording_joins(monkeypatch):
     ("books | ijoin catalog on catalog | project title, catalog.description, catalog", [4]),
     ('books | cross catalog as c | select c.catalog = "002" | project c.description, title, c.description', [4]),
     ("books | ijoin catalog on catalog | ijoin catalog on publisher | project title, publisher.description", [3, 4]),
-    ("books | ijoin catalog on catalog | project *", [3]),
+    ("books | ijoin catalog on catalog | project *", [4]),
     ("books | ljoin catalog on catalog | project title", [3]),
     ("books | ijoin catalog on catalog | select title = x | project title", [3]),
     # The second cross meets the dotted left fields c.*: given the columns, it builds
@@ -1246,6 +1272,15 @@ def test_a_project_after_an_inner_join_or_cross_runs_inside_it(db, monkeypatch, 
     made = _recording_joins(monkeypatch)
     assert _exact(evaluate, parse(query), db) == plain
     assert made == calls
+
+
+def test_a_project_star_after_an_inner_join_copies_no_row_again(db, monkeypatch):
+    projected = []
+    project = ops.project
+    monkeypatch.setattr(ops, "project", lambda *args: projected.append(args) or project(*args))
+    made = _recording_joins(monkeypatch)
+    evaluate(parse("books | ijoin catalog on catalog | project *"), db)
+    assert (made, projected) == ([4], [])
 
 
 def _write(db, step, model):
