@@ -172,16 +172,19 @@ def _pick_pipeline(seed: int, left: Relation, right: Relation) -> dsl.Query:
 
     Steps are selects, projects, renames, the four joins on ``link`` and
     ``cross right as n`` (``n`` or ``link``).  A cross or join is often
-    followed by a select on a field of the table it adds, and an inner join
-    or cross (after that select, if any) half the time by a column project,
-    which may name the joining field, a column twice or a field no row
-    holds: the steps the evaluator may take into the join.  The cases the
-    rewrites must leave alone are drawn too.  A rename gives a left field a
-    dotted name ``<n>.<f>`` (``n`` or ``link``, ``f`` a right field), which
-    no table can hold as ``.`` is reserved in field names, and a second
-    cross or join under one name meets dotted ``n.*`` left fields; either
-    way flattening may meet a field twice.  A cross after a cross meets
-    pair keys holding ``_``.
+    followed by a select on a field of the table it adds.  Half the inner
+    joins are followed (after that select, if any) by one or two more inner
+    joins, each on the join before's dotted right key (``link.link``) or on
+    any field, and then a column project: a run the evaluator hands to
+    ``ops.inner_join_run``.  Any other inner join or cross is followed half
+    the time by a column project.  A project may name the joining field, a
+    column twice or a field no row holds: the steps the evaluator may take
+    into the join.  The cases the rewrites must leave alone are drawn too.
+    A rename gives a left field a dotted name ``<n>.<f>`` (``n`` or
+    ``link``, ``f`` a right field), which no table can hold as ``.`` is
+    reserved in field names, and a second cross or join under one name
+    meets dotted ``n.*`` left fields; either way flattening may meet a field
+    twice.  A cross after a cross meets pair keys holding ``_``.
     """
     rng = random.Random(f"{seed}/pipeline")
     fields = list(left.schema.fields)
@@ -210,11 +213,20 @@ def _pick_pipeline(seed: int, left: Relation, right: Relation) -> dsl.Query:
                 join, name = "cross", rng.choices(_NEST_NAMES, weights=(1, 2))[0]
             steps.append(dsl.JoinStep(join, "right", name))
             added = [f"{name}.{f}" for f in right.schema.fields]
-            fields = list(dict.fromkeys([f for f in fields if f != name] + added))
-            if rng.random() < 0.6:
+            fields = _joined_fields(fields, name, added)
+            run = join == "inner" and rng.random() < 0.5
+            if rng.random() < (0.3 if run else 0.6):
                 field = rng.choice(added + [f"{name}.ghost"])
                 steps.append(dsl.SelectStep(Condition(field, rng.choice(values))))
-            if join in ("inner", "cross") and rng.random() < 0.5:
+            if run:
+                # One or two more inner joins.  Half the time the key is the
+                # join before's dotted right key (link.link), so the step
+                # nests cleanly and matches.
+                for _ in range(rng.randint(1, 2)):
+                    name = f"{name}.{JOIN_FIELD}" if rng.random() < 0.5 else rng.choice(fields)
+                    steps.append(dsl.JoinStep("inner", "right", name))
+                    fields = _joined_fields(fields, name, [f"{name}.{f}" for f in right.schema.fields])
+            if join in ("inner", "cross") and (run or rng.random() < 0.5):
                 # Also the joining field itself, a column named twice and fields no row holds.
                 columns = rng.sample(fields, rng.randint(1, len(fields)))
                 columns += rng.sample([columns[0], name, f"{name}.ghost", "ghost"], rng.randint(0, 2))
@@ -343,3 +355,8 @@ def _difference(engine: tuple, orcl: tuple) -> str | None:
     if engine[0] == "error" and orcl[0] == "error":
         return None if engine[1] == orcl[1] else f"error classes differ: {engine[1]} vs {orcl[1]}"
     return f"one side errored: engine={engine[1]!r} oracle={orcl[1]!r}"
+
+
+def _joined_fields(fields: list[str], name: str, added: list[str]) -> list[str]:
+    """The field names after a join at ``name`` that adds the fields ``added``."""
+    return list(dict.fromkeys([f for f in fields if f != name] + added))

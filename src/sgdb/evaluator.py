@@ -2,7 +2,7 @@
 
 Queries fold their pipeline steps left to right over an in-memory scan of
 the source table; joins scan their right-hand table the same way.  The fold
-looks one step ahead and groups steps in three ways.  The first two move a
+looks ahead and groups steps in three ways.  The first two move a
 ``select`` into the scan it follows (``Database.scan(name, where)``), so only
 the matching rows are copied out of storage, which picks how to find them
 (see ``sgdb.storage``):
@@ -12,20 +12,26 @@ the matching rows are copied out of storage, which picks how to find them
   scans ``T`` with the condition ``ops.right_condition`` gives, and the
   select is dropped; when it gives None, the select runs after the join.
 
-The third runs a join and the ``project`` after it as one call:
+The third runs joins and the ``project`` after them as one call:
 
 * ``cross T as n`` or ``ijoin T on n`` followed at once by ``project``,
   after the second has dropped its select, becomes one
   ``ops.cartesian``/``ops.inner_join`` call given the columns, which
-  returns exactly the project of the join.
+  returns exactly the project of the join;
+* a run of two or more ``ijoin`` steps followed at once by ``project``
+  becomes one ``ops.inner_join_run`` call given the columns, which returns
+  exactly the project of the chain of joins and builds each result row
+  once when no step can raise (given ``*``, it builds the plain chain).
+  The run's first join may have dropped its select into its scan; a
+  select after a later join ends the run before that join.  The call
+  takes the run's right tables one at a time, each scanned only as its
+  step is taken, so a step that may raise is joined before the next table
+  is scanned and every error, ``UnknownTableError`` included, comes in the
+  plain fold's order.
 
 Left, right and outer joins are never grouped: filtering their right side
 changes which rows go unmatched, and those rows stay in their result.
-Natural joins are not grouped either.  Only the join right before the
-project is given its columns.  The earlier joins of a chain (``… | ijoin a
-on x | ijoin b on y | project …``) build their rows in full: narrowed rows
-would reach the next join with other fields in another order, and an error
-that join raises would then name another field than the plain fold's.
+Natural joins are not grouped either, and a cross is never part of a run.
 
 Rows, row order, field order, schema and errors are those of applying each
 step in turn over full scans.  Table management and row statements go
@@ -36,6 +42,7 @@ names a field twice is a ``SchemaError`` before its table is opened.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, takewhile
 
 from sgdb import ops
 from sgdb.dsl import (
@@ -91,8 +98,15 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
                     if where is not None:
                         pending.pop(0)
                 right = db.scan(step.table, where)
-                if fuses and pending and isinstance(pending[0], ProjectStep):
-                    rel = _JOINS[step.kind](rel, right, step.key, pending.pop(0).columns)
+                joins = list(takewhile(_is_inner_join, pending)) if step.kind == "inner" else []
+                after = pending[len(joins)] if len(joins) < len(pending) else None
+                if fuses and isinstance(after, ProjectStep):
+                    del pending[:len(joins) + 1]
+                    if joins:
+                        scans = ((db.scan(join.table), join.key) for join in joins)
+                        rel = ops.inner_join_run(rel, chain([(right, step.key)], scans), after.columns)
+                    else:
+                        rel = _JOINS[step.kind](rel, right, step.key, after.columns)
                 else:
                     rel = _apply(step, rel, right)
             return rel
@@ -118,6 +132,10 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
             names = db.list_tables()
             return Status("\n".join(names) if names else "(no tables)")
     raise TypeError(f"not a statement: {stmt!r}")
+
+
+def _is_inner_join(step: Step) -> bool:
+    return isinstance(step, JoinStep) and step.kind == "inner"
 
 
 def _apply(step: Step, rel: Relation, right: Relation | None) -> Relation:

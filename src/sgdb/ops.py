@@ -40,25 +40,39 @@ row calls ``_stitch``, which raises the ``KeyCollisionError`` flattening
 would, naming the field flattening meets first; so the rows, their field
 order and the errors are those of nesting and flattening.
 
-``inner_join`` and ``cartesian`` take an optional ``fields``, the columns
-of a ``project`` to run with them (``sgdb.evaluator`` passes it), and then
-return exactly ``project`` over the plain result: its rows, row order,
+``inner_join_run(left, steps, fields)`` runs a chain of inner joins,
+``steps = ((r1, k1), …, (rn, kn))``, and the ``project`` onto ``fields``
+after it; ``inner_join`` given ``fields`` is a run of one, and ``cartesian``
+takes an optional ``fields`` too (``sgdb.evaluator`` passes them).  Each
+returns exactly ``project`` over the plain result: its rows, row order,
 field order, schema and error.  ``STAR`` gives the plain result; any other
-string is a ``TypeError``, as it is for ``project``.  When some left row
-holds a field starting with ``<key>.``, they build the plain result and
-project it.  Otherwise (``_nests_cleanly``) the plain row is the left row
-without the joining field plus the part, two pieces that share no field,
-and no ``KeyCollisionError`` from flattening can arise.  So, once per call,
-the columns split in two (``_sides``): the right columns, ``<key>`` and
-every name under ``<key>.``, which only the part can hold, and the left
-columns, every other name.  Each part is picked down to the right columns
-once per call (per distinct right key in a join, per right row in
-``cartesian``) and each left row down to the left columns once, and each
-result row is ``{**left pick, **right pick}``.  Only when the columns
-interleave the two sides is that row re-laid in column order.  A matched
-row never takes the joining field itself from the left row.  Pair keys do
-not depend on fields, so ``cartesian`` checks them in the same order either
-way.
+string is a ``TypeError``, as it is for ``project``.  A run is the plain
+fold, one join at a time, unless every key is non-empty and no field that
+a left row holds, or that an earlier step adds (``<kj>.<f>`` for each field
+``f`` some right row of step j holds), starts with ``<key>.``
+(``_nests_cleanly``; ``cartesian`` checks the left rows only).  The second
+half is needed: with ``k1 = k`` and ``k2 = k.b``, a right row
+``{b: s, b.x: v}`` adds ``k.b.x``, which step 2's part meets again.  When
+the check holds, each plain row is the left row without the joining fields
+plus each step's part, pieces that share no field, and no step can raise.
+A run reads its steps one at a time and joins a step that fails the check,
+as the plain fold does, before it takes the next, so a caller that scans
+each right table as its step is taken meets every error in the plain
+fold's order.
+
+In the one pass, each column and each key has one source (``_source``):
+the part of the last step whose key it is or starts with followed by
+``.``, or else the left row.  So a step reads its key in the left row,
+or, when the key is an earlier step's dotted field (``k2 = k1.g``), as
+``g`` in that step's right row; when it is an earlier step's own key,
+which that step replaced, no row matches.  Once per call, the columns
+split by source (``_sides``).  Each step's part is picked down to its
+columns once per distinct right key (per right row in ``cartesian``) and
+each left row down to its columns once, and each result row is the left
+pick followed by each part's pick.  Only when the columns interleave the
+sources is that row re-laid in column order.  A matched row never takes a
+joining field itself from the left row.  Pair keys do not depend on
+fields, so ``cartesian`` checks them in the same order either way.
 
 A ``select`` of ``<key>.g = v`` after ``inner_join`` or ``cartesian`` at
 ``key`` gives what the same join gives over the right rows that
@@ -86,7 +100,9 @@ simply skipped by ``select`` and ``project`` and counts as unmatched in joins.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from sgdb.errors import (
     FieldCollisionError,
@@ -194,12 +210,9 @@ def _require_key(key: str | None) -> str:
     return key
 
 
-def _joined_schema(left: Schema, right: Schema, key: str, wanted: tuple[str, ...] | None) -> Schema:
+def _joined_schema(left: Schema, right: Schema, key: str) -> Schema:
     """``left``'s fields with ``right``'s, dotted under ``key``, in the joining
-    field's place, or at the end when ``left`` has no such field; ``wanted``
-    instead, as ``project`` would make it, when given."""
-    if wanted is not None:
-        return replace(left, fields=wanted)
+    field's place, or at the end when ``left`` has no such field."""
     fields = left.fields
     at = fields.index(key) if key in fields else len(fields)
     dotted = tuple(f"{key}{SEPARATOR}{rf}" for rf in right.fields)
@@ -249,12 +262,17 @@ def _stitch(before: TupleRecord, part: TupleRecord, after: TupleRecord) -> Tuple
     return row
 
 
-def _nests_cleanly(left: Relation, key: str) -> bool:
-    """Whether no row of ``left`` holds a field starting with ``key.``, so that
-    nesting a right tuple at ``key`` and flattening never meets a field twice
-    and no left field is named like a part field."""
+def _held(rel: Relation) -> set[str]:
+    """Every field some row of ``rel`` holds."""
+    return set().union(*rel.rows.values())
+
+
+def _nests_cleanly(held: set[str], key: str) -> bool:
+    """Whether none of the fields ``held`` starts with ``key.``, so that nesting
+    a right tuple at ``key`` in a row holding only such fields and flattening
+    never meets a field twice and no left field is named like a part field."""
     prefix = key + SEPARATOR
-    return not any(f.startswith(prefix) for f in set().union(*left.rows.values()))
+    return not any(f.startswith(prefix) for f in held)
 
 
 def right_condition(left: Relation, key: str, cond: Condition, pairs: bool) -> Condition | None:
@@ -263,37 +281,41 @@ def right_condition(left: Relation, key: str, cond: Condition, pairs: bool) -> C
     ``inner_join`` (``cartesian`` when ``pairs``) of ``left`` at ``key``, else
     None (rules 1 and 2 of the module docstring)."""
     prefix = key + SEPARATOR
-    if not cond.field.startswith(prefix) or not _nests_cleanly(left, key):
+    if not cond.field.startswith(prefix) or not _nests_cleanly(_held(left), key):
         return None
     if pairs and any(PAIR_SEPARATOR in lk for lk in left.rows):
         return None
     return Condition(cond.field[len(prefix):], cond.value)
 
 
-def _sides(wanted: tuple[str, ...], key: str) -> tuple[tuple[str, ...], tuple[str, ...], bool]:
-    """The columns of ``wanted`` a left row gives and those a right tuple's part
-    gives (``key`` and every name under ``key.``), each in ``wanted``'s order,
-    and whether ``wanted`` interleaves the two, so that a row built as
-    ``{**left pick, **right pick}`` must be re-laid in ``wanted``'s order."""
-    prefix = key + SEPARATOR
-    right = tuple(f for f in wanted if f == key or f.startswith(prefix))
-    left = tuple(f for f in wanted if f not in right)
-    return left, right, wanted != left + right
+def _source(name: str, keys: tuple[str, ...]) -> int:
+    """Which piece of a row nested and flattened at each of ``keys`` in turn
+    gives the field ``name``: ``m`` for the part of ``keys[m - 1]``, the last
+    key that is ``name`` or that ``name`` starts with followed by ``.``, or 0
+    for the left row when none is."""
+    for m in range(len(keys), 0, -1):
+        key = keys[m - 1]
+        if name == key or name.startswith(key + SEPARATOR):
+            return m
+    return 0
 
 
-def _join(
-    left: Relation, right: Relation, key: str, keep_left: bool, keep_right: bool,
-    fields: Columns | str | None = None,
-) -> Relation:
-    """The keyed join that preserves the sides the flags name, projected onto
-    ``fields`` when given (see the module docstring); only ``inner_join``, with
-    neither flag, gives ``fields``."""
+def _sides(wanted: tuple[str, ...], keys: tuple[str, ...]) -> tuple[tuple[tuple[str, ...], ...], bool]:
+    """The columns of ``wanted`` each piece gives (``_source``), left row first,
+    each in ``wanted``'s order, and whether ``wanted`` interleaves the pieces, so
+    that a row built as ``{**left pick, **first part's pick, …}`` must be
+    re-laid in ``wanted``'s order."""
+    sides: list[list[str]] = [[] for _ in range(len(keys) + 1)]
+    for f in wanted:
+        sides[_source(f, keys)].append(f)
+    laid = tuple(f for side in sides for f in side)
+    return tuple(map(tuple, sides)), wanted != laid
+
+
+def _join(left: Relation, right: Relation, key: str, keep_left: bool, keep_right: bool) -> Relation:
+    """The keyed join that preserves the sides the flags name (see the module
+    docstring)."""
     key = _require_key(key)
-    wanted = None if fields is None else _columns(fields, "fields")
-    if wanted is not None and not _nests_cleanly(left, key):
-        return project(_join(left, right, key, keep_left, keep_right), wanted)
-    if wanted is not None:
-        lcols, rcols, relay = _sides(wanted, key)
     parts: dict[str, TupleRecord] = {}
     rows: dict[str, TupleRecord] = {}
     for k, lrow in left.rows.items():
@@ -302,23 +324,17 @@ def _join(
         if part is None:
             rrow = right.rows.get(v)
             if rrow is not None and (rrow or keep_left):
-                part = _right_part(key, rrow)
-                part = parts[v] = part if wanted is None else _pick(part, rcols)
+                part = parts[v] = _right_part(key, rrow)
         if part is not None:
-            if wanted is not None:
-                row = {**_pick(lrow, lcols), **part}
-                if relay:
-                    row = _pick(row, wanted)
-            else:
-                row = {}
-                for f, x in lrow.items():
-                    if f == key:
-                        row.update(part)
-                    else:
-                        row[f] = x
-                if len(row) < len(lrow) - 1 + len(part):  # a left field is named like a part field
-                    before, after = _split(lrow, key)
-                    _stitch(before, part, after)
+            row = {}
+            for f, x in lrow.items():
+                if f == key:
+                    row.update(part)
+                else:
+                    row[f] = x
+            if len(row) < len(lrow) - 1 + len(part):  # a left field is named like a part field
+                before, after = _split(lrow, key)
+                _stitch(before, part, after)
             rows[k] = row
         elif keep_left:
             rows[k] = dict(lrow)
@@ -334,7 +350,7 @@ def _join(
                     f"synthesized right row key {rk!r} collides with an existing result row"
                 )
             rows[rk] = _stitch(before, _right_part(key, rrow), after) if key in blank else dict(blank)
-    return Relation(_joined_schema(left.schema, right.schema, key, wanted), rows)
+    return Relation(_joined_schema(left.schema, right.schema, key), rows)
 
 
 def inner_join(left: Relation, right: Relation, key: str, fields: Columns | str | None = None) -> Relation:
@@ -342,11 +358,93 @@ def inner_join(left: Relation, right: Relation, key: str, fields: Columns | str 
 
     The right tuple is nested under ``key`` and flattened; unmatched left
     rows are dropped.  Result rows keep the left row keys.  With ``fields``
-    it is ``project(inner_join(left, right, key), fields)``, built in one
-    pass when no row of ``left`` holds a field under ``key`` (see the module
-    docstring).
+    it is ``inner_join_run(left, [(right, key)], fields)``, that is
+    ``project(inner_join(left, right, key), fields)``.
     """
-    return _join(left, right, key, keep_left=False, keep_right=False, fields=fields)
+    if fields is None:
+        return _join(left, right, key, keep_left=False, keep_right=False)
+    return inner_join_run(left, ((right, key),), fields)
+
+
+def inner_join_run(
+    left: Relation, steps: Iterable[tuple[Relation, str]], fields: Columns | str,
+) -> Relation:
+    """``project(inner_join(…inner_join(left, r1, k1)…, rn, kn), fields)`` for
+    ``steps`` ``(r1, k1), …, (rn, kn)``, built in one pass that makes each
+    result row once when no step can raise (see the module docstring).
+
+    ``steps`` may be an iterator, and is read one step at a time: a step is
+    taken only once every step before it is judged, and a step that may raise
+    is joined, as the plain fold joins it, before the next is taken.  So a
+    caller whose iterator scans each right table as its step is taken meets
+    every error in the plain fold's order.
+    """
+    steps = iter(steps)
+    if isinstance(fields, str):
+        return _fold(left, steps, fields)
+    taken: list[tuple[Relation, str]] = []
+    held = _held(left)
+    for right, key in steps:
+        # With the fields the step before adds, read only once a step follows it.
+        held.update(k + SEPARATOR + f for r, k in taken[-1:] for f in _held(r))
+        taken.append((right, key))
+        if not key or not _nests_cleanly(held, key):
+            return _fold(left, chain(taken, steps), fields)
+    wanted = _columns(fields, "fields")
+    if not taken:
+        return project(left, wanted)
+    schema = replace(left.schema, fields=wanted)
+    keys = tuple(key for _, key in taken)
+    (lcols, rcols, *cols), relay = _sides(wanted, keys)
+    # Each later step: its number m, its right rows and key, where its key is
+    # read (the left row, 0, or step s's right row, under the name it has
+    # there), its part's columns and its (right row, picked part) by right key.
+    later = []
+    for m, ((right, key), mcols) in enumerate(zip(taken[1:], cols), 2):
+        src = _source(key, keys[:m - 1])
+        if src and key == keys[src - 1]:  # an earlier step replaced the field
+            return Relation(schema, {})
+        later.append((m, right.rows, key, src, key[len(keys[src - 1]) + 1:] if src else key, mcols, {}))
+    right, key = taken[0]
+    found: list[TupleRecord] = [{}] * (len(taken) + 1)  # the left row, then each step's right row
+    parts: dict[str, TupleRecord] = {}
+    rows: dict[str, TupleRecord] = {}
+    for k, lrow in left.rows.items():
+        v = lrow.get(key)
+        part = parts.get(v)
+        if part is None:
+            rrow = right.rows.get(v)
+            if not rrow:
+                continue
+            part = parts[v] = _pick(_right_part(key, rrow), rcols)
+        row = {**_pick(lrow, lcols), **part}
+        if later:
+            found[0], found[1] = lrow, right.rows[v]
+            for m, rrows, mkey, src, name, mcols, hits in later:
+                v = found[src].get(name)
+                hit = hits.get(v)
+                if hit is None:
+                    rrow = rrows.get(v)
+                    if not rrow:
+                        break
+                    hit = hits[v] = (rrow, _pick(_right_part(mkey, rrow), mcols))
+                found[m], part = hit
+                row.update(part)
+            else:
+                rows[k] = _pick(row, wanted) if relay else row
+        else:  # a run of one: entering the empty loop above would cost it about 5%
+            rows[k] = _pick(row, wanted) if relay else row
+    return Relation(schema, rows)
+
+
+def _fold(left: Relation, steps: Iterable[tuple[Relation, str]], fields: Columns | str) -> Relation:
+    """``inner_join_run`` as the plain fold: one ``inner_join`` per step, then
+    ``project``; ``STAR`` gives the last join as it is."""
+    rel = left
+    for right, key in steps:
+        rel = _join(rel, right, key, keep_left=False, keep_right=False)
+    wanted = _columns(fields, "fields")
+    return rel if wanted is None else project(rel, wanted)
 
 
 def left_join(left: Relation, right: Relation, key: str) -> Relation:
@@ -380,11 +478,11 @@ def cartesian(left: Relation, right: Relation, nest_field: str, fields: Columns 
     """
     nest_field = _require_key(nest_field)
     wanted = None if fields is None else _columns(fields, "fields")
-    if wanted is not None and not _nests_cleanly(left, nest_field):
+    if wanted is not None and not _nests_cleanly(_held(left), nest_field):
         return project(cartesian(left, right, nest_field), wanted)
     parts = [(rk, _right_part(nest_field, rrow)) for rk, rrow in right.rows.items()]
     if wanted is not None:
-        lcols, rcols, relay = _sides(wanted, nest_field)
+        (lcols, rcols), relay = _sides(wanted, (nest_field,))
         parts = [(rk, _pick(part, rcols)) for rk, part in parts]
     rows: dict[str, TupleRecord] = {}
     for lk, lrow in left.rows.items():
@@ -406,7 +504,8 @@ def cartesian(left: Relation, right: Relation, nest_field: str, fields: Columns 
                 if len(row) < size + len(part):
                     _stitch(before, part, after)
             rows[pair_key] = row
-    return Relation(_joined_schema(left.schema, right.schema, nest_field, wanted), rows)
+    schema = _joined_schema(left.schema, right.schema, nest_field) if wanted is None else replace(left.schema, fields=wanted)
+    return Relation(schema, rows)
 
 
 def natural_join(left: Relation, right: Relation) -> Relation:

@@ -8,6 +8,7 @@ import struct
 import tempfile
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,7 @@ from sgdb.dsl import ProjectStep, Query, SelectStep, parse, render_statement
 from sgdb.errors import (
     CorruptFileError,
     DuplicateKeyError,
+    MissingJoinKeyError,
     SchemaError,
     SgdbError,
     TableExistsError,
@@ -1247,24 +1249,50 @@ def test_a_select_on_the_joined_table_runs_inside_its_scan(db, monkeypatch, quer
 
 
 def _recording_joins(monkeypatch):
-    """The argument counts of the calls ``evaluate`` makes through ``evaluator._JOINS``;
-    a call given a project's columns has four."""
+    """The calls ``evaluate`` makes through ``evaluator._JOINS``, each as its
+    argument count (a call given a project's columns has four), and to
+    ``ops.inner_join_run``, each as ``("run", <steps it took>)``, or as
+    ``("plain", <steps>)`` when it ran as the plain fold."""
     calls = []
     for kind, fn in list(evaluator._JOINS.items()):
         monkeypatch.setitem(evaluator._JOINS, kind, lambda *args, fn=fn: calls.append(len(args)) or fn(*args))
+    run, fold, folds = ops.inner_join_run, ops._fold, []
+
+    def recording_run(left, steps, fields):
+        taken = []
+        folds.clear()
+        try:
+            return run(left, (taken.append(step) or step for step in steps), fields)
+        finally:
+            calls.append(("plain" if folds else "run", len(taken)))
+
+    # Only the evaluator's calls are recorded, not those ops.inner_join makes.
+    monkeypatch.setattr(evaluator, "ops", SimpleNamespace(**{**vars(ops), "inner_join_run": recording_run}))
+    monkeypatch.setattr(ops, "_fold", lambda *args: folds.append(args) or fold(*args))
     return calls
 
 
 @pytest.mark.parametrize("query, calls", [
     ("books | ijoin catalog on catalog | project title, catalog.description, catalog", [4]),
     ('books | cross catalog as c | select c.catalog = "002" | project c.description, title, c.description', [4]),
-    ("books | ijoin catalog on catalog | ijoin catalog on publisher | project title, publisher.description", [3, 4]),
+    ("books | ijoin catalog on catalog | ijoin catalog on publisher | project title, publisher.description", [("run", 2)]),
     ("books | ijoin catalog on catalog | project *", [4]),
     ("books | ljoin catalog on catalog | project title", [3]),
     ("books | ijoin catalog on catalog | select title = x | project title", [3]),
     # The second cross meets the dotted left fields c.*: given the columns, it builds
     # every field and raises the flatten error the plain fold raises.
     ("books | cross catalog as c | cross catalog as c | project title, c.description", [3, 4]),
+    # The second key is a field of the first step's right rows.
+    ("books | ijoin catalog on catalog | ijoin catalog on catalog.catalog | project catalog.catalog.description, title",
+     [("run", 2)]),
+    # The first join takes its select into its scan and stays in the run.
+    ("books | ijoin catalog on catalog | select catalog.description = computing | ijoin catalog on catalog.catalog"
+     " | project title", [("run", 2)]),
+    # The second key is the field the first step replaced with its catalog.* fields:
+    # the run may raise there, so it is the plain fold.
+    ("books | ijoin catalog on catalog | ijoin catalog on catalog | project title", [("plain", 2)]),
+    # A select after the later join ends the run before it.
+    ("books | ijoin catalog on catalog | ijoin catalog on publisher | select title = x | project title", [3, 3]),
 ])
 def test_a_project_after_an_inner_join_or_cross_runs_inside_it(db, monkeypatch, query, calls):
     tables = {name: db.scan(name) for name in db.list_tables()}
@@ -1272,6 +1300,36 @@ def test_a_project_after_an_inner_join_or_cross_runs_inside_it(db, monkeypatch, 
     made = _recording_joins(monkeypatch)
     assert _exact(evaluate, parse(query), db) == plain
     assert made == calls
+
+
+def _scans_recorded(db, monkeypatch):
+    """The table names ``db.scan`` is called with, in order."""
+    scanned, scan = [], db.scan
+    monkeypatch.setattr(db, "scan", lambda name, where=None: scanned.append(name) or scan(name, where))
+    return scanned
+
+
+def test_a_run_with_an_empty_key_raises_before_a_later_table_is_scanned(db, monkeypatch):
+    scanned = _scans_recorded(db, monkeypatch)
+    with pytest.raises(MissingJoinKeyError):
+        evaluate(parse('books | ijoin catalog on "" | ijoin nosuch on x | project title'), db)
+    assert scanned == ["books", "catalog"]
+
+
+def test_a_run_raises_the_plain_flatten_error_before_a_later_table_is_scanned(db, monkeypatch):
+    # The first step joins cleanly; the second meets the left field
+    # publisher.city again in its part, as the plain fold's second join does.
+    db.load("pubs", Schema("publisher", ("publisher", "city")), [{"publisher": "CUP", "city": "Cambridge"}])
+    query = (
+        "books | rename title -> publisher.city | ijoin catalog on catalog | ijoin pubs on publisher"
+        " | ijoin nosuch on x | project ISBN"
+    )
+    tables = {name: db.scan(name) for name in db.list_tables()}
+    plain = _exact(_fold_plainly, tables, parse(query.replace(" | ijoin nosuch on x", "")), [])
+    assert plain == ("error", "KeyCollisionError", "flattening produced key 'publisher.city' twice")
+    scanned = _scans_recorded(db, monkeypatch)
+    assert _exact(evaluate, parse(query), db) == plain
+    assert scanned == ["books", "catalog", "pubs"]
 
 
 def test_a_project_star_after_an_inner_join_copies_no_row_again(db, monkeypatch):
