@@ -7,9 +7,13 @@ it builds a relation from a literal and checks its rows.
 ``Relation(schema, rows)`` wraps rows as given and checks nothing, so the
 operators, given hand-built rows whose values are not text or null, may raise
 plain Python errors such as ``TypeError`` rather than an ``SgdbError``.
-The package provides the relational operators over that model, one-file-
-per-table persistence, a pipeline query language with a REPL, CSV
-import/export, and a built-in differential-testing oracle.
+``Relation.bounded`` says that no row holds a field outside the schema;
+only the engine sets it, where it has proved it: on what storage reads and
+on what ``project``, the joins given columns and ``select`` of a bounded
+relation build.  Rendering and the join rewrites then read the schema
+instead of every row.  The package provides the relational operators over
+that model, one-file-per-table persistence, a pipeline query language with
+a REPL, CSV import/export, and a built-in differential-testing oracle.
 """
 
 from sgdb.errors import (

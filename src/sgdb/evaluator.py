@@ -1,10 +1,15 @@
 """Statement evaluation against a database directory.
 
-Queries fold their pipeline steps left to right over an in-memory scan of
-the source table; joins scan their right-hand table the same way.  The fold
-looks ahead and groups steps in three ways.  The first two move a
-``select`` into the scan it follows (``Database.scan(name, where)``), so only
-the matching rows are copied out of storage, which picks how to find them
+Queries fold their pipeline steps left to right over the rows of the
+source table that ``Database.read`` returns; joins read their right-hand
+table the same way.  A read shares the rows storage keeps, and the
+operators never change their inputs, so no row is copied until an operator
+builds one; when no operator ran, the read relation is copied once
+(``project *``), so a query result never shares a kept row.
+
+The fold looks ahead and groups steps in three ways.  The first two move a
+``select`` into the scan it follows (``Database.read(name, where)``), so only
+the matching rows are taken from storage, which picks how to find them
 (see ``sgdb.storage``):
 
 * a query's leading ``select`` runs inside the scan of its source;
@@ -85,7 +90,7 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
         case Query(source, steps):
             pending = list(steps)
             where = pending.pop(0).condition if pending and isinstance(pending[0], SelectStep) else None
-            rel = db.scan(source, where)
+            rel = scanned = db.read(source, where)
             while pending:
                 step = pending.pop(0)
                 if not isinstance(step, JoinStep):
@@ -97,18 +102,20 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
                     where = ops.right_condition(rel, step.key, pending[0].condition, step.kind == "cross")
                     if where is not None:
                         pending.pop(0)
-                right = db.scan(step.table, where)
+                right = db.read(step.table, where)
                 joins = list(takewhile(_is_inner_join, pending)) if step.kind == "inner" else []
                 after = pending[len(joins)] if len(joins) < len(pending) else None
                 if fuses and isinstance(after, ProjectStep):
                     del pending[:len(joins) + 1]
                     if joins:
-                        scans = ((db.scan(join.table), join.key) for join in joins)
+                        scans = ((db.read(join.table), join.key) for join in joins)
                         rel = ops.inner_join_run(rel, chain([(right, step.key)], scans), after.columns)
                     else:
                         rel = _JOINS[step.kind](rel, right, step.key, after.columns)
                 else:
                     rel = _apply(step, rel, right)
+            if rel is scanned:
+                rel = ops.project(rel, ops.STAR)
             return rel
         case CreateTable(name, pk, fields):
             db.load(name, Schema(pk, tuple(fields)), ())

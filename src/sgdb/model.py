@@ -61,13 +61,22 @@ class Relation:
     rows built by hand whose values are not text or null can make an operator
     raise a plain Python error such as ``TypeError``; ``relation_from_mapping``
     is the checked builder.
+
+    ``bounded`` says that no row holds a field outside ``schema.fields``.  It
+    is False unless the caller has proved it: storage sets it on what it
+    reads, since every stored row follows ``_check_row``, and ``project``,
+    ``select`` of a bounded relation and the joins given ``fields`` set it
+    on what they build.  ``sgdb.render`` then takes the schema's fields as
+    the columns, and ``sgdb.ops`` takes them as the fields the rows hold,
+    without a pass over the rows.
     """
 
-    __slots__ = ("schema", "rows")
+    __slots__ = ("schema", "rows", "bounded")
 
-    def __init__(self, schema: Schema, rows: dict[str, TupleRecord] | None = None):
+    def __init__(self, schema: Schema, rows: dict[str, TupleRecord] | None = None, bounded: bool = False):
         self.schema = schema
         self.rows: dict[str, TupleRecord] = {} if rows is None else rows
+        self.bounded = bounded
 
     def __len__(self) -> int:
         return len(self.rows)

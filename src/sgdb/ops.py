@@ -60,6 +60,15 @@ as the plain fold does, before it takes the next, so a caller that scans
 each right table as its step is taken meets every error in the plain
 fold's order.
 
+These checks read the fields a relation's rows hold in one pass over its
+rows (``_held``), except for a bounded relation (``Relation.bounded``),
+whose rows hold only its schema's fields: then they read the schema's
+fields, a superset.  A superset can only fail a check that the rows would
+pass, which sends a run or projected ``cartesian`` to the plain fold and
+keeps a select after its join, and both are exact.  ``project``, the joins
+given ``fields`` and ``select`` of a bounded relation return bounded
+relations.
+
 In the one pass, each column and each key has one source (``_source``):
 the part of the last step whose key it is or starts with followed by
 ``.``, or else the left row.  So a step reads its key in the left row,
@@ -145,7 +154,7 @@ def select(rel: Relation, cond: Condition) -> Relation:
     """
     field, value = cond.field, cond.value
     rows = {key: dict(row) for key, row in rel.rows.items() if field in row and row[field] == value}
-    return Relation(rel.schema, rows)
+    return Relation(rel.schema, rows, rel.bounded)
 
 
 def project(rel: Relation, columns: Columns | str) -> Relation:
@@ -158,9 +167,9 @@ def project(rel: Relation, columns: Columns | str) -> Relation:
     """
     wanted = _columns(columns, "columns")
     if wanted is None:
-        return Relation(rel.schema, {k: dict(r) for k, r in rel.rows.items()})
+        return Relation(rel.schema, {k: dict(r) for k, r in rel.rows.items()}, rel.bounded)
     rows = {key: _pick(row, wanted) for key, row in rel.rows.items()}
-    return Relation(replace(rel.schema, fields=wanted), rows)
+    return Relation(replace(rel.schema, fields=wanted), rows, True)
 
 
 def _columns(columns: Columns | str, name: str) -> tuple[str, ...] | None:
@@ -263,8 +272,9 @@ def _stitch(before: TupleRecord, part: TupleRecord, after: TupleRecord) -> Tuple
 
 
 def _held(rel: Relation) -> set[str]:
-    """Every field some row of ``rel`` holds."""
-    return set().union(*rel.rows.values())
+    """Every field some row of ``rel`` holds, or, when ``rel`` is bounded, its
+    schema's fields, which include them."""
+    return set(rel.schema.fields) if rel.bounded else set().union(*rel.rows.values())
 
 
 def _nests_cleanly(held: set[str], key: str) -> bool:
@@ -403,7 +413,7 @@ def inner_join_run(
     for m, ((right, key), mcols) in enumerate(zip(taken[1:], cols), 2):
         src = _source(key, keys[:m - 1])
         if src and key == keys[src - 1]:  # an earlier step replaced the field
-            return Relation(schema, {})
+            return Relation(schema, {}, True)
         later.append((m, right.rows, key, src, key[len(keys[src - 1]) + 1:] if src else key, mcols, {}))
     right, key = taken[0]
     found: list[TupleRecord] = [{}] * (len(taken) + 1)  # the left row, then each step's right row
@@ -434,7 +444,7 @@ def inner_join_run(
                 rows[k] = _pick(row, wanted) if relay else row
         else:  # a run of one: entering the empty loop above would cost it about 5%
             rows[k] = _pick(row, wanted) if relay else row
-    return Relation(schema, rows)
+    return Relation(schema, rows, True)
 
 
 def _fold(left: Relation, steps: Iterable[tuple[Relation, str]], fields: Columns | str) -> Relation:
@@ -505,7 +515,7 @@ def cartesian(left: Relation, right: Relation, nest_field: str, fields: Columns 
                     _stitch(before, part, after)
             rows[pair_key] = row
     schema = _joined_schema(left.schema, right.schema, nest_field) if wanted is None else replace(left.schema, fields=wanted)
-    return Relation(schema, rows)
+    return Relation(schema, rows, wanted is not None)
 
 
 def natural_join(left: Relation, right: Relation) -> Relation:

@@ -2,7 +2,9 @@
 
 Rows are always emitted in row-key order.  Columns follow the schema's field
 order; fields that appear only in some rows of a heterogeneous result are
-appended after the schema columns, sorted by name.  Table and CSV output pad
+appended after the schema columns, sorted by name.  A bounded relation
+(``Relation.bounded``) has no such fields, so its rows are not read for
+them.  Table and CSV output pad
 missing fields with "".  Table output shows the explicit null as ``NULL``,
 and CSV output writes it as an empty cell, as ``sgdb export`` does (its file
 is this CSV output); JSON output emits each row's record verbatim (null as
@@ -37,8 +39,11 @@ class RenderSpec:
 
 
 def columns_of(rel: Relation) -> list[str]:
-    """Schema fields first, then any extra row fields in sorted order."""
+    """Schema fields first, then any extra row fields in sorted order; a
+    bounded relation has none."""
     cols = list(rel.schema.fields)
+    if rel.bounded:
+        return cols
     return cols + sorted(set().union(*rel.rows.values()).difference(cols))
 
 

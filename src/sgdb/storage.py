@@ -40,11 +40,11 @@ is the handle's one image of the table.  ``put_record`` and
 ``delete_record`` update it with what they append, and ``scan_all`` and
 ``compact`` decode its payloads, so a handle reads its log only at open and
 parses no record twice.  Until it first writes, a handle also keeps the
-bytes it read, for ``Database.scan``; it thus holds a buffer as large as
+bytes it read, for ``Database.read``; it thus holds a buffer as large as
 the file plus a copy of each live payload, and after a write only the
 payloads.
 
-``Database.scan`` keeps, per table, the parse of its last scan: the log
+``Database.read`` keeps, per table, the parse of its last read: the log
 bytes, the schema and live payloads replayed from them, the decoded live rows,
 and an equality index over those rows (``_Parse.by_value``).  It hands that
 parse to the handle it opens (``TableFile``'s ``kept``), which still opens,
@@ -53,18 +53,26 @@ kept ones, ``_replay`` returns the kept parse and nothing is replayed or
 decoded.  Parsing is a pure function of the bytes, so a reused parse gives
 the same rows, and the same verdict on corruption, as a fresh one; any
 change to the file, however small, is a fresh parse, with no rows and no
-equality index.  So only scans of a log unchanged since the last scan in
-the same ``Database`` are spared the parse: a scan after a write to the
-table, or the first scan in a new ``Database`` (each ``sgdb exec``
+equality index.  So only reads of a log unchanged since the last read in
+the same ``Database`` are spared the parse: a read after a write to the
+table, or the first read in a new ``Database`` (each ``sgdb exec``
 process), parses in full.  The handle takes the kept parse over, and the
-``Database`` keeps a parse again only once a scan has succeeded.  Kept
+``Database`` keeps a parse again only once a read has succeeded.  Kept
 parses stay resident until the table is dropped or the ``Database`` is
 freed: about one decoded copy, plus the log bytes and the live payloads, of
-every table it has scanned.  For 5,000 rows of 3 to 5 text fields of 3 to 8
+every table it has read.  For 5,000 rows of 3 to 5 text fields of 3 to 8
 characters, ``tracemalloc`` counts 10 to 12 bytes held per byte of log, of
 which the payloads are under one.
 
-A scan given a condition (a query's leading ``select``) copies out only the
+``read`` returns the kept rows themselves, under a row map of its own, as a
+bounded relation (``Relation.bounded``): ``_decoded`` has held every row to
+the schema.  Its caller must not change those rows.  ``sgdb.evaluator``
+reads every table of a query this way: its operators never change their
+inputs, and it copies the result once when no operator built it.
+``scan`` is ``read`` plus one copy of each row it returns, so its caller
+owns the relation.
+
+A read given a condition (a query's leading ``select``) takes only the
 kept rows that match it.  A condition on the primary key is one lookup of
 the key, which is exact because a row is always stored under its own
 primary-key value.  A condition on any other field reads that field's
@@ -280,7 +288,7 @@ def _install(path: Path, data: bytes, *, replace: bool, sync: bool = True):
 
 class _Parse(NamedTuple):
     """A table's whole log, the schema and live index replayed from it (each live
-    key -> the payload of its last PUT), and, once ``Database.scan`` has
+    key -> the payload of its last PUT), and, once ``Database.read`` has
     decoded them, its live rows and their equality index: field -> value ->
     the keys of the rows holding that value, in row order, for each field a
     condition has named."""
@@ -486,7 +494,7 @@ class TableFile:
 class Database:
     """A directory of table files; tables are discovered by listing it.
 
-    ``scan`` keeps the last parse of each table it scanned, never an open
+    ``read`` keeps the last parse of each table it read, never an open
     file; the module docstring says what that spares and costs.
     """
 
@@ -533,14 +541,17 @@ class Database:
             path.unlink()
         _fsync_dir(path)
 
-    def scan(self, name: str, where: Condition | None = None) -> Relation:
-        """The live rows of table ``name``, as a relation the caller owns.
+    def read(self, name: str, where: Condition | None = None) -> Relation:
+        """The live rows of table ``name``, as a bounded relation whose row
+        dicts are the kept parse's own, under a row map of its own.
 
-        With ``where``, the result holds only the rows ``ops.select`` keeps
-        for that condition, in the same order: one lookup for the primary
-        key, and otherwise the matches the field's equality index lists,
-        which the first condition on the field builds.  A missing table is
-        ``UnknownTableError``.  See the module docstring for what is reused.
+        The caller must not change a row: a later read or scan of the table
+        in this ``Database`` may return it.  With ``where``, the result holds
+        only the rows ``ops.select`` keeps for that condition, in the same
+        order: one lookup for the primary key, and otherwise the matches the
+        field's equality index lists, which the first condition on the field
+        builds.  A missing table is ``UnknownTableError``.  See the module
+        docstring for what is reused.
         """
         with TableFile(self._path(name), kept=self._parses.pop(name, None)) as table:
             parse = table._parse
@@ -548,7 +559,7 @@ class Database:
                 parse = parse._replace(rows=table.scan_all().rows, by_value={})
         rows = parse.rows
         if where is None:
-            taken = rows
+            taken = dict(rows)
         elif where.field == parse.schema.primary_key:
             # _decoded keeps each row under its own primary-key value.
             taken = {where.value: rows[where.value]} if where.value in rows else {}
@@ -558,6 +569,10 @@ class Database:
                 index = parse.by_value[where.field] = _value_index(rows, where.field)
             taken = {key: rows[key] for key in index.get(where.value, ())}
         self._parses[name] = parse
-        # The parse is kept for later scans, so the caller gets a copy of the rows it takes;
-        # _decoded has already checked them.
-        return Relation(parse.schema, {key: dict(row) for key, row in taken.items()})
+        # _decoded has checked every row against the schema.
+        return Relation(parse.schema, taken, True)
+
+    def scan(self, name: str, where: Condition | None = None) -> Relation:
+        """``read``, with a copy of each row, so the caller owns the relation."""
+        rel = self.read(name, where)
+        return Relation(rel.schema, {key: dict(row) for key, row in rel.rows.items()}, True)

@@ -12,6 +12,7 @@ from sgdb.errors import (
     MissingJoinKeyError,
     NoCommonFieldError,
     NotJoinableError,
+    SgdbError,
 )
 from sgdb.model import Relation, Schema, create_relation, relation_equal, relation_from_mapping
 from sgdb.ops import (
@@ -32,6 +33,7 @@ from sgdb.ops import (
 from sgdb.difftest import _exact
 from sgdb.dsl import SelectStep
 from sgdb.oracle import flatten, oracle_eval
+from sgdb.render import columns_of
 
 
 def rows(rel):
@@ -449,6 +451,21 @@ def _relation(draw, fields, key):
     return Relation(Schema("id", tuple(schema_fields)), rows)
 
 
+def _bounded(rel):
+    """``rel``'s rows as a bounded relation whose schema names every field they
+    hold after the fields ``rel``'s schema names, some of which no row may hold."""
+    fields = dict.fromkeys(rel.schema.fields)
+    for row in rel.rows.values():
+        fields.update(dict.fromkeys(row))
+    return Relation(Schema(rel.schema.primary_key, tuple(fields)), rel.rows, True)
+
+
+@st.composite
+def _maybe_bounded(draw, rel):
+    """``rel``, or, half the time, ``_bounded(rel)``."""
+    return _bounded(rel) if draw(st.booleans()) else rel
+
+
 @st.composite
 def _join_inputs(draw):
     key = draw(JOIN_FIELDS)
@@ -596,6 +613,7 @@ def _join_inputs_and_condition(draw):
         prefix = key + "."
         rows = {k: {f: v for f, v in row.items() if not f.startswith(prefix)} for k, row in left.rows.items()}
         left = Relation(left.schema, rows)
+    left, right = draw(_maybe_bounded(left)), draw(_maybe_bounded(right))
     held = [(f, v) for row in right.rows.values() for f, v in row.items() if v is not None]
     field, value = draw(st.sampled_from(held or [("a", "x")]))
     return left, right, key, Condition(f"{key}.{field}", value)
@@ -657,12 +675,12 @@ def _run_inputs(draw):
     lack their key, and columns come from every piece, repeat or name no field."""
     first = draw(JOIN_FIELDS)
     dotted = [f"{first}.a", f"{first}.a.b"] if draw(st.booleans()) else []
-    left = draw(_relation(["id", "a", "k", "n", *dotted], first))
+    left = draw(_maybe_bounded(draw(_relation(["id", "a", "k", "n", *dotted], first))))
     keys = [first]
     for _ in range(draw(st.integers(0, 2))):
         earlier = draw(st.sampled_from(keys))
         keys.append(draw(st.sampled_from([f"{earlier}.k"] * 3 + [f"{earlier}.a", earlier, "k", "n", ""])))
-    steps = [(draw(_relation(RIGHT_FIELDS, "k")), key) for key in keys]
+    steps = [(draw(_maybe_bounded(draw(_relation(RIGHT_FIELDS, "k")))), key) for key in keys]
     names = ["id", "a", "n", "ghost", *keys, *(f"{key}.{f}" for key in keys for f in ("a", "b", "id", "a.b"))]
     return left, steps, draw(st.lists(st.sampled_from(names), max_size=6))
 
@@ -699,3 +717,38 @@ def _run_inputs(draw):
 def test_an_inner_join_run_equals_the_plain_fold(inputs):
     left, steps, columns = inputs
     assert _exact(inner_join_run, left, iter(steps), columns) == _exact(_fold_of_inner_joins, left, steps, columns)
+
+
+def _columns_held(rel):
+    """The columns ``render`` gives ``rel``'s rows under its schema, read from the rows."""
+    return columns_of(Relation(rel.schema, rel.rows))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    inputs=_join_inputs(),
+    columns=st.lists(st.sampled_from(["id", "a", "k", "n", "ghost", "k.a", "n.a", "a.a", "k.a.b", "k.k.a"]), max_size=5),
+    bounded=st.booleans(),
+)
+def test_a_bounded_result_holds_only_its_schema_fields(inputs, columns, bounded):
+    left, right, key = inputs
+    if bounded:
+        left, right = _bounded(left), _bounded(right)
+    outputs = [
+        lambda: project(left, columns),
+        lambda: project(right, columns),
+        lambda: inner_join(left, right, key, columns),
+        lambda: inner_join_run(left, [(right, key), (right, f"{key}.k")], columns),
+        lambda: cartesian(left, right, key, columns),
+        lambda: select(project(left, columns), Condition("a", "1")),
+    ]
+    if bounded:
+        outputs += [lambda: project(left, STAR), lambda: select(left, Condition("a", "1"))]
+    for output in outputs:
+        try:
+            rel = output()
+        except SgdbError:
+            continue
+        assert rel.bounded
+        assert all(set(row) <= set(rel.schema.fields) for row in rel.rows.values())
+        assert columns_of(rel) == _columns_held(rel) == list(rel.schema.fields)

@@ -33,7 +33,7 @@ from sgdb.errors import (
 from sgdb.evaluator import evaluate
 from sgdb.model import Relation, Schema, create_relation, relation_equal
 from sgdb.ops import Condition
-from sgdb.render import RenderSpec, render
+from sgdb.render import RenderSpec, columns_of, render
 from sgdb.storage import Database, TableFile, canonical_record_bytes
 
 BOOKS_SCHEMA = Schema("ISBN", gd.BOOKS_FIELDS)
@@ -1161,6 +1161,15 @@ def test_mutating_a_scanned_relation_does_not_change_the_next_scan(db, books):
     assert relation_equal(db.scan("books"), books)
 
 
+def test_a_read_or_scan_is_bounded_and_renders_the_columns_its_rows_hold(db):
+    with db.open("books") as table:
+        table.put_record({"ISBN": "1", "title": "Short"})  # a row without most fields
+    for name in db.list_tables():
+        for rel in (db.read(name), db.scan(name), db.read(name, Condition("ISBN", "1"))):
+            assert rel.bounded
+            assert columns_of(rel) == columns_of(Relation(rel.schema, rel.rows)) == list(rel.schema.fields)
+
+
 def test_drop_and_recreate_between_scans_returns_the_new_rows(db, books):
     assert relation_equal(db.scan("books"), books)
     db.drop("books")
@@ -1174,10 +1183,10 @@ def test_drop_and_recreate_between_scans_returns_the_new_rows(db, books):
 
 
 def _scans(monkeypatch):
-    """The relations ``Database.scan`` returns from now on, in order."""
+    """The relations ``Database.read`` returns from now on, in order."""
     returned = []
-    scan = Database.scan
-    monkeypatch.setattr(Database, "scan", lambda *args: returned.append(scan(*args)) or returned[-1])
+    read = Database.read
+    monkeypatch.setattr(Database, "read", lambda *args: returned.append(read(*args)) or returned[-1])
     return returned
 
 
@@ -1187,6 +1196,12 @@ def _copies_of_kept_rows(db, name, rel):
     return all(row == kept[key] and row is not kept[key] for key, row in rel.rows.items())
 
 
+def _kept_rows(db, name, rel):
+    """True when every row of ``rel`` is the row ``db`` keeps under its key, and its row map is not the kept one."""
+    kept = db._parses[name].rows
+    return rel.rows is not kept and all(row is kept[key] for key, row in rel.rows.items())
+
+
 def test_a_primary_key_select_is_one_lookup(db, books, monkeypatch):
     db.scan("books")
     monkeypatch.setattr(storage, "_value_index", lambda *args: pytest.fail("indexed a key select"))
@@ -1194,7 +1209,8 @@ def test_a_primary_key_select_is_one_lookup(db, books, monkeypatch):
     rel = evaluate(parse("books | select ISBN = 9780596159818"), db)
     assert rel.rows == {"9780596159818": B818}
     assert [list(r.rows) for r in scanned] == [["9780596159818"]]
-    assert _copies_of_kept_rows(db, "books", scanned[0])
+    assert _kept_rows(db, "books", scanned[0])
+    assert _copies_of_kept_rows(db, "books", rel)
     assert evaluate(parse("books | select ISBN = absent"), db).rows == {}
 
 
@@ -1227,7 +1243,10 @@ def test_a_non_key_select_copies_only_its_matches(db, books, monkeypatch):
     rel = evaluate(parse('books | select publisher = "O\'Reilly" | project title'), db)
     assert rel.rows == {k: {"title": r["title"]} for k, r in gd.SELECT_OREILLY.items()}
     assert [list(r.rows) for r in scanned] == [list(gd.SELECT_OREILLY)]
-    assert _copies_of_kept_rows(db, "books", scanned[0])
+    assert _kept_rows(db, "books", scanned[0])
+    rel = evaluate(parse('books | select publisher = "O\'Reilly"'), db)
+    assert list(rel.rows) == list(gd.SELECT_OREILLY)
+    assert _copies_of_kept_rows(db, "books", rel)
 
 
 @pytest.mark.parametrize("query, pushed", [
@@ -1238,8 +1257,8 @@ def test_a_non_key_select_copies_only_its_matches(db, books, monkeypatch):
 ])
 def test_a_select_on_the_joined_table_runs_inside_its_scan(db, monkeypatch, query, pushed):
     wheres = []
-    scan = Database.scan
-    monkeypatch.setattr(Database, "scan", lambda self, name, where=None: wheres.append(where) or scan(self, name, where))
+    read = Database.read
+    monkeypatch.setattr(Database, "read", lambda self, name, where=None: wheres.append(where) or read(self, name, where))
     evaluated = _exact(evaluate, parse(query), db)
     assert wheres == [None, pushed]
     assert evaluated[0] == "ok" and evaluated[2]
@@ -1303,9 +1322,9 @@ def test_a_project_after_an_inner_join_or_cross_runs_inside_it(db, monkeypatch, 
 
 
 def _scans_recorded(db, monkeypatch):
-    """The table names ``db.scan`` is called with, in order."""
-    scanned, scan = [], db.scan
-    monkeypatch.setattr(db, "scan", lambda name, where=None: scanned.append(name) or scan(name, where))
+    """The table names ``db.read`` is called with, in order."""
+    scanned, read = [], db.read
+    monkeypatch.setattr(db, "read", lambda name, where=None: scanned.append(name) or read(name, where))
     return scanned
 
 
@@ -1422,6 +1441,48 @@ def test_a_select_inside_the_scan_equals_a_select_after_it(history, checks):
                     row.pop("id", None)
                 got.rows["new"] = {"id": "new"}
                 assert _ordered(db.scan("t")) == full
+
+
+# Queries over t (id, c, d) and u (id, e), whose rows x and y the values of c and d
+# name: bare tables, selects that run inside the scan, joins, runs and crosses.
+QUERY_SOURCES = st.sampled_from(("t", "u", "t | select id = a", "t | select c = x", "u | select e = 1"))
+QUERY_STEPS = st.sampled_from((
+    "select c = y", "select c.e = 1", "select n.id = x", "ijoin u on c", "ijoin u on d", "cross u as n",
+    "ljoin u on d", "project id, c, c.e, d.e, n.e", "rename d -> z",
+))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    history=st.lists(PUT_OR_DELETE, max_size=8),
+    queries=st.lists(st.tuples(QUERY_SOURCES, st.lists(QUERY_STEPS, max_size=3)), min_size=1, max_size=3),
+)
+# The bare table, then a select inside its scan: no operator runs, so evaluate copies the read relation.
+@example(history=[("a", ("x", None)), ("b", ("y", "x"))], queries=[("t", []), ("t | select c = x", [])])
+# A run of two inner joins and the project after it, then a cross.
+@example(history=[("a", ("x", "y"))], queries=[("t", ["ijoin u on c", "ijoin u on d", "project id, c, c.e, d.e, n.e"]),
+                                             ("t", ["cross u as n"])])
+def test_changing_a_query_result_does_not_change_the_next_query(history, queries):
+    with tempfile.TemporaryDirectory() as tmp:
+        Database(tmp).load("t", Schema("id", ("id", "c", "d")), [])
+        Database(tmp).load("u", Schema("id", ("id", "e")), [{"id": "x", "e": "1"}, {"id": "y"}])
+        for step in history:
+            _write(Database(tmp), step, {})
+        db = Database(tmp)
+        for source, steps in queries:
+            query = parse(" | ".join([source, *steps]))
+            try:
+                got = evaluate(query, db)
+            except SgdbError:
+                continue
+            for row in got.rows.values():
+                row["c"] = "scribbled"
+                row.pop("id", None)
+                row["ghost"] = "g"
+            got.rows.pop(next(iter(got.rows), None), None)
+            got.rows["new"] = {"id": "new"}
+            for again in (query, parse("t"), parse("u")):
+                assert _exact(evaluate, again, db) == _exact(evaluate, again, Database(tmp))
 
 
 # Writes from a second handle, compactions, drop-and-recreate, and selects through the one Database.
