@@ -177,7 +177,8 @@ def _pick_pipeline(seed: int, left: Relation, right: Relation) -> dsl.Query:
     joins, each on the join before's dotted right key (``link.link``) or on
     any field, and then a column project: a run the evaluator hands to
     ``ops.inner_join_run``.  Any other inner join or cross is followed half
-    the time by a column project.  A project may name the joining field, a
+    the time by a column project, and a single inner join and its project
+    are a run of one.  A project may name the joining field, a
     column twice or a field no row holds: the steps the evaluator may take
     into the join.  The cases the rewrites must leave alone are drawn too.
     A rename gives a left field a dotted name ``<n>.<f>`` (``n`` or

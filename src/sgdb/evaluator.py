@@ -19,20 +19,18 @@ the matching rows are taken from storage, which picks how to find them
 
 The third runs joins and the ``project`` after them as one call:
 
-* ``cross T as n`` or ``ijoin T on n`` followed at once by ``project``,
-  after the second has dropped its select, becomes one
-  ``ops.cartesian``/``ops.inner_join`` call given the columns, which
-  returns exactly the project of the join;
-* a run of two or more ``ijoin`` steps followed at once by ``project``
-  becomes one ``ops.inner_join_run`` call given the columns, which returns
-  exactly the project of the chain of joins and builds each result row
-  once when no step can raise (given ``*``, it builds the plain chain).
-  The run's first join may have dropped its select into its scan; a
-  select after a later join ends the run before that join.  The call
-  takes the run's right tables one at a time, each scanned only as its
-  step is taken, so a step that may raise is joined before the next table
-  is scanned and every error, ``UnknownTableError`` included, comes in the
-  plain fold's order.
+* a run of one or more ``ijoin`` steps followed at once by ``project``
+  becomes one ``ops.inner_join_run`` call, and ``cross T as n`` followed
+  at once by ``project`` one ``ops.cartesian`` call, given the columns,
+  once the second has dropped the select after the join, if any.  Each
+  returns exactly the project of the joins, and a run builds each result
+  row once when no step can raise (given ``*``, it builds the plain
+  chain).  The run's first join may have dropped its select into its
+  scan; a select after a later join ends the run before that join.  The
+  call takes the run's right tables one at a time, each scanned only as
+  its step is taken, so a step that may raise is joined before the next
+  table is scanned and every error, ``UnknownTableError`` included, comes
+  in the plain fold's order.
 
 Left, right and outer joins are never grouped: filtering their right side
 changes which rows go unmatched, and those rows stay in their result.
@@ -107,11 +105,11 @@ def evaluate(stmt: Statement, db: Database) -> Relation | Status:
                 after = pending[len(joins)] if len(joins) < len(pending) else None
                 if fuses and isinstance(after, ProjectStep):
                     del pending[:len(joins) + 1]
-                    if joins:
+                    if step.kind == "cross":
+                        rel = _JOINS["cross"](rel, right, step.key, after.columns)
+                    else:
                         scans = ((db.read(join.table), join.key) for join in joins)
                         rel = ops.inner_join_run(rel, chain([(right, step.key)], scans), after.columns)
-                    else:
-                        rel = _JOINS[step.kind](rel, right, step.key, after.columns)
                 else:
                     rel = _apply(step, rel, right)
             if rel is scanned:

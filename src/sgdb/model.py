@@ -73,9 +73,9 @@ class Relation:
 
     __slots__ = ("schema", "rows", "bounded")
 
-    def __init__(self, schema: Schema, rows: dict[str, TupleRecord] | None = None, bounded: bool = False):
+    def __init__(self, schema: Schema, rows: dict[str, TupleRecord], bounded: bool = False):
         self.schema = schema
-        self.rows: dict[str, TupleRecord] = {} if rows is None else rows
+        self.rows = rows
         self.bounded = bounded
 
     def __len__(self) -> int:
@@ -135,7 +135,7 @@ def create_relation(pk_field: str, fields: list[str] | tuple[str, ...]) -> Relat
         seen.add(f)
     if pk_field not in seen:
         raise SchemaError(f"primary key {pk_field!r} is not among the fields")
-    return Relation(Schema(primary_key=pk_field, fields=tuple(fields)))
+    return Relation(Schema(primary_key=pk_field, fields=tuple(fields)), {})
 
 
 def _checked_key(schema: Schema, record: Mapping[str, Value]) -> str:

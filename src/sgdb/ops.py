@@ -40,13 +40,13 @@ row calls ``_stitch``, which raises the ``KeyCollisionError`` flattening
 would, naming the field flattening meets first; so the rows, their field
 order and the errors are those of nesting and flattening.
 
-``inner_join_run(left, steps, fields)`` runs a chain of inner joins,
-``steps = ((r1, k1), …, (rn, kn))``, and the ``project`` onto ``fields``
-after it; ``inner_join`` given ``fields`` is a run of one, and ``cartesian``
-takes an optional ``fields`` too (``sgdb.evaluator`` passes them).  Each
-returns exactly ``project`` over the plain result: its rows, row order,
-field order, schema and error.  ``STAR`` gives the plain result; any other
-string is a ``TypeError``, as it is for ``project``.  A run is the plain
+``inner_join_run(left, steps, fields)`` runs a chain of one or more inner
+joins, ``steps = ((r1, k1), …, (rn, kn))``, and the ``project`` onto
+``fields`` after it, and ``cartesian`` takes an optional ``fields`` too
+(``sgdb.evaluator`` passes them).  Each returns exactly ``project`` over the
+plain result: its rows, row order, field order, schema and error.  ``STAR``
+gives the plain result; any other string is a ``TypeError``, as it is for
+``project``, raised before any step is taken.  A run is the plain
 fold, one join at a time, unless every key is non-empty and no field that
 a left row holds, or that an earlier step adds (``<kj>.<f>`` for each field
 ``f`` some right row of step j holds), starts with ``<key>.``
@@ -363,17 +363,13 @@ def _join(left: Relation, right: Relation, key: str, keep_left: bool, keep_right
     return Relation(_joined_schema(left.schema, right.schema, key), rows)
 
 
-def inner_join(left: Relation, right: Relation, key: str, fields: Columns | str | None = None) -> Relation:
+def inner_join(left: Relation, right: Relation, key: str) -> Relation:
     """Rows of ``left`` whose ``key`` value is the row key of a non-empty right tuple.
 
     The right tuple is nested under ``key`` and flattened; unmatched left
-    rows are dropped.  Result rows keep the left row keys.  With ``fields``
-    it is ``inner_join_run(left, [(right, key)], fields)``, that is
-    ``project(inner_join(left, right, key), fields)``.
+    rows are dropped.  Result rows keep the left row keys.
     """
-    if fields is None:
-        return _join(left, right, key, keep_left=False, keep_right=False)
-    return inner_join_run(left, ((right, key),), fields)
+    return _join(left, right, key, keep_left=False, keep_right=False)
 
 
 def inner_join_run(
@@ -387,11 +383,13 @@ def inner_join_run(
     taken only once every step before it is judged, and a step that may raise
     is joined, as the plain fold joins it, before the next is taken.  So a
     caller whose iterator scans each right table as its step is taken meets
-    every error in the plain fold's order.
+    every error in the plain fold's order.  ``fields`` is checked before
+    any step is taken.
     """
+    wanted = _columns(fields, "fields")
     steps = iter(steps)
-    if isinstance(fields, str):
-        return _fold(left, steps, fields)
+    if wanted is None:
+        return _fold(left, steps, None)
     taken: list[tuple[Relation, str]] = []
     held = _held(left)
     for right, key in steps:
@@ -399,8 +397,7 @@ def inner_join_run(
         held.update(k + SEPARATOR + f for r, k in taken[-1:] for f in _held(r))
         taken.append((right, key))
         if not key or not _nests_cleanly(held, key):
-            return _fold(left, chain(taken, steps), fields)
-    wanted = _columns(fields, "fields")
+            return _fold(left, chain(taken, steps), wanted)
     if not taken:
         return project(left, wanted)
     schema = replace(left.schema, fields=wanted)
@@ -447,13 +444,12 @@ def inner_join_run(
     return Relation(schema, rows, True)
 
 
-def _fold(left: Relation, steps: Iterable[tuple[Relation, str]], fields: Columns | str) -> Relation:
+def _fold(left: Relation, steps: Iterable[tuple[Relation, str]], wanted: tuple[str, ...] | None) -> Relation:
     """``inner_join_run`` as the plain fold: one ``inner_join`` per step, then
-    ``project``; ``STAR`` gives the last join as it is."""
+    ``project`` onto ``wanted``; None (``STAR``) gives the last join as it is."""
     rel = left
     for right, key in steps:
         rel = _join(rel, right, key, keep_left=False, keep_right=False)
-    wanted = _columns(fields, "fields")
     return rel if wanted is None else project(rel, wanted)
 
 

@@ -103,12 +103,11 @@ temporary file ``<table>.sgt.<hex>.tmp`` beside the table, which
 ``list_tables`` ignores.  That file is locked, written and fsynced, then
 hard-linked to the table's name (create, load) or renamed over it
 (compact), and the directory is fsynced.  So a table file only ever
-appears complete and already locked by the handle that made it, and with
-``sync`` (every create but a ``sync=False`` one, every load and every
-compact) a crash leaves either the whole new log or none of it under the
-table's name.  A crash can leave a temporary file behind; and a crash
-between the link and the unlink of the temporary name leaves a second
-name for the table's file.  ``Database.drop`` takes the table's lock before
+appears complete and already locked by the handle that made it, and a
+crash leaves either the whole new log or none of it under the table's
+name.  A crash can leave a temporary file behind; and a crash between the
+link and the unlink of the temporary name leaves a second name for the
+table's file.  ``Database.drop`` takes the table's lock before
 it unlinks the file, so it never deletes a table a handle has open, and
 then fsyncs the directory.  An open and a drop lock the file they opened
 and then check that the table's name still links to it (``_open_locked``);
@@ -252,14 +251,14 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def _install(path: Path, data: bytes, *, replace: bool, sync: bool = True):
+def _install(path: Path, data: bytes, *, replace: bool):
     """Put the log ``data`` in place at ``path``; return the new file, open and locked.
 
     ``data`` goes to a new temporary file beside ``path``, which is locked
-    before it is written, fsynced (unless ``sync`` is false), then renamed
-    over ``path`` (``replace``) or hard-linked to it (otherwise; a ``path``
-    that exists is ``TableExistsError``).  The directory is fsynced last.  So
-    ``path`` only ever names a complete log that its creator already holds
+    before it is written, fsynced, then renamed over ``path`` (``replace``)
+    or hard-linked to it (otherwise; a ``path`` that exists is
+    ``TableExistsError``).  The directory is fsynced last.  So ``path`` only
+    ever names a complete, durable log that its creator already holds
     locked, a failure leaves no temporary file and no open file, and one
     before the rename or link leaves ``path`` as it was.
     """
@@ -269,8 +268,7 @@ def _install(path: Path, data: bytes, *, replace: bool, sync: bool = True):
         _flock(fh, tmp)
         fh.write(data)
         fh.flush()
-        if sync:
-            os.fsync(fh.fileno())
+        os.fsync(fh.fileno())
         if replace:
             os.replace(tmp, path)
         else:
@@ -386,10 +384,7 @@ class TableFile:
     at open and held until close, so two handles on the same file cannot
     coexist.  ``sync=False`` defers fsync to close, which is faster for bulk
     loads but trades away crash durability for the unsynced suffix (replay
-    still never yields a half-written record).  A ``sync=False`` create links
-    the new file into place before its bytes are fsynced, so a crash can
-    leave that table's file empty or cut short, which opens as
-    ``CorruptFileError``.
+    still never yields a half-written record).
 
     ``kept`` is an earlier parse of the same table, which the handle takes
     over; see the module docstring.
@@ -403,7 +398,7 @@ class TableFile:
         self._closed = False
         if schema is not None:
             data = _log(schema, ())
-            self._fh = _install(self.path, data, replace=False, sync=sync)
+            self._fh = _install(self.path, data, replace=False)
             self._parse = _replay(self.path, data)
         else:
             self._fh = _open_locked(self.path, "r+b")
@@ -572,7 +567,7 @@ class Database:
         # _decoded has checked every row against the schema.
         return Relation(parse.schema, taken, True)
 
-    def scan(self, name: str, where: Condition | None = None) -> Relation:
+    def scan(self, name: str) -> Relation:
         """``read``, with a copy of each row, so the caller owns the relation."""
-        rel = self.read(name, where)
+        rel = self.read(name)
         return Relation(rel.schema, {key: dict(row) for key, row in rel.rows.items()}, True)

@@ -55,7 +55,7 @@ def test_render_table_catalog(catalog):
 
 
 def test_render_empty_relation_csv():
-    rel = Relation(Schema("catalog", gd.CATALOG_FIELDS))
+    rel = Relation(Schema("catalog", gd.CATALOG_FIELDS), {})
     assert render(rel, RenderSpec(format="csv")) == "catalog,description\n"
 
 
@@ -188,7 +188,7 @@ def _render_relations(draw):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(rel=_render_relations())
-@example(rel=Relation(Schema("k", ("k", "v"))))
+@example(rel=Relation(Schema("k", ("k", "v")), {}))
 @example(rel=Relation(Schema("k", ("k", "v")), {"2": {"k": "2", "v": None}, "1": {"k": "1", "v": None}}))
 @example(rel=Relation(Schema("k", ("k",)), {"1": {"k": "1", "v": None, "w": None}}))
 # ``project(rel, [])`` keeps every row and no field.

@@ -597,10 +597,12 @@ def _join_inputs_and_columns(draw):
 ))
 def test_a_join_given_columns_equals_the_project_of_the_join(inputs):
     left, right, key, columns = inputs
-    for op in (inner_join, cartesian):
-        assert _exact(op, left, right, key, columns) == _exact(
-            lambda: project(op(left, right, key), columns)
-        ), op.__name__
+    assert _exact(inner_join_run, left, [(right, key)], columns) == _exact(
+        lambda: project(inner_join(left, right, key), columns)
+    )
+    assert _exact(cartesian, left, right, key, columns) == _exact(
+        lambda: project(cartesian(left, right, key), columns)
+    )
 
 
 @st.composite
@@ -645,17 +647,28 @@ def test_project_given_a_string_other_than_star_is_a_type_error(books):
     assert relation_equal(project(books, STAR), books)
 
 
-@pytest.mark.parametrize("op", [inner_join, cartesian])
-def test_a_join_given_star_as_fields_is_the_plain_join(op, books, catalog):
-    plain = op(books, catalog, "catalog")
-    assert _exact(op, books, catalog, "catalog", STAR) == _exact(lambda: plain)
-    assert _exact(op, books, catalog, "catalog", STAR) == _exact(lambda: project(plain, STAR))
+def test_a_cross_given_star_as_fields_is_the_plain_cross(books, catalog):
+    plain = cartesian(books, catalog, "catalog")
+    assert _exact(cartesian, books, catalog, "catalog", STAR) == _exact(lambda: plain)
+    assert _exact(cartesian, books, catalog, "catalog", STAR) == _exact(lambda: project(plain, STAR))
 
 
-@pytest.mark.parametrize("op", [inner_join, cartesian])
-def test_a_join_given_a_string_other_than_star_as_fields_is_a_type_error(op, books, catalog):
+def test_a_cross_given_a_string_other_than_star_as_fields_is_a_type_error(books, catalog):
     with pytest.raises(TypeError, match="fields"):
-        op(books, catalog, "catalog", "title")
+        cartesian(books, catalog, "catalog", "title")
+
+
+def test_a_run_of_one_given_star_as_fields_is_the_plain_join(books, catalog):
+    plain = inner_join(books, catalog, "catalog")
+    assert _exact(inner_join_run, books, iter([(catalog, "catalog")]), STAR) == _exact(lambda: plain)
+    assert _exact(inner_join_run, books, iter([(catalog, "catalog")]), STAR) == _exact(lambda: project(plain, STAR))
+
+
+def test_a_run_given_a_string_other_than_star_as_fields_is_a_type_error_before_a_step_is_taken(books, catalog):
+    steps = iter([(catalog, "catalog")])
+    with pytest.raises(TypeError, match="fields"):
+        inner_join_run(books, steps, "title")
+    assert next(steps, None) is not None
 
 
 def _fold_of_inner_joins(left, steps, columns):
@@ -737,7 +750,7 @@ def test_a_bounded_result_holds_only_its_schema_fields(inputs, columns, bounded)
     outputs = [
         lambda: project(left, columns),
         lambda: project(right, columns),
-        lambda: inner_join(left, right, key, columns),
+        lambda: inner_join_run(left, [(right, key)], columns),
         lambda: inner_join_run(left, [(right, key), (right, f"{key}.k")], columns),
         lambda: cartesian(left, right, key, columns),
         lambda: select(project(left, columns), Condition("a", "1")),

@@ -8,7 +8,6 @@ import struct
 import tempfile
 import zlib
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -341,7 +340,7 @@ def test_a_null_in_a_non_key_field_survives_put_load_compact_and_scan(tmp_path, 
             table.compact()
             assert table.scan_all().rows == {key: record}
         assert db.scan(name).rows == {key: record}
-        assert db.scan(name, Condition(schema.primary_key, key)).rows == {key: record}
+        assert db.read(name, Condition(schema.primary_key, key)).rows == {key: record}
 
 
 def test_truncated_tail_is_dropped_cleanly(path):
@@ -495,7 +494,7 @@ def test_a_row_whose_primary_key_differs_from_its_record_key_is_corruption(db, p
     with pytest.raises(CorruptFileError):
         db.scan("books")
     with pytest.raises(CorruptFileError):
-        db.scan("books", Condition("ISBN", "b"))
+        db.read("books", Condition("ISBN", "b"))
     with TableFile(path) as table:
         with pytest.raises(CorruptFileError):
             table.scan_all()
@@ -943,6 +942,28 @@ def test_no_other_handle_can_lock_a_new_table_once_it_is_linked(tmp_path, monkey
     assert [p.name for p in db.root.iterdir()] == ["books.sgt"]
 
 
+@pytest.mark.parametrize("sync", [True, False])
+def test_a_create_fsyncs_its_log_before_it_links_it(tmp_path, monkeypatch, sync):
+    db = Database(tmp_path / "db")
+    events = []
+    fsync, link = os.fsync, os.link
+
+    def recording_fsync(fd):
+        events.append(("fsync", os.fstat(fd)))
+        fsync(fd)
+
+    def recording_link(src, dst):
+        events.append(("link", os.stat(src)))
+        link(src, dst)
+
+    monkeypatch.setattr(storage.os, "fsync", recording_fsync)
+    monkeypatch.setattr(storage.os, "link", recording_link)
+    db.create("books", BOOKS_SCHEMA, sync=sync).close()
+    monkeypatch.undo()
+    (at, (_, linked)), = [(i, e) for i, e in enumerate(events) if e[0] == "link"]
+    assert any(what == "fsync" and os.path.samestat(st, linked) for what, st in events[:at])
+
+
 def test_create_drop_and_compact_fsync_the_directory(tmp_path, monkeypatch):
     root = tmp_path / "db"
     db = Database(root)
@@ -1219,21 +1240,21 @@ def _failing(message):
 
 
 def test_the_first_non_key_select_builds_the_index_and_later_ones_reuse_it(db, books):
-    first = db.scan("books", Condition("publisher", "O'Reilly"))
+    first = db.read("books", Condition("publisher", "O'Reilly"))
     assert list(first.rows) == list(gd.SELECT_OREILLY)
-    assert db.scan("books", Condition("ghost", "x")).rows == {}
+    assert db.read("books", Condition("ghost", "x")).rows == {}
     index = db._parses["books"].by_value["publisher"]
     assert db._parses["books"].by_value["ghost"] == {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(storage, "_value_index", _failing("built an index again"))
-        assert db.scan("books", Condition("publisher", "O'Reilly")).rows == first.rows
-        assert db.scan("books", Condition("publisher", "absent")).rows == {}
-        assert db.scan("books", Condition("ghost", "x")).rows == {}
+        assert db.read("books", Condition("publisher", "O'Reilly")).rows == first.rows
+        assert db.read("books", Condition("publisher", "absent")).rows == {}
+        assert db.read("books", Condition("ghost", "x")).rows == {}
     assert db._parses["books"].by_value["publisher"] is index
     with db.open("books") as table:
         table.delete_record(next(iter(gd.SELECT_OREILLY)))
     # A write is a new parse, whose first select on the field builds a new index.
-    assert list(db.scan("books", Condition("publisher", "O'Reilly")).rows) == list(gd.SELECT_OREILLY)[1:]
+    assert list(db.read("books", Condition("publisher", "O'Reilly")).rows) == list(gd.SELECT_OREILLY)[1:]
     assert db._parses["books"].by_value["publisher"] is not index
 
 
@@ -1269,7 +1290,7 @@ def test_a_select_on_the_joined_table_runs_inside_its_scan(db, monkeypatch, quer
 
 def _recording_joins(monkeypatch):
     """The calls ``evaluate`` makes through ``evaluator._JOINS``, each as its
-    argument count (a call given a project's columns has four), and to
+    argument count (a cross given a project's columns has four), and to
     ``ops.inner_join_run``, each as ``("run", <steps it took>)``, or as
     ``("plain", <steps>)`` when it ran as the plain fold."""
     calls = []
@@ -1285,17 +1306,16 @@ def _recording_joins(monkeypatch):
         finally:
             calls.append(("plain" if folds else "run", len(taken)))
 
-    # Only the evaluator's calls are recorded, not those ops.inner_join makes.
-    monkeypatch.setattr(evaluator, "ops", SimpleNamespace(**{**vars(ops), "inner_join_run": recording_run}))
+    monkeypatch.setattr(ops, "inner_join_run", recording_run)
     monkeypatch.setattr(ops, "_fold", lambda *args: folds.append(args) or fold(*args))
     return calls
 
 
 @pytest.mark.parametrize("query, calls", [
-    ("books | ijoin catalog on catalog | project title, catalog.description, catalog", [4]),
+    ("books | ijoin catalog on catalog | project title, catalog.description, catalog", [("run", 1)]),
     ('books | cross catalog as c | select c.catalog = "002" | project c.description, title, c.description', [4]),
     ("books | ijoin catalog on catalog | ijoin catalog on publisher | project title, publisher.description", [("run", 2)]),
-    ("books | ijoin catalog on catalog | project *", [4]),
+    ("books | ijoin catalog on catalog | project *", [("plain", 1)]),
     ("books | ljoin catalog on catalog | project title", [3]),
     ("books | ijoin catalog on catalog | select title = x | project title", [3]),
     # The second cross meets the dotted left fields c.*: given the columns, it builds
@@ -1357,7 +1377,7 @@ def test_a_project_star_after_an_inner_join_copies_no_row_again(db, monkeypatch)
     monkeypatch.setattr(ops, "project", lambda *args: projected.append(args) or project(*args))
     made = _recording_joins(monkeypatch)
     evaluate(parse("books | ijoin catalog on catalog | project *"), db)
-    assert (made, projected) == ([4], [])
+    assert (made, projected) == ([("plain", 1)], [])
 
 
 def _write(db, step, model):
@@ -1518,7 +1538,7 @@ def test_a_select_through_a_kept_parse_equals_a_select_over_a_fresh_scan(steps):
                 db.create("t", schema).close()
                 model.clear()
             else:
-                got = db.scan("t", arg)
+                got = db.read("t", arg)
                 assert _ordered(got) == _ordered(ops.select(Database(tmp).scan("t"), arg))
                 assert got.rows == _select_in_model(model, arg, None)
 
