@@ -29,16 +29,14 @@ outer join both:
 
 The joins and ``cartesian`` build each such row in one step rather than
 nesting and re-flattening every pair.  Each right tuple is flattened once per
-call into its dotted part (``{key.f: v}``, or ``{key: None}`` when empty).
-A join builds a matched row in one loop over the left row, copying each
-field and putting the part in the joining field's place; ``cartesian``
-splits each left row once around the field (``_split``) and builds each pair
-as ``{**before, **part, **after}``.  The one collision flattening can meet is
-a left field named like a part field, and it leaves the row shorter than the
-left fields other than the joining field plus the part.  Only such a short
-row calls ``_stitch``, which raises the ``KeyCollisionError`` flattening
-would, naming the field flattening meets first; so the rows, their field
-order and the errors are those of nesting and flattening.
+call into its dotted part (``{key.f: v}``, or ``{key: None}`` when empty),
+and each row is ``_stitch(before, part, after)``: the left row split around
+the joining field (``_split``, once per left row in ``cartesian``) with the
+part in the field's place.  The one collision flattening can meet is a left
+field named like a part field, and ``_stitch`` raises the
+``KeyCollisionError`` flattening would for it, naming the field flattening
+meets first; so the rows, their field order and the errors are those of
+nesting and flattening.
 
 ``inner_join_run(left, steps, fields)`` runs a chain of one or more inner
 joins, ``steps = ((r1, k1), …, (rn, kn))``, and the ``project`` onto
@@ -73,15 +71,19 @@ In the one pass, each column and each key has one source (``_source``):
 the part of the last step whose key it is or starts with followed by
 ``.``, or else the left row.  So a step reads its key in the left row,
 or, when the key is an earlier step's dotted field (``k2 = k1.g``), as
-``g`` in that step's right row; when it is an earlier step's own key,
-which that step replaced, no row matches.  Once per call, the columns
-split by source (``_sides``).  Each step's part is picked down to its
-columns once per distinct right key (per right row in ``cartesian``) and
-each left row down to its columns once, and each result row is the left
-pick followed by each part's pick.  Only when the columns interleave the
-sources is that row re-laid in column order.  A matched row never takes a
-joining field itself from the left row.  Pair keys do not depend on
-fields, so ``cartesian`` checks them in the same order either way.
+``g`` in that step's right row.  A key that repeats an earlier step's own
+key needs no case of its own: that step either adds a field under it,
+which fails the check, or has only empty right tuples, which match no
+row.  Once per call, the columns split by source (``_sides``).  Each left
+row is picked down to its columns once, and then one loop over the steps
+looks up each step's right row by the key it reads and adds its part,
+picked down to its columns once per distinct right key, until a step
+finds no non-empty tuple and drops the row.  In ``cartesian`` each right
+row's part is picked once, and each pair is the left pick followed by
+the part's pick.  Only when the columns interleave the sources is a
+result row re-laid in column order.  A matched row never takes a joining
+field itself from the left row.  Pair keys do not depend on fields, so
+``cartesian`` checks them in the same order either way.
 
 A ``select`` of ``<key>.g = v`` after ``inner_join`` or ``cartesian`` at
 ``key`` gives what the same join gives over the right rows that
@@ -99,9 +101,9 @@ the result.  ``right_condition`` returns ``g = v`` then, and None otherwise:
 
 The schema of a join or ``cartesian`` result splices the right schema's
 fields, dotted under the joining field, into the left schema at that
-field's position, or appends them when the left schema lacks the field
-(``_joined_schema``).  ``cartesian`` keys each pair
-``<left key><PAIR_SEPARATOR><right key>``.
+field's position, or appends them when the left schema lacks the field,
+and names each field once, at its first position (``_joined_schema``).
+``cartesian`` keys each pair ``<left key><PAIR_SEPARATOR><right key>``.
 
 Matching is by string equality only.  A row that lacks the relevant field is
 simply skipped by ``select`` and ``project`` and counts as unmatched in joins.
@@ -221,11 +223,12 @@ def _require_key(key: str | None) -> str:
 
 def _joined_schema(left: Schema, right: Schema, key: str) -> Schema:
     """``left``'s fields with ``right``'s, dotted under ``key``, in the joining
-    field's place, or at the end when ``left`` has no such field."""
+    field's place, or at the end when ``left`` has no such field; a field
+    named twice is kept at its first position."""
     fields = left.fields
     at = fields.index(key) if key in fields else len(fields)
     dotted = tuple(f"{key}{SEPARATOR}{rf}" for rf in right.fields)
-    return replace(left, fields=fields[:at] + dotted + fields[at + 1:])
+    return replace(left, fields=tuple(dict.fromkeys(fields[:at] + dotted + fields[at + 1:])))
 
 
 def _right_part(key: str, rrow: TupleRecord) -> TupleRecord:
@@ -336,16 +339,8 @@ def _join(left: Relation, right: Relation, key: str, keep_left: bool, keep_right
             if rrow is not None and (rrow or keep_left):
                 part = parts[v] = _right_part(key, rrow)
         if part is not None:
-            row = {}
-            for f, x in lrow.items():
-                if f == key:
-                    row.update(part)
-                else:
-                    row[f] = x
-            if len(row) < len(lrow) - 1 + len(part):  # a left field is named like a part field
-                before, after = _split(lrow, key)
-                _stitch(before, part, after)
-            rows[k] = row
+            before, after = _split(lrow, key)
+            rows[k] = _stitch(before, part, after)
         elif keep_left:
             rows[k] = dict(lrow)
     if keep_right:
@@ -400,48 +395,33 @@ def inner_join_run(
             return _fold(left, chain(taken, steps), wanted)
     if not taken:
         return project(left, wanted)
-    schema = replace(left.schema, fields=wanted)
     keys = tuple(key for _, key in taken)
-    (lcols, rcols, *cols), relay = _sides(wanted, keys)
-    # Each later step: its number m, its right rows and key, where its key is
-    # read (the left row, 0, or step s's right row, under the name it has
-    # there), its part's columns and its (right row, picked part) by right key.
-    later = []
-    for m, ((right, key), mcols) in enumerate(zip(taken[1:], cols), 2):
+    (lcols, *cols), relay = _sides(wanted, keys)
+    # Each step: its number m, its right rows and key, where its key is read
+    # (the left row, 0, or step s's right row, under the name it has there),
+    # its part's columns and its (right row, picked part) by right key.
+    plan = []
+    for m, ((right, key), mcols) in enumerate(zip(taken, cols), 1):
         src = _source(key, keys[:m - 1])
-        if src and key == keys[src - 1]:  # an earlier step replaced the field
-            return Relation(schema, {}, True)
-        later.append((m, right.rows, key, src, key[len(keys[src - 1]) + 1:] if src else key, mcols, {}))
-    right, key = taken[0]
+        plan.append((m, right.rows, key, src, key[len(keys[src - 1]) + 1:] if src else key, mcols, {}))
     found: list[TupleRecord] = [{}] * (len(taken) + 1)  # the left row, then each step's right row
-    parts: dict[str, TupleRecord] = {}
     rows: dict[str, TupleRecord] = {}
     for k, lrow in left.rows.items():
-        v = lrow.get(key)
-        part = parts.get(v)
-        if part is None:
-            rrow = right.rows.get(v)
-            if not rrow:
-                continue
-            part = parts[v] = _pick(_right_part(key, rrow), rcols)
-        row = {**_pick(lrow, lcols), **part}
-        if later:
-            found[0], found[1] = lrow, right.rows[v]
-            for m, rrows, mkey, src, name, mcols, hits in later:
-                v = found[src].get(name)
-                hit = hits.get(v)
-                if hit is None:
-                    rrow = rrows.get(v)
-                    if not rrow:
-                        break
-                    hit = hits[v] = (rrow, _pick(_right_part(mkey, rrow), mcols))
-                found[m], part = hit
-                row.update(part)
-            else:
-                rows[k] = _pick(row, wanted) if relay else row
-        else:  # a run of one: entering the empty loop above would cost it about 5%
+        found[0] = lrow
+        row = _pick(lrow, lcols)
+        for m, rrows, key, src, name, mcols, hits in plan:
+            v = found[src].get(name)
+            hit = hits.get(v)
+            if hit is None:
+                rrow = rrows.get(v)
+                if not rrow:
+                    break
+                hit = hits[v] = (rrow, _pick(_right_part(key, rrow), mcols))
+            found[m], part = hit
+            row.update(part)
+        else:
             rows[k] = _pick(row, wanted) if relay else row
-    return Relation(schema, rows, True)
+    return Relation(replace(left.schema, fields=wanted), rows, True)
 
 
 def _fold(left: Relation, steps: Iterable[tuple[Relation, str]], wanted: tuple[str, ...] | None) -> Relation:
@@ -494,7 +474,6 @@ def cartesian(left: Relation, right: Relation, nest_field: str, fields: Columns 
     for lk, lrow in left.rows.items():
         if wanted is None:
             before, after = _split(lrow, nest_field)
-            size = len(before) + len(after)
         else:
             picked = _pick(lrow, lcols)
         for rk, part in parts:
@@ -503,13 +482,9 @@ def cartesian(left: Relation, right: Relation, nest_field: str, fields: Columns 
                 raise KeyCollisionError(f"pair key {pair_key!r} produced twice")
             if wanted is not None:
                 row = {**picked, **part}
-                if relay:
-                    row = _pick(row, wanted)
+                rows[pair_key] = _pick(row, wanted) if relay else row
             else:
-                row = {**before, **part, **after}
-                if len(row) < size + len(part):
-                    _stitch(before, part, after)
-            rows[pair_key] = row
+                rows[pair_key] = _stitch(before, part, after)
     schema = _joined_schema(left.schema, right.schema, nest_field) if wanted is None else replace(left.schema, fields=wanted)
     return Relation(schema, rows, wanted is not None)
 

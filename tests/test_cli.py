@@ -488,6 +488,24 @@ def test_exec_rename_onto_a_field_no_row_holds_shows_it_once(tmp_path, capsys, q
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("query, expected", [
+    ("l | ljoin t on k | ljoin t on k", "id  a  k.x  k.y\n--  -  ---  ---\n1      r    v\n(1 row)\n"),
+    ("l | rename a -> k.x | ijoin t on k", "id  k.x  k.y\n--  ---  ---\n1   r    v\n(1 row)\n"),
+], ids=["ljoin twice", "rename then ijoin"])
+def test_exec_join_whose_schema_meets_a_dotted_field_again_shows_it_once(tmp_path, capsys, query, expected):
+    # The second ljoin finds no k and appends k.x and k.y, which the schema
+    # already names; the rename puts k.x in the schema, though no row holds a.
+    root = str(tmp_path / "db")
+    tables = (
+        "create table l pk id fields id, a, k; insert l { id: 1, k: r };"
+        "create table t pk x fields x, y; insert t { x: r, y: v };"
+    )
+    assert main(["--db", root, "exec", "-e", tables]) == 0
+    capsys.readouterr()
+    assert main(["--db", root, "exec", "-e", query]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_exec_is_byte_deterministic(dbdir, capsys):
     args = ["--db", dbdir, "exec", "-e", "books | njoin catalog", "--format", "table"]
     main(args)

@@ -519,11 +519,23 @@ def _outcome(fn, *args):
     Relation(Schema("id", ("a",)), {"1": {"a": "w"}}),
     "k",
 ))
+# The left schema names "k.a", which no row holds, so nothing collides, and the
+# joined schema names "k.a" once though the right schema dots "a" to it again.
+@example(inputs=(
+    Relation(Schema("id", ("id", "k", "k.a")), {"1": {"id": "1", "k": "r"}}),
+    Relation(Schema("id", ("a",)), {"r": {"a": "v"}}),
+    "k",
+))
 def test_joined_rows_equal_nest_then_flatten(inputs):
     left, right, key = inputs
     before = copy.deepcopy((left.rows, right.rows))
     for op, reference in REFERENCES.items():
         assert _outcome(op, left, right, key) == _outcome(reference, left, right, key), op.__name__
+        try:
+            fields = op(left, right, key).schema.fields
+        except SgdbError:
+            continue
+        assert len(set(fields)) == len(fields), op.__name__
     assert (left.rows, right.rows) == before
 
 
@@ -726,6 +738,24 @@ def _run_inputs(draw):
     Relation(Schema("id", ("k",)), {"1": {"k": "r"}}),
     [(Relation(Schema("id", ("a",)), {"r": {"a": "r"}}), "k")] * 2,
     ["k.a"],
+))
+# A run of one whose columns interleave the left row and the part: the row is
+# re-laid in column order.
+@example(inputs=(
+    Relation(Schema("id", ("id", "k")), {"1": {"id": "1", "k": "r"}, "2": {"k": "s", "id": "2"}}),
+    [(Relation(Schema("id", ("a",)), {"r": {"a": "v"}, "s": {"a": "w"}}), "k")],
+    ["k.a", "id"],
+))
+# The first step's right tuples are all empty, so it adds no field under "k"
+# and the run takes its one pass, and the second step repeats its key "k":
+# the first step matches no row, so neither does the second.
+@example(inputs=(
+    Relation(Schema("id", ("id", "k")), {"1": {"id": "1", "k": "r"}}),
+    [
+        (Relation(Schema("id", ("a",)), {"r": {}}), "k"),
+        (Relation(Schema("id", ("a",)), {"r": {"a": "v"}}), "k"),
+    ],
+    ["id", "k", "k.a"],
 ))
 def test_an_inner_join_run_equals_the_plain_fold(inputs):
     left, steps, columns = inputs
