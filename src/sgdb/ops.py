@@ -74,16 +74,20 @@ or, when the key is an earlier step's dotted field (``k2 = k1.g``), as
 ``g`` in that step's right row.  A key that repeats an earlier step's own
 key needs no case of its own: that step either adds a field under it,
 which fails the check, or has only empty right tuples, which match no
-row.  Once per call, the columns split by source (``_sides``).  Each left
-row is picked down to its columns once, and then one loop over the steps
-looks up each step's right row by the key it reads and adds its part,
-picked down to its columns once per distinct right key, until a step
-finds no non-empty tuple and drops the row.  In ``cartesian`` each right
-row's part is picked once, and each pair is the left pick followed by
-the part's pick.  Only when the columns interleave the sources is a
-result row re-laid in column order.  A matched row never takes a joining
-field itself from the left row.  Pair keys do not depend on fields, so
-``cartesian`` checks them in the same order either way.
+row.  Once per call, the columns split by source (``_sides``), and each
+step pairs its columns under ``<key>.`` with the right fields they name.
+Each left row is picked down to its columns inline, by ``_pick``'s rule,
+and then one loop over the steps looks up each step's right row by the key
+it reads and adds its part, picked straight from the right row through
+those pairs once per distinct right key, until a step finds no non-empty
+tuple and drops the row.  Only a non-empty right row is ever picked, and
+its part flattens to ``<key>.<f>`` fields only, so the bare ``key`` column
+never comes from it; the part is never flattened in full.  In
+``cartesian`` each right row's part is picked once, and each pair is the
+left pick followed by the part's pick.  Only when the columns interleave
+the sources is a result row re-laid in column order.  A matched row never
+takes a joining field itself from the left row.  Pair keys do not depend
+on fields, so ``cartesian`` checks them in the same order either way.
 
 A ``select`` of ``<key>.g = v`` after ``inner_join`` or ``cartesian`` at
 ``key`` gives what the same join gives over the right rows that
@@ -397,30 +401,37 @@ def inner_join_run(
         return project(left, wanted)
     keys = tuple(key for _, key in taken)
     (lcols, *cols), relay = _sides(wanted, keys)
-    # Each step: its number m, its right rows and key, where its key is read
-    # (the left row, 0, or step s's right row, under the name it has there),
-    # its part's columns and its (right row, picked part) by right key.
+    # Each step: its number m, its right rows, where its key is read (the
+    # left row, 0, or step s's right row, under the name it has there), the
+    # (column, right field) pairs of its part's columns under ``<key>.``, and
+    # its (right row, picked part) by right key.
     plan = []
     for m, ((right, key), mcols) in enumerate(zip(taken, cols), 1):
         src = _source(key, keys[:m - 1])
-        plan.append((m, right.rows, key, src, key[len(keys[src - 1]) + 1:] if src else key, mcols, {}))
+        pairs = tuple((c, c[len(key) + 1:]) for c in mcols if c.startswith(key + SEPARATOR))
+        plan.append((m, right.rows, src, key[len(keys[src - 1]) + 1:] if src else key, pairs, {}))
     found: list[TupleRecord] = [{}] * (len(taken) + 1)  # the left row, then each step's right row
     rows: dict[str, TupleRecord] = {}
     for k, lrow in left.rows.items():
         found[0] = lrow
-        row = _pick(lrow, lcols)
-        for m, rrows, key, src, name, mcols, hits in plan:
+        row = {}
+        for f in lcols:  # _pick(lrow, lcols), inline: a call per row costs more
+            if f in lrow:
+                row[f] = lrow[f]
+        for m, rrows, src, name, pairs, hits in plan:
             v = found[src].get(name)
             hit = hits.get(v)
             if hit is None:
                 rrow = rrows.get(v)
                 if not rrow:
                     break
-                hit = hits[v] = (rrow, _pick(_right_part(key, rrow), mcols))
+                # A non-empty right row flattens to ``<key>.<f>`` only, so the
+                # part holds no bare ``key``: pick its columns straight from it.
+                hit = hits[v] = (rrow, {c: rrow[f] for c, f in pairs if f in rrow})
             found[m], part = hit
             row.update(part)
         else:
-            rows[k] = _pick(row, wanted) if relay else row
+            rows[k] = {f: row[f] for f in wanted if f in row} if relay else row
     return Relation(replace(left.schema, fields=wanted), rows, True)
 
 

@@ -11,12 +11,13 @@ is this CSV output); JSON output emits each row's record verbatim (null as
 JSON null) using the same canonical serialization the table files use.
 Table and CSV output are built one column at a time: a column holds one
 field's value in every row, and only a column that holds a null has it
-replaced.  Table output pads each column to its longest cell, column name
-included, once, and lays out the header and every row from those padded
-columns (``_table``).  It writes a line feed or carriage return inside a
-cell or column name as the two characters ``\n`` or ``\r``, so every row
-stays on one line and the columns line up.  CSV output quotes cells as
-``csv_text`` does.
+replaced.  Table output pads each column but the last to its longest cell,
+column name included, once, and lays out the header and every row from
+those padded columns (``_table``); the last is not padded, since each line
+is stripped of its trailing spaces, which would remove that padding.  It
+writes a line feed or carriage return inside a cell or column name as the
+two characters ``\n`` or ``\r``, so every row stays on one line and the
+columns line up.  CSV output quotes cells as ``csv_text`` does.
 """
 
 from __future__ import annotations
@@ -109,12 +110,14 @@ def _table(cols: list[str], columns: list[list[str]], n: int) -> str:
     """The table of ``n`` rows under the header ``cols``, where ``columns``
     holds the rows' cells column by column.
 
-    Each column is as wide as its longest cell, header included, and is
-    padded to that width once; every line, header and body alike, is its
-    padded cells joined by two spaces, with trailing spaces stripped.
+    Each column is as wide as its longest cell, header included, and each
+    but the last is padded to that width once; every line, header and body
+    alike, is its padded cells joined by two spaces, with trailing spaces
+    stripped.  The body leaves the last column unpadded: stripping would
+    remove its padding (``s.ljust(w).rstrip(" ") == s.rstrip(" ")``).
     """
     widths = [max(len(c), max(map(len, column), default=0)) for c, column in zip(cols, columns)]
-    padded = [map(str.ljust, column, repeat(w)) for column, w in zip(columns, widths)]
+    padded = [map(str.ljust, column, repeat(w)) for column, w in zip(columns[:-1], widths)] + columns[-1:]
     body = map(str.rstrip, map("  ".join, _by_row(padded, n)), repeat(" "))
     header = "  ".join(map(str.ljust, cols, widths)).rstrip(" ")
     dashes = "  ".join("-" * w for w in widths)

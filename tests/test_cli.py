@@ -203,6 +203,14 @@ def _render_relations(draw):
 @example(rel=Relation(Schema("k", ("k", "v")), {"1": {"k": "1", "v": ""}, "2": {"k": "22"}}))
 # Headers wider than every cell, in the middle and at the end.
 @example(rel=Relation(Schema("k", ("k", "middle", "last")), {"1": {"k": "1", "middle": "a", "last": "b"}}))
+# A one-column table whose cells end in spaces, one of them empty: the lone
+# column is the last, so it is not padded.
+@example(rel=Relation(Schema("v", ("v",)), {"1": {"v": "a  "}, "2": {"v": ""}, "3": {"v": " "}, "4": {"v": "bb"}}))
+# A last column wider than its header next to one narrower than its header.
+@example(rel=Relation(Schema("k", ("k", "middle", "w")), {
+    "1": {"k": "1", "middle": "a", "w": "a long cell"},
+    "2": {"k": "2", "middle": "bb", "w": "c"},
+}))
 def test_render_equals_a_row_major_reference(rel):
     for fmt in ("table", "csv"):
         assert render(rel, RenderSpec(fmt)) == _row_major_render(rel, fmt), fmt

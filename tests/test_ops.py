@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import golden_data as gd
 
+from sgdb import ops
 from sgdb.errors import (
     FieldCollisionError,
     KeyCollisionError,
@@ -757,9 +758,49 @@ def _run_inputs(draw):
     ],
     ["id", "k", "k.a"],
 ))
+# A matched run of one whose columns name the bare key and a field no right
+# row holds: the part is picked from the right row, and holds neither.
+@example(inputs=(
+    Relation(Schema("id", ("id", "k")), {"1": {"id": "1", "k": "r"}, "2": {"id": "2", "k": "s"}}),
+    [(Relation(Schema("id", ("a",)), {"r": {"a": "v"}, "s": {"a": "w"}}), "k")],
+    ["id", "k", "k.ghost", "k.a"],
+))
+# A right row holding the dotted field "a.b", named by the column "k.a.b".
+@example(inputs=(
+    Relation(Schema("id", ("id", "k")), {"1": {"id": "1", "k": "r"}}),
+    [(Relation(Schema("id", ("a", "a.b")), {"r": {"a.b": "v"}}), "k")],
+    ["k.a.b", "id", "k.a"],
+))
+# The chained second key "k.k" named as a column beside "k.k.a": the second
+# step's part replaces "k.k", so the bare key is absent.
+@example(inputs=(
+    Relation(Schema("id", ("id", "k")), {"1": {"id": "1", "k": "r"}}),
+    [
+        (Relation(Schema("id", ("a", "k")), {"r": {"a": "x", "k": "s"}}), "k"),
+        (Relation(Schema("id", ("a",)), {"s": {"a": "y"}}), "k.k"),
+    ],
+    ["id", "k.k.a", "k.k"],
+))
 def test_an_inner_join_run_equals_the_plain_fold(inputs):
     left, steps, columns = inputs
     assert _exact(inner_join_run, left, iter(steps), columns) == _exact(_fold_of_inner_joins, left, steps, columns)
+
+
+def test_a_run_in_one_pass_neither_flattens_nor_calls_pick(monkeypatch):
+    """The one pass picks each part straight from the right row and the left
+    row inline, yet gives the plain fold's result."""
+
+    def fail(*args):
+        raise AssertionError("the one pass called a per-row helper")
+
+    left = Relation(Schema("id", ("id", "k")), {"1": {"id": "1", "k": "r"}, "2": {"id": "2", "k": "s"}})
+    right = Relation(Schema("id", ("a", "k")), {"r": {"a": "x", "k": "s"}, "s": {"a": "y", "k": "r"}})
+    steps = [(right, "k"), (right, "k.k")]
+    columns = ["k.k.a", "id", "k.a", "ghost", "k.k"]
+    expected = _exact(_fold_of_inner_joins, left, steps, columns)
+    monkeypatch.setattr(ops, "_right_part", fail)
+    monkeypatch.setattr(ops, "_pick", fail)
+    assert _exact(inner_join_run, left, steps, columns) == expected
 
 
 def _columns_held(rel):

@@ -48,8 +48,10 @@ class Mutant:
 
 _OPS = "src/sgdb/ops.py"
 _OPS_TESTS = ("tests/test_ops.py",)
+_RENDER = "src/sgdb/render.py"
+_RENDER_TESTS = ("tests/test_cli.py",)
 
-MUTANTS = (
+OPS_MUTANTS = (
     Mutant(
         "_stitch raises on every row (< becomes <=)", _OPS,
         "    if len(row) < len(before) + len(part) + len(after):",
@@ -133,7 +135,40 @@ MUTANTS = (
             "the join where the schema picks the plain fold or the select after it, and both are exact"
         ),
     ),
+    Mutant(
+        "the one pass picks a part column the right row does not hold", _OPS,
+        "{c: rrow[f] for c, f in pairs if f in rrow}",
+        "{c: rrow[f] for c, f in pairs}",
+        _OPS_TESTS,
+    ),
+    Mutant(
+        "the one pass gives a left column the row lacks as null", _OPS,
+        "            if f in lrow:\n                row[f] = lrow[f]\n",
+        "            row[f] = lrow.get(f)\n",
+        _OPS_TESTS,
+    ),
 )
+
+RENDER_MUTANTS = (
+    Mutant(
+        "a table's body lines keep their trailing spaces", _RENDER,
+        'body = map(str.rstrip, map("  ".join, _by_row(padded, n)), repeat(" "))',
+        'body = map("  ".join, _by_row(padded, n))',
+        _RENDER_TESTS,
+    ),
+    Mutant(
+        "a table pads its last column too", _RENDER,
+        "for column, w in zip(columns[:-1], widths)] + columns[-1:]",
+        "for column, w in zip(columns, widths)]",
+        _RENDER_TESTS,
+        equivalent=(
+            "every body line is stripped of trailing spaces, and s.ljust(w).rstrip(' ') == s.rstrip(' '), "
+            "so padding the last cell of a line changes no text"
+        ),
+    ),
+)
+
+MUTANTS = OPS_MUTANTS + RENDER_MUTANTS
 
 
 def mutated(root: Path, mutant: Mutant) -> str:
